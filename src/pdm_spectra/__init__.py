@@ -53,6 +53,7 @@ from .mapping import (
     wavefunction_pullback,
 )
 from .operators import (
+    MAX_DENSE_NODES,
     Grid,
     OperatorMatrix,
     build_eta_matrix,
@@ -69,6 +70,7 @@ from .eigen import (
     brute_oracle_small,
     classify_spectrum,
     eig,
+    eig_lowest,
     match_eigenvalue_sets,
 )
 from .verify import (

@@ -14,16 +14,13 @@ Subcommands:
 Exit codes: 0 success, 1 a verification check failed, 2 bad usage,
 bad config, or a model/numerics error.  Output files are written
 atomically; reruns with the same inputs produce identical bytes.
-PDM_SPECTRA_THREADS caps the worker threads used by `verify --which all`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -58,19 +55,6 @@ from .verify import (
 from .errors import BetaMinusOneError
 
 _CHECK_ORDER = ("isospectral", "intertwining", "analytic", "identities", "solver")
-
-
-def _thread_cap() -> int | None:
-    raw = os.environ.get("PDM_SPECTRA_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"PDM_SPECTRA_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError(f"PDM_SPECTRA_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def _load(args) -> RunConfig:
@@ -213,20 +197,15 @@ def cmd_verify(args) -> int:
     cfg = _load(args)
     seed = args.seed if args.seed is not None else cfg.seed
     if args.which == "all":
-        names = list(_CHECK_ORDER)
-        cap = _thread_cap() or len(names)
-
-        def run(name: str) -> VerificationReport:
+        reports = []
+        for name in _CHECK_ORDER:
             try:
-                return _run_check(name, cfg, seed)
+                reports.append(_run_check(name, cfg, seed))
             except UnsupportedGeneratorError as exc:
-                return VerificationReport(
+                reports.append(VerificationReport(
                     check=name, passed=True,
                     details={"note": f"skipped: {exc}"},
-                )
-
-        with ThreadPoolExecutor(max_workers=min(cap, len(names))) as pool:
-            reports = list(pool.map(run, names))
+                ))
         combined = VerificationReport(
             check="all",
             passed=all(r.passed for r in reports),

@@ -1,10 +1,16 @@
-"""Dense nonsymmetric eigensolving, bound-state classification, an
-independent small-matrix oracle, and eigenvalue set matching.
+"""Dense nonsymmetric eigensolving, a low-window tridiagonal solver,
+bound-state classification, an independent small-matrix oracle, and
+eigenvalue set matching.
 
 The main entry point `eig` wraps LAPACK's general complex solver and adds
 the package conventions: eigenvalues in lexicographic order (real part,
 then imaginary part), per-pair residual norms, an inverse-iteration polish
 for the rare pair whose residual is out of line, and a trace cross-check.
+
+`eig_lowest` returns only the lowest few eigenvalues of a tridiagonal
+matrix, by shift-invert Arnoldi (ARPACK, through scipy) with a proof that
+the window it returns is complete, and falls back to `eig` where it cannot
+give that proof.
 
 `brute_oracle_small` shares no code path with LAPACK: it builds the
 characteristic polynomial by the Faddeev-LeVerrier recursion and finds all
@@ -14,6 +20,7 @@ solver can be checked against something that cannot fail the same way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +35,7 @@ from .operators import Grid, OperatorMatrix
 __all__ = [
     "Spectrum",
     "eig",
+    "eig_lowest",
     "brute_oracle_small",
     "classify_spectrum",
     "match_eigenvalue_sets",
@@ -36,6 +44,9 @@ __all__ = [
 _ORACLE_MAX_SIZE = 8
 _REFINE_TRIGGER = 1e-9
 _REFINE_STEPS = 3
+# Real parts closer than this, relative to the Gershgorin bound on ||A||, are
+# a tie: rounding alone decides their lexicographic order.
+_TIE_RTOL = 1e-10
 
 
 def _lex_order(values: np.ndarray) -> np.ndarray:
@@ -161,6 +172,77 @@ def eig(matrix, vectors: bool = False) -> Spectrum:
         matrix_norm=norm_a,
         trace_error=trace_error,
     )
+
+
+def _tridiagonal_bands(a: np.ndarray):
+    """(lower, diagonal, upper) of a tridiagonal matrix; ValueError otherwise."""
+    bands = (np.diagonal(a, -1), np.diagonal(a), np.diagonal(a, 1))
+    if np.count_nonzero(a) != sum(np.count_nonzero(b) for b in bands):
+        raise ValueError("eig_lowest needs a tridiagonal matrix")
+    return bands
+
+
+def _row_sums(couplings: np.ndarray) -> np.ndarray:
+    """Per-row sum of the two off-diagonal magnitudes of a tridiagonal."""
+    out = np.zeros(couplings.size + 1)
+    out[:-1] += couplings
+    out[1:] += couplings
+    return out
+
+
+def eig_lowest(matrix, k: int) -> np.ndarray:
+    """Lowest k eigenvalues of a tridiagonal matrix, lex-ordered.
+
+    Agrees with eig(matrix).eigenvalues[:k].  Shift-invert Arnoldi returns
+    the m eigenvalues nearest a real shift sigma placed below every real
+    part; they form a disk of radius R about sigma.  Every eigenvalue has
+    |Im| <= B, so one outside the disk has real part at least
+    sigma + sqrt(R^2 - B^2), the reach.  The window is accepted when the
+    k-th value lies below the reach and is not tied with the (k+1)-th;
+    otherwise m doubles.  A tie at the cut, an ARPACK failure, or m reaching
+    n - 2 hands the matrix to the dense `eig`, whose sort then decides.
+
+    The bounds come from Bendixson's theorem and Gershgorin's discs applied
+    to the diagonally similar matrix whose off-diagonal pairs both equal
+    sqrt(lower * upper), so the non-symmetric stencils of the mass picture
+    do not inflate them.  Raises ValueError for a non-tridiagonal input.
+    """
+    a = _entries(matrix)
+    n = a.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= {n}, got {k}")
+    lower, diag, upper = _tridiagonal_bands(a)
+    root = np.sqrt(lower * upper)
+    floor = float(np.min(diag.real - _row_sums(np.abs(root.real))))
+    im_bound = float(np.max(np.abs(diag.imag) + _row_sums(np.abs(root.imag))))
+    tie = _TIE_RTOL * max(1.0, float(np.max(np.abs(diag) + _row_sums(np.abs(root)))))
+    sigma = floor - max(im_bound, tie)
+    m = k + 1
+    if m < n - 2:
+        # scipy is imported here, not at module level: its import costs more
+        # than a small solve, and only this path needs it.
+        from scipy.sparse import diags
+        from scipy.sparse.linalg import ArpackError, eigs
+
+        sparse = diags([lower, diag, upper], [-1, 0, 1], format="csc")
+        start = np.random.default_rng(0).standard_normal(n).astype(complex)
+        while m < n - 2:
+            try:
+                vals = eigs(sparse, k=m, sigma=sigma, v0=start, return_eigenvectors=False)
+            except ArpackError:
+                break
+            vals = vals[_lex_order(vals)]
+            radius = float(np.max(np.abs(vals - sigma)))
+            reach = sigma + math.sqrt(max(radius**2 - im_bound**2, 0.0))
+            cut, after = vals[k - 1].real, vals[k].real
+            if min(reach, after) - cut > tie:
+                vals = vals[:k]
+                vals.setflags(write=False)
+                return vals
+            if after < reach:
+                break  # a tie at the cut; a larger window cannot decide it
+            m *= 2
+    return eig(a).eigenvalues[:k]
 
 
 def _char_poly_coeffs(a: np.ndarray) -> np.ndarray:

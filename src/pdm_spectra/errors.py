@@ -40,7 +40,8 @@ class NoConvergenceError(PdmSpectraError):
 
 
 class TooLargeError(PdmSpectraError):
-    """The brute-force characteristic-polynomial oracle only accepts n <= 8."""
+    """A matrix exceeds a size limit: dense assembly (MAX_DENSE_NODES) or the
+    brute-force characteristic-polynomial oracle (n <= 8)."""
 
 
 class MissingVectorsError(PdmSpectraError):

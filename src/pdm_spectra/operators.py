@@ -31,12 +31,14 @@ from .errors import (
     OutOfDomainError,
     SingularEdgeError,
     TooFewNodesError,
+    TooLargeError,
 )
 from .model import AmbiguityOrdering, ConstantMass, MassLike, MassProfile, ModelSpec, generator_eval
 from .mapping import target_potential, reference_potential
 
 __all__ = [
     "EDGE_EPSILON_FACTOR",
+    "MAX_DENSE_NODES",
     "Grid",
     "uniform_grid",
     "q_induced_grid",
@@ -49,9 +51,15 @@ __all__ = [
     "export_matrix",
 ]
 
-# Nodes of a mass-picture grid must keep c1*x + c2 above this fraction of the
-# grid width; the mass blows up at c1*x + c2 = 0.
+# Points of a mass-picture grid must keep c1*x + c2 above this fraction of
+# |c1| times the local node spacing; the mass blows up at c1*x + c2 = 0.  The
+# local spacing, unlike the grid width, does not grow with the far end of a
+# log-mapped grid, so the guard is free of the window's scale.
 EDGE_EPSILON_FACTOR = 1e-8
+
+# Largest grid the dense assembly accepts: one complex n x n matrix takes
+# 16 n^2 bytes, 1.0 GB at this size.
+MAX_DENSE_NODES = 8000
 
 
 @dataclass(frozen=True)
@@ -154,6 +162,17 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
+def _dense_zeros(grid: Grid, dtype=complex) -> np.ndarray:
+    """Zeroed n x n matrix for a grid, refused before allocating when too large."""
+    n = grid.n
+    if n > MAX_DENSE_NODES:
+        raise TooLargeError(
+            f"dense assembly accepts grids up to {MAX_DENSE_NODES} nodes, got {n} "
+            f"({16 * n * n / 1e9:.1f} GB per matrix)"
+        )
+    return np.zeros((n, n), dtype=dtype)
+
+
 def _check_inside_q_window(spec: ModelSpec, grid: Grid) -> None:
     qa, qb = spec.q_interval
     pad = 1e-12 * (qb - qa)
@@ -174,7 +193,7 @@ def build_reference_matrix(spec: ModelSpec, grid: Grid) -> OperatorMatrix:
     _check_inside_q_window(spec, grid)
     n = grid.n
     h = grid.h
-    m = np.zeros((n, n), dtype=complex)
+    m = _dense_zeros(grid)
     np.fill_diagonal(m, 2.0 / h**2 + reference_potential(spec.generator, spec.alpha0, grid.nodes))
     i = np.arange(n - 1)
     m[i, i + 1] = -1.0 / h**2
@@ -185,14 +204,19 @@ def build_reference_matrix(spec: ModelSpec, grid: Grid) -> OperatorMatrix:
 def _guard_mass_nodes(profile: MassLike, grid: Grid) -> None:
     if isinstance(profile, ConstantMass):
         return
-    u = profile.c1 * grid.points + profile.c2
+    points = grid.points
+    u = profile.c1 * points + profile.c2
     if np.any(u <= 0.0):
         raise OutOfDomainError("grid reaches outside the profile domain c1*x + c2 > 0")
-    edge_epsilon = EDGE_EPSILON_FACTOR * (grid.b - grid.a)
-    if np.any(u <= edge_epsilon):
+    cells = np.abs(np.diff(points))
+    spacing = np.maximum(np.append(cells[0], cells), np.append(cells, cells[-1]))
+    edge_epsilon = EDGE_EPSILON_FACTOR * abs(profile.c1) * spacing
+    close = np.nonzero(u <= edge_epsilon)[0]
+    if close.size:
+        i = close[0]
         raise SingularEdgeError(
-            f"grid node too close to the mass singularity: min(c1*x + c2) = {u.min():.3e} "
-            f"<= {edge_epsilon:.3e}"
+            f"grid point x = {points[i]:.6g} too close to the mass singularity: "
+            f"c1*x + c2 = {u[i]:.3e} <= {edge_epsilon[i]:.3e}"
         )
 
 
@@ -218,7 +242,7 @@ def build_target_matrix(spec: ModelSpec, grid: Grid) -> OperatorMatrix:
     mu2 = np.broadcast_to(np.asarray(mu2, float), x.shape)
     diag_pot = -mu1 * mu1 / 4.0 - mu * mu2 / 2.0 + target_potential(spec, x)
 
-    m = np.zeros((n, n), dtype=complex)
+    m = _dense_zeros(grid)
     i = np.arange(n - 1)
     if grid.kind == "uniform_x":
         h = grid.h
@@ -259,7 +283,7 @@ def build_eta_matrix(spec: ModelSpec, grid: Grid) -> OperatorMatrix:
     x = grid.nodes
     mu = np.broadcast_to(np.asarray(spec.profile.eval(x).mu, float), x.shape)
     f = np.asarray(generator_eval(spec.generator, spec.profile.q_from_x(x))[0], float)
-    m = np.zeros((n, n), dtype=complex)
+    m = _dense_zeros(grid)
     np.fill_diagonal(m, f)
     i = np.arange(n - 1)
     coupling = (mu[:-1] + mu[1:]) / (4.0 * h)
@@ -288,7 +312,7 @@ def build_ordered_kinetic(
     n = grid.n
     h = grid.h
     x = grid.nodes
-    dc = np.zeros((n, n))
+    dc = _dense_zeros(grid, dtype=float)
     i = np.arange(n - 1)
     dc[i, i + 1] = 1.0 / (2.0 * h)
     dc[i + 1, i] = -1.0 / (2.0 * h)

@@ -36,6 +36,7 @@ from .eigen import (
     brute_oracle_small,
     classify_spectrum,
     eig,
+    eig_lowest,
     match_eigenvalue_sets,
 )
 from .mapping import (
@@ -184,9 +185,11 @@ def _iso_gaps(spec: ModelSpec, n: int, k: int) -> np.ndarray:
             f"quarter of the truncated spectrum is comparable"
         )
     grid_x, grid_q = matched_domains(spec, n)
-    vals_x = eig(build_target_matrix(spec, grid_x)).eigenvalues[:k]
-    vals_q = eig(build_reference_matrix(spec, grid_q)).eigenvalues[:k]
-    return np.abs(vals_x - vals_q)
+    # One spare level per picture: a conjugate pair cut at k keeps both
+    # members among the candidates, whichever one rounding sorted first.
+    vals_x = eig_lowest(build_target_matrix(spec, grid_x), k + 1)
+    vals_q = eig_lowest(build_reference_matrix(spec, grid_q), k + 1)
+    return match_eigenvalue_sets(vals_q[:k], vals_x)[1]
 
 
 def check_isospectral(spec: ModelSpec, n: int, k: int, tol: float = 5e-2) -> VerificationReport:
@@ -425,6 +428,25 @@ def check_identities(
     )
 
 
+def _ladder_error(oracle: np.ndarray, matrix) -> float:
+    """Worst matched gap of a ladder against the matrix's lowest levels.
+
+    The window grows until its top real part exceeds max(oracle.real) plus
+    the worst gap: every level left out is then farther from each ladder
+    value than any gap picked, so the greedy match over the whole spectrum
+    would pick the same levels.
+    """
+    n = matrix.n
+    top = float(oracle.real.max())
+    k = min(oracle.size + 1, n)
+    while True:
+        window = eig_lowest(matrix, k)
+        worst = float(match_eigenvalue_sets(oracle, window)[1].max())
+        if k == n or window[-1].real > top + worst:
+            return worst
+        k = min(2 * k, n)
+
+
 def convergence_sweep(
     spec: ModelSpec,
     n_list,
@@ -453,8 +475,7 @@ def convergence_sweep(
         else:
             grid_x, _ = matched_domains(spec, n)
             matrix = build_target_matrix(spec, grid_x)
-        _, gaps = match_eigenvalue_sets(oracle, eig(matrix).eigenvalues)
-        errors.append(float(gaps.max()))
+        errors.append(_ladder_error(oracle, matrix))
     h = [(qb - qa) / (n + 1) for n in n_list]
     return {
         "picture": picture,

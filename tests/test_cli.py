@@ -1,7 +1,6 @@
 """End-to-end runs of the command-line interface via subprocess."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -10,16 +9,11 @@ import pytest
 from pdm_spectra.config import DEFAULTS
 
 
-def run_cli(*argv, env_extra=None):
-    env = dict(os.environ)
-    env.pop("PDM_SPECTRA_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "pdm_spectra", *argv],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -171,12 +165,24 @@ def test_unknown_config_key(tmp_path):
     assert "unknown config keys" in proc.stderr
 
 
-def test_thread_cap_must_be_positive(tmp_path):
-    config = write_config(tmp_path, SMALL)
-    proc = run_cli("verify", "--config", config,
-                   env_extra={"PDM_SPECTRA_THREADS": "zero"})
+def test_oversized_grid_is_refused_before_allocating():
+    # 16 * 100000^2 bytes would be 160 GB; the guard fires before assembly.
+    proc = run_cli("solve", "--n", "100000")
     assert proc.returncode == 2
-    assert "PDM_SPECTRA_THREADS" in proc.stderr
+    assert "TooLargeError" in proc.stderr
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by the low-window solver on first use only, so the
+    # package import stays cheap.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pdm_spectra; print(any(m == 'scipy' or m.startswith('scipy.') "
+         "for m in sys.modules))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_sweep_csv_and_rate(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 import sympy
 
 from pdm_spectra import (
+    MAX_DENSE_NODES,
     BadIntervalError,
     ConstantMass,
     MassProfile,
@@ -14,6 +15,7 @@ from pdm_spectra import (
     ScarfII,
     SingularEdgeError,
     TooFewNodesError,
+    TooLargeError,
     build_eta_matrix,
     build_ordered_kinetic,
     build_reference_matrix,
@@ -128,11 +130,39 @@ def test_target_constant_mass_collapses_bitwise():
 
 
 def test_target_singular_edge_guard():
-    # the log-branch map sends q = -12 to x ~ 6e-6, too close to the mass blow-up
-    spec = ModelSpec.from_ordering(ScarfII(2.5), ZK, q_interval=(-12.0, 12.0))
-    gx, _ = matched_domains(spec, 100)
+    # c1*x + c2 = 1e-12 at the left end, a sliver of a cell from the mass
+    # blow-up at x = 0; a grid that starts on the blow-up leaves the domain
+    spec = ModelSpec.from_ordering(ScarfII(2.0), GW, q_interval=(0.5, 4.0))
     with pytest.raises(SingularEdgeError):
-        build_target_matrix(spec, gx)
+        build_target_matrix(spec, uniform_grid(1e-12, 1.0, 5, coordinate="x"))
+    with pytest.raises(SingularEdgeError):
+        build_eta_matrix(spec, uniform_grid(1e-12, 1.0, 5, coordinate="x"))
+    with pytest.raises(OutOfDomainError):
+        build_target_matrix(spec, uniform_grid(0.0, 1.0, 5, coordinate="x"))
+
+
+def test_target_assembles_on_criterion_2_window():
+    # the log-branch map sends q = -12 to x ~ 6e-6 and q = 12 to x ~ 1.6e5;
+    # the first point still sits about twelve local cells from the blow-up
+    spec = ModelSpec.from_ordering(ScarfII(2.5), ZK, q_interval=(-12.0, 12.0))
+    gx, _ = matched_domains(spec, 300)
+    assert gx.a == pytest.approx(np.exp(-12.0))
+    assert np.all(np.isfinite(build_target_matrix(spec, gx).entries))
+
+
+def test_oversized_grid_is_refused_before_allocating():
+    spec = ModelSpec.from_ordering(ScarfII(2.0), GW, q_interval=(0.5, 4.0))
+    n = MAX_DENSE_NODES + 1
+    grid_x = uniform_grid(1.0, 2.0, n, coordinate="x")
+    builders = [
+        lambda: build_reference_matrix(spec, uniform_grid(0.5, 4.0, n)),
+        lambda: build_target_matrix(spec, grid_x),
+        lambda: build_eta_matrix(spec, grid_x),
+        lambda: build_ordered_kinetic(GW, spec.profile, grid_x),
+    ]
+    for build in builders:
+        with pytest.raises(TooLargeError, match=str(MAX_DENSE_NODES)):
+            build()
 
 
 def test_target_domain_guard():

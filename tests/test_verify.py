@@ -9,6 +9,11 @@ import pytest
 from pdm_spectra import (
     InsufficientBoundStatesError,
     ModelSpec,
+    build_reference_matrix,
+    build_target_matrix,
+    eig,
+    match_eigenvalue_sets,
+    matched_domains,
     Morse,
     SAMSONOV_ROY_MISSING_LEVEL,
     SamsonovRoy,
@@ -79,6 +84,25 @@ def test_check_isospectral():
     assert report.details["max_gap"] <= 5e-2
     with pytest.raises(InsufficientBoundStatesError):
         check_isospectral(spec, 40, k=11)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_check_isospectral_pairs_conjugates_across_the_cut(k):
+    # Levels 3-4 of the trigonometric model on (-pi, pi) are a conjugate pair
+    # with equal real parts, so rounding alone orders its members.  At
+    # n = 200 the reference picture lists -0.039i first and the target
+    # picture +0.085i first: a positional compare reports 0.124 for a pair
+    # whose matched members are 0.045 apart.
+    spec = ModelSpec.from_ordering(SamsonovRoy(), ZK, q_interval=(-np.pi, np.pi), c2=2.0)
+    n = 200
+    grid_x, grid_q = matched_domains(spec, n)
+    vals_q = eig(build_reference_matrix(spec, grid_q)).eigenvalues
+    vals_x = eig(build_target_matrix(spec, grid_x)).eigenvalues
+    assert np.abs(vals_x[2:4] - vals_q[2:4]).max() > 0.1
+    expected = match_eigenvalue_sets(vals_q[:k], vals_x[:k + 1])[1]
+    gaps = np.asarray(check_isospectral(spec, n, k).details["gaps"])
+    np.testing.assert_allclose(gaps, expected, rtol=0, atol=1e-8)
+    assert gaps.max() < 0.05
 
 
 def test_isospectral_sweep_rate():
