@@ -37,14 +37,11 @@ from .model import (
     ScarfII,
     constant_generator,
     delta_of,
-    generator_eval,
     ordering_preset,
-    profile_eval,
 )
 from .mapping import (
     LiouvilleMap,
     PotentialDecomposition,
-    alt_branch_potential,
     closed_form_reference,
     closed_form_target,
     potential_decomposition,
@@ -57,10 +54,8 @@ from .operators import (
     Grid,
     OperatorMatrix,
     build_eta_matrix,
-    build_ordered_kinetic,
     build_reference_matrix,
     build_target_matrix,
-    export_matrix,
     matched_domains,
     q_induced_grid,
     uniform_grid,

@@ -7,10 +7,10 @@ the package conventions: eigenvalues in lexicographic order (real part,
 then imaginary part), per-pair residual norms, an inverse-iteration polish
 for the rare pair whose residual is out of line, and a trace cross-check.
 
-`eig_lowest` returns only the lowest few eigenvalues of a tridiagonal
-matrix, by shift-invert Arnoldi (ARPACK, through scipy) with a proof that
-the window it returns is complete, and falls back to `eig` where it cannot
-give that proof.
+`eig_lowest` returns only the lowest few eigenvalues of an OperatorMatrix,
+working on its three bands by shift-invert Arnoldi (ARPACK, through scipy)
+with a proof that the window it returns is complete, and falls back to the
+dense `eig` where it cannot give that proof.
 
 `brute_oracle_small` shares no code path with LAPACK: it builds the
 characteristic polynomial by the Faddeev-LeVerrier recursion and finds all
@@ -124,8 +124,9 @@ def _refine_pair(a: np.ndarray, lam: complex, vec: np.ndarray, norm_a: float):
 def eig(matrix, vectors: bool = False) -> Spectrum:
     """Full spectrum of a dense complex matrix with package conventions.
 
-    Accepts an OperatorMatrix or a plain array.  Raises NoConvergenceError
-    if the underlying QR iteration gives up.
+    Accepts an OperatorMatrix, densified through its `entries`, or a plain
+    array.  Raises NoConvergenceError if the underlying QR iteration gives
+    up.
     """
     a = _entries(matrix)
     norm_a = float(np.linalg.norm(a))
@@ -174,14 +175,6 @@ def eig(matrix, vectors: bool = False) -> Spectrum:
     )
 
 
-def _tridiagonal_bands(a: np.ndarray):
-    """(lower, diagonal, upper) of a tridiagonal matrix; ValueError otherwise."""
-    bands = (np.diagonal(a, -1), np.diagonal(a), np.diagonal(a, 1))
-    if np.count_nonzero(a) != sum(np.count_nonzero(b) for b in bands):
-        raise ValueError("eig_lowest needs a tridiagonal matrix")
-    return bands
-
-
 def _row_sums(couplings: np.ndarray) -> np.ndarray:
     """Per-row sum of the two off-diagonal magnitudes of a tridiagonal."""
     out = np.zeros(couplings.size + 1)
@@ -190,7 +183,7 @@ def _row_sums(couplings: np.ndarray) -> np.ndarray:
     return out
 
 
-def eig_lowest(matrix, k: int) -> np.ndarray:
+def eig_lowest(matrix: OperatorMatrix, k: int) -> np.ndarray:
     """Lowest k eigenvalues of a tridiagonal matrix, lex-ordered.
 
     Agrees with eig(matrix).eigenvalues[:k].  Shift-invert Arnoldi returns
@@ -205,13 +198,12 @@ def eig_lowest(matrix, k: int) -> np.ndarray:
     The bounds come from Bendixson's theorem and Gershgorin's discs applied
     to the diagonally similar matrix whose off-diagonal pairs both equal
     sqrt(lower * upper), so the non-symmetric stencils of the mass picture
-    do not inflate them.  Raises ValueError for a non-tridiagonal input.
+    do not inflate them.
     """
-    a = _entries(matrix)
-    n = a.shape[0]
+    n = matrix.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
-    lower, diag, upper = _tridiagonal_bands(a)
+    lower, diag, upper = matrix.lower, matrix.diag, matrix.upper
     root = np.sqrt(lower * upper)
     floor = float(np.min(diag.real - _row_sums(np.abs(root.real))))
     im_bound = float(np.max(np.abs(diag.imag) + _row_sums(np.abs(root.imag))))
@@ -219,12 +211,9 @@ def eig_lowest(matrix, k: int) -> np.ndarray:
     sigma = floor - max(im_bound, tie)
     m = k + 1
     if m < n - 2:
-        # scipy is imported here, not at module level: its import costs more
-        # than a small solve, and only this path needs it.
-        from scipy.sparse import diags
         from scipy.sparse.linalg import ArpackError, eigs
 
-        sparse = diags([lower, diag, upper], [-1, 0, 1], format="csc")
+        sparse = matrix.sparse()
         start = np.random.default_rng(0).standard_normal(n).astype(complex)
         while m < n - 2:
             try:
@@ -242,7 +231,7 @@ def eig_lowest(matrix, k: int) -> np.ndarray:
             if after < reach:
                 break  # a tie at the cut; a larger window cannot decide it
             m *= 2
-    return eig(a).eigenvalues[:k]
+    return eig(matrix).eigenvalues[:k]
 
 
 def _char_poly_coeffs(a: np.ndarray) -> np.ndarray:

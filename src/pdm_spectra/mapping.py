@@ -8,9 +8,8 @@ operator into a unit-mass reference operator
 
 so the two pictures share their Dirichlet spectra on matched windows.  This
 module evaluates the map, the reference and target potentials (including the
-rational closed forms used for cross-validation), the decomposition of the
-full potential into real/imaginary/bare parts, and the alternative potential
-branch obtained by tying the generator to mu' instead.
+rational closed forms used for cross-validation), and the decomposition of the
+full potential into real/imaginary/bare parts.
 """
 
 from __future__ import annotations
@@ -20,15 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedKindError
-from .model import (
-    AmbiguityOrdering,
-    Generator,
-    MassLike,
-    ModelSpec,
-    SamsonovRoy,
-    ScarfII,
-    generator_eval,
-)
+from .model import Generator, MassLike, ModelSpec, SamsonovRoy, ScarfII
 
 __all__ = [
     "LiouvilleMap",
@@ -39,7 +30,6 @@ __all__ = [
     "PotentialDecomposition",
     "potential_decomposition",
     "wavefunction_pullback",
-    "alt_branch_potential",
 ]
 
 
@@ -64,7 +54,7 @@ class LiouvilleMap:
 
 def reference_potential(generator: Generator, alpha0: float, q):
     """Flat-picture potential alpha0 - F(q)^2 - i F'(q)."""
-    f, fp = generator_eval(generator, q)
+    f, fp = generator(q)
     return alpha0 - f * f - 1j * fp
 
 
@@ -90,7 +80,7 @@ def closed_form_reference(generator: Generator, q):
 def target_potential(spec: ModelSpec, x):
     """Mass-picture potential alpha0 - F(q(x))^2 - i mu(x) dF/dx."""
     q = spec.profile.q_from_x(x)
-    f, fq = generator_eval(spec.generator, q)
+    f, fq = spec.generator(q)
     mu = spec.profile.eval(x).mu
     df_dx = fq / mu
     return spec.alpha0 - f * f - 1j * (mu * df_dx)
@@ -155,7 +145,7 @@ def potential_decomposition(spec: ModelSpec, x) -> PotentialDecomposition:
     b = float(spec.ordering.beta)
     mu, mu1, mu2, _ = spec.profile.eval(x)
     q = spec.profile.q_from_x(x)
-    f, fq = generator_eval(spec.generator, q)
+    f, fq = spec.generator(q)
     df_dx = fq / mu
     vtilde = spec.alpha0 - f * f - mu * mu2 / 2.0 - mu1 * mu1 / 4.0
     w = -mu * df_dx
@@ -180,18 +170,3 @@ def wavefunction_pullback(liouville_map: LiouvilleMap, samples):
         out.append((x, phi / np.sqrt(mu)))
     return out
 
-
-def alt_branch_potential(generator: Generator, ordering: AmbiguityOrdering, alpha0: float, q):
-    """Flat-picture potential of the branch that ties F to mu'.
-
-    When the generator is matched to the profile derivative instead of the
-    dressing used elsewhere, the flat-picture potential picks up
-    ordering-dependent coefficients:
-
-        V_eff(q) = -i F'(q) + (beta+1) F'(q)
-                   + (4 alpha (alpha+beta+1) + beta) F(q)^2 + alpha0.
-    """
-    a = float(ordering.alpha)
-    b = float(ordering.beta)
-    f, fp = generator_eval(generator, q)
-    return alpha0 + (b + 1.0) * fp + (4.0 * a * (a + b + 1.0) + b) * f * f - 1j * fp

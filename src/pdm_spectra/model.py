@@ -21,7 +21,7 @@ rationals; profile evaluation is floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Union
 
@@ -42,13 +42,11 @@ __all__ = [
     "ProfileValues",
     "MassProfile",
     "ConstantMass",
-    "profile_eval",
     "ScarfII",
     "SamsonovRoy",
     "Morse",
     "CustomGenerator",
     "constant_generator",
-    "generator_eval",
     "ModelSpec",
 ]
 
@@ -196,7 +194,7 @@ class MassProfile:
         )
 
     def mass_derivatives(self, x):
-        """Return (M, M', M'') at `x`; used by the ordered-kinetic expansion."""
+        """Return (M, M', M'') at `x`; used by the ordering-term identity check."""
         arr, scalar = _prepare(x)
         u = self._argument(arr)
         e = -2.0 / (self.delta + 1.0)
@@ -204,12 +202,6 @@ class MassProfile:
         m1 = self.c1 * e * u ** (e - 1.0)
         m2 = self.c1 * self.c1 * e * (e - 1.0) * u ** (e - 2.0)
         return _maybe_item(m, scalar), _maybe_item(m1, scalar), _maybe_item(m2, scalar)
-
-    def mass_power(self, x, exponent: float):
-        """M(x)**exponent evaluated directly on the profile argument."""
-        arr, scalar = _prepare(x)
-        u = self._argument(arr)
-        return _maybe_item(u ** (-2.0 * float(exponent) / (self.delta + 1.0)), scalar)
 
     # Change of variables q(x) = integral of 1/mu.  Closed forms:
     #   delta != 0:  q = (delta+1)/(delta*c1) * (c1*x + c2)^(delta/(delta+1))
@@ -264,10 +256,6 @@ class ConstantMass:
         zero = np.zeros_like(arr)
         return _maybe_item(one, scalar), _maybe_item(zero, scalar), _maybe_item(zero.copy(), scalar)
 
-    def mass_power(self, x, exponent: float):
-        arr, scalar = _prepare(x)
-        return _maybe_item(np.ones_like(arr), scalar)
-
     def q_from_x(self, x):
         arr, scalar = _prepare(x)
         return _maybe_item(arr.copy(), scalar)
@@ -281,11 +269,6 @@ class ConstantMass:
 
 
 MassLike = Union[MassProfile, ConstantMass]
-
-
-def profile_eval(profile: MassLike, x) -> ProfileValues:
-    """Functional form of ``profile.eval(x)``."""
-    return profile.eval(x)
 
 
 class Generator:
@@ -393,18 +376,12 @@ def constant_generator(value: float = 0.0) -> CustomGenerator:
     )
 
 
-def generator_eval(generator: Generator, q):
-    """Return (F(q), F'(q)) for scalar or array `q`."""
-    return generator(q)
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """One solvable model: generator, ordering, profile, shift and q-window.
 
     The q-interval must map into the profile's domain; this is checked at
-    construction.  `boundary` is kept explicit even though only Dirichlet
-    truncation is implemented, so serialized specs stay self-describing.
+    construction.
     """
 
     generator: Generator
@@ -412,14 +389,11 @@ class ModelSpec:
     profile: MassLike
     alpha0: float = 0.0
     q_interval: tuple[float, float] = (-8.0, 8.0)
-    boundary: str = "dirichlet"
 
     def __post_init__(self) -> None:
         qa, qb = self.q_interval
         if not qa < qb:
             raise BadIntervalError(f"q interval must satisfy qa < qb, got ({qa}, {qb})")
-        if self.boundary != "dirichlet":
-            raise ValueError(f"unsupported boundary {self.boundary!r}")
         object.__setattr__(self, "q_interval", (float(qa), float(qb)))
         # Raises OutOfRangeError/OutOfDomainError when the window is invalid.
         self.profile.x_from_q(np.array(self.q_interval))

@@ -1,8 +1,10 @@
-"""Grids and dense matrix assembly for both operator pictures.
+"""Grids and banded matrix assembly for both operator pictures.
 
 All operators are discretized on interior nodes with Dirichlet truncation:
 a grid over (a, b) with n interior nodes has spacing h = (b-a)/(n+1) and
 nodes a + i*h, i = 1..n.  Boundary values enter the stencils as zeros.
+Every stencil has three points, so each matrix is tridiagonal and is stored
+as its three bands; the dense array is built only on request.
 
 Flat-picture operators use the standard 3-point Laplacian.  Mass-picture
 operators come in two flavours:
@@ -22,7 +24,7 @@ making eta exactly Hermitian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .errors import (
     TooFewNodesError,
     TooLargeError,
 )
-from .model import AmbiguityOrdering, ConstantMass, MassLike, MassProfile, ModelSpec, generator_eval
+from .model import ConstantMass, MassLike, ModelSpec
 from .mapping import target_potential, reference_potential
 
 __all__ = [
@@ -47,8 +49,6 @@ __all__ = [
     "build_reference_matrix",
     "build_target_matrix",
     "build_eta_matrix",
-    "build_ordered_kinetic",
-    "export_matrix",
 ]
 
 # Points of a mass-picture grid must keep c1*x + c2 above this fraction of
@@ -57,8 +57,8 @@ __all__ = [
 # log-mapped grid, so the guard is free of the window's scale.
 EDGE_EPSILON_FACTOR = 1e-8
 
-# Largest grid the dense assembly accepts: one complex n x n matrix takes
-# 16 n^2 bytes, 1.0 GB at this size.
+# Largest matrix that is densified: one complex n x n array takes 16 n^2
+# bytes, 1.0 GB at this size.
 MAX_DENSE_NODES = 8000
 
 
@@ -139,38 +139,55 @@ def matched_domains(spec: ModelSpec, n: int) -> tuple[Grid, Grid]:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex matrix over a grid, tagged with its role."""
+    """Complex tridiagonal matrix stored as its three bands.
 
-    entries: np.ndarray
-    role: str
-    grid: Grid
-    meta: dict = field(default_factory=dict)
+    lower and upper hold the n - 1 entries below and above the diagonal.
+    """
+
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
 
     def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError(f"operator matrix must be square, got shape {entries.shape}")
-        if entries.shape[0] != self.grid.n:
-            raise ValueError(
-                f"matrix size {entries.shape[0]} does not match grid with {self.grid.n} nodes"
-            )
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        n = np.size(self.diag)
+        for name, size in (("lower", n - 1), ("diag", n), ("upper", n - 1)):
+            band = np.array(getattr(self, name), dtype=complex)
+            if band.shape != (size,):
+                raise ValueError(f"{name} band must have shape ({size},), got {band.shape}")
+            band.setflags(write=False)
+            object.__setattr__(self, name, band)
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.diag.size
 
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense n x n array, built anew on each access.
 
-def _dense_zeros(grid: Grid, dtype=complex) -> np.ndarray:
-    """Zeroed n x n matrix for a grid, refused before allocating when too large."""
-    n = grid.n
-    if n > MAX_DENSE_NODES:
-        raise TooLargeError(
-            f"dense assembly accepts grids up to {MAX_DENSE_NODES} nodes, got {n} "
-            f"({16 * n * n / 1e9:.1f} GB per matrix)"
-        )
-    return np.zeros((n, n), dtype=dtype)
+        Refused with TooLargeError above MAX_DENSE_NODES, before allocating.
+        """
+        n = self.n
+        if n > MAX_DENSE_NODES:
+            raise TooLargeError(
+                f"dense matrices are limited to {MAX_DENSE_NODES} nodes, got {n} "
+                f"({16 * n * n / 1e9:.1f} GB per matrix)"
+            )
+        m = np.zeros((n, n), dtype=complex)
+        i = np.arange(n)
+        m[i, i] = self.diag
+        m[i[:-1], i[1:]] = self.upper
+        m[i[1:], i[:-1]] = self.lower
+        return m
+
+    def sparse(self):
+        """The matrix in scipy's compressed sparse column format."""
+        # scipy is imported here, not at module level: its import costs more
+        # than a small solve, and only the low-window solver and the
+        # intertwining residual need it.
+        from scipy.sparse import diags
+
+        return diags([self.lower, self.diag, self.upper], [-1, 0, 1], format="csc")
 
 
 def _check_inside_q_window(spec: ModelSpec, grid: Grid) -> None:
@@ -191,14 +208,10 @@ def build_reference_matrix(spec: ModelSpec, grid: Grid) -> OperatorMatrix:
     if grid.kind != "uniform_q":
         raise ValueError(f"reference assembly needs a uniform_q grid, got {grid.kind}")
     _check_inside_q_window(spec, grid)
-    n = grid.n
     h = grid.h
-    m = _dense_zeros(grid)
-    np.fill_diagonal(m, 2.0 / h**2 + reference_potential(spec.generator, spec.alpha0, grid.nodes))
-    i = np.arange(n - 1)
-    m[i, i + 1] = -1.0 / h**2
-    m[i + 1, i] = -1.0 / h**2
-    return OperatorMatrix(m, "reference_h", grid, {"spec": spec})
+    off = np.full(grid.n - 1, -1.0 / h**2)
+    diag = 2.0 / h**2 + reference_potential(spec.generator, spec.alpha0, grid.nodes)
+    return OperatorMatrix(off, diag, off)
 
 
 def _guard_mass_nodes(profile: MassLike, grid: Grid) -> None:
@@ -242,30 +255,23 @@ def build_target_matrix(spec: ModelSpec, grid: Grid) -> OperatorMatrix:
     mu2 = np.broadcast_to(np.asarray(mu2, float), x.shape)
     diag_pot = -mu1 * mu1 / 4.0 - mu * mu2 / 2.0 + target_potential(spec, x)
 
-    m = _dense_zeros(grid)
-    i = np.arange(n - 1)
     if grid.kind == "uniform_x":
         h = grid.h
         midpoints = grid.a + h * (np.arange(n + 1) + 0.5)
         w = np.asarray(spec.profile.eval(midpoints).mu, float)
         w = np.broadcast_to(w, midpoints.shape) ** 2
-        np.fill_diagonal(m, (w[:-1] + w[1:]) / h**2 + diag_pot)
         off = -w[1:-1] / h**2
-        m[i, i + 1] = off
-        m[i + 1, i] = off
-    else:
-        pts = grid.points
-        hm = x - pts[:-2]
-        hp = pts[2:] - x
-        span = hm + hp
-        a2 = -mu * mu  # coefficient of d^2/dx^2
-        a1 = -2.0 * mu * mu1  # coefficient of d/dx
-        np.fill_diagonal(m, a2 * (-2.0 / (hm * hp)) + a1 * ((hp - hm) / (hm * hp)) + diag_pot)
-        upper = a2 * (2.0 / (hp * span)) + a1 * (hm / (hp * span))
-        lower = a2 * (2.0 / (hm * span)) + a1 * (-hp / (hm * span))
-        m[i, i + 1] = upper[:-1]
-        m[i + 1, i] = lower[1:]
-    return OperatorMatrix(m, "target_h", grid, {"spec": spec})
+        return OperatorMatrix(off, (w[:-1] + w[1:]) / h**2 + diag_pot, off)
+    pts = grid.points
+    hm = x - pts[:-2]
+    hp = pts[2:] - x
+    span = hm + hp
+    a2 = -mu * mu  # coefficient of d^2/dx^2
+    a1 = -2.0 * mu * mu1  # coefficient of d/dx
+    diag = a2 * (-2.0 / (hm * hp)) + a1 * ((hp - hm) / (hm * hp)) + diag_pot
+    upper = a2 * (2.0 / (hp * span)) + a1 * (hm / (hp * span))
+    lower = a2 * (2.0 / (hm * span)) + a1 * (-hp / (hm * span))
+    return OperatorMatrix(lower[1:], diag, upper[:-1])
 
 
 def build_eta_matrix(spec: ModelSpec, grid: Grid) -> OperatorMatrix:
@@ -278,76 +284,8 @@ def build_eta_matrix(spec: ModelSpec, grid: Grid) -> OperatorMatrix:
     if grid.kind != "uniform_x":
         raise ValueError(f"eta assembly needs a uniform_x grid, got {grid.kind}")
     _guard_mass_nodes(spec.profile, grid)
-    n = grid.n
-    h = grid.h
     x = grid.nodes
     mu = np.broadcast_to(np.asarray(spec.profile.eval(x).mu, float), x.shape)
-    f = np.asarray(generator_eval(spec.generator, spec.profile.q_from_x(x))[0], float)
-    m = _dense_zeros(grid)
-    np.fill_diagonal(m, f)
-    i = np.arange(n - 1)
-    coupling = (mu[:-1] + mu[1:]) / (4.0 * h)
-    m[i, i + 1] += -1j * coupling
-    m[i + 1, i] += 1j * coupling
-    return OperatorMatrix(m, "eta", grid, {"spec": spec})
-
-
-def build_ordered_kinetic(
-    ordering: AmbiguityOrdering, profile: MassLike, grid: Grid
-) -> OperatorMatrix:
-    """Symmetrized ordered kinetic operator on a uniform x grid.
-
-    T = -(1/2) [ M^a D M^b D M^g + M^g D M^b D M^a ]
-
-    with D the centered first difference and the mass powers evaluated on the
-    diagonal.  With the exponent constraint a + b + g = -1 this realizes the
-    divergence-form kinetic term plus the ordering-dependent potential terms.
-    """
-    if grid.kind != "uniform_x":
-        raise ValueError(f"ordered kinetic assembly needs a uniform_x grid, got {grid.kind}")
-    if not isinstance(profile, ConstantMass):
-        u = profile.c1 * grid.points + profile.c2
-        if np.any(u <= 0.0):
-            raise OutOfDomainError("grid reaches outside the profile domain c1*x + c2 > 0")
-    n = grid.n
-    h = grid.h
-    x = grid.nodes
-    dc = _dense_zeros(grid, dtype=float)
-    i = np.arange(n - 1)
-    dc[i, i + 1] = 1.0 / (2.0 * h)
-    dc[i + 1, i] = -1.0 / (2.0 * h)
-
-    def masspow(exponent) -> np.ndarray:
-        vals = profile.mass_power(x, float(exponent))
-        return np.broadcast_to(np.asarray(vals, float), x.shape)
-
-    ma = masspow(ordering.alpha)
-    mb = masspow(ordering.beta)
-    mg = masspow(ordering.gamma)
-    first = (ma[:, None] * dc) @ (mb[:, None] * dc) * mg[None, :]
-    second = (mg[:, None] * dc) @ (mb[:, None] * dc) * ma[None, :]
-    t = -0.5 * (first + second)
-    return OperatorMatrix(t.astype(complex), "ordered_kinetic", grid, {"ordering": ordering})
-
-
-def export_matrix(matrix: OperatorMatrix, path) -> None:
-    """Dump a matrix for external cross-checks.
-
-    ``.csv`` writes one line per entry in row-major order with the header
-    ``row,col,re,im`` and 17-significant-digit fields; ``.npy`` writes the
-    raw complex array via numpy's binary format.
-    """
-    path = str(path)
-    if path.endswith(".npy"):
-        np.save(path, np.asarray(matrix.entries))
-        return
-    if not path.endswith(".csv"):
-        raise ValueError(f"unsupported export suffix in {path!r}; use .csv or .npy")
-    n = matrix.n
-    lines = ["row,col,re,im"]
-    for r in range(n):
-        for c in range(n):
-            z = matrix.entries[r, c]
-            lines.append(f"{r},{c},{z.real:.17g},{z.imag:.17g}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    f = np.asarray(spec.generator(spec.profile.q_from_x(x))[0], float)
+    coupling = (mu[:-1] + mu[1:]) / (4.0 * grid.h)
+    return OperatorMatrix(1j * coupling, f, -1j * coupling)

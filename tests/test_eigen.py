@@ -8,6 +8,7 @@ from pdm_spectra import (
     MissingVectorsError,
     ModelSpec,
     NoConvergenceError,
+    OperatorMatrix,
     SamsonovRoy,
     ScarfII,
     Spectrum,
@@ -242,7 +243,7 @@ def test_eig_lowest_matches_dense_at_criterion_3_size():
 
 
 def _tridiagonal(diag, lower, upper):
-    return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    return OperatorMatrix(lower, diag, upper)
 
 
 def _random_tridiagonal(rng, kind, n):
@@ -264,26 +265,30 @@ def _random_tridiagonal(rng, kind, n):
                         np.concatenate([upper, [0.0], upper]))
 
 
-def test_eig_lowest_matches_dense_on_random_tridiagonals(monkeypatch):
-    dense_calls = []
-    dense_eig = eigen.eig
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Records each call eig_lowest makes to the dense `eig`."""
+    calls = []
 
     def counting_eig(*args, **kwargs):
-        dense_calls.append(1)
-        return dense_eig(*args, **kwargs)
+        calls.append(1)
+        return eig(*args, **kwargs)
 
+    monkeypatch.setattr(eigen, "eig", counting_eig)
+    return calls
+
+
+def test_eig_lowest_matches_dense_on_random_tridiagonals(dense_calls):
     rng = np.random.default_rng(2024)
     cuts = {"tie": 0, "clear": 0}
     for kind in ("complex", "real", "doubled"):
         for _ in range(4):
             n = int(rng.integers(30, 80))
             a = _random_tridiagonal(rng, kind, n)
-            dense = dense_eig(a).eigenvalues
+            dense = eig(a).eigenvalues
             for k in range(1, 9):
-                monkeypatch.setattr(eigen, "eig", counting_eig)
                 dense_calls.clear()
                 assert _window_gap(a, k, dense) <= 1e-10
-                monkeypatch.setattr(eigen, "eig", dense_eig)
                 tied = abs(dense[k].real - dense[k - 1].real) <= 1e-8
                 cuts["tie" if tied else "clear"] += 1
                 # a tie at the cut goes to the dense sort; a clear cut does not
@@ -291,25 +296,66 @@ def test_eig_lowest_matches_dense_on_random_tridiagonals(monkeypatch):
     assert min(cuts.values()) >= 10
 
 
-def test_eig_lowest_takes_dense_path_at_small_n(monkeypatch):
-    dense_calls = []
-    dense_eig = eigen.eig
-
-    def counting_eig(*args, **kwargs):
-        dense_calls.append(1)
-        return dense_eig(*args, **kwargs)
-
-    monkeypatch.setattr(eigen, "eig", counting_eig)
+def test_eig_lowest_takes_dense_path_at_small_n(dense_calls):
     a = _tridiagonal([4.0, 1.0, 3.0, 2.0, 5.0], [0.5] * 4, [0.25] * 4)
     low = eig_lowest(a, 2)
     assert len(dense_calls) == 1
-    np.testing.assert_array_equal(low, dense_eig(a).eigenvalues[:2])
+    np.testing.assert_array_equal(low, eig(a).eigenvalues[:2])
+
+
+def test_eig_lowest_matches_oracle_on_small_random_tridiagonals(dense_calls):
+    # Criterion 7's LAPACK-free oracle against the low-window solver.  Up to
+    # n = 4 every window goes to the dense path; from n = 5 a window of
+    # k <= n - 4 levels can be proved complete by ARPACK alone.
+    rng = np.random.default_rng(77)
+    paths = {"arpack": 0, "dense": 0}
+    for n in range(2, 9):
+        for _ in range(8):
+            a = _random_tridiagonal(rng, "complex", n)
+            oracle = brute_oracle_small(a)
+            for k in range(1, n + 1):
+                dense_calls.clear()
+                low = eig_lowest(a, k)
+                paths["dense" if dense_calls else "arpack"] += 1
+                assert match_eigenvalue_sets(low, oracle)[1].max() <= 1e-8
+                # the window holds the lowest k real parts, however ties sort
+                np.testing.assert_allclose(
+                    np.sort(low.real), np.sort(oracle.real)[:k], rtol=0, atol=1e-8)
+    assert min(paths.values()) >= 20, paths
+
+
+def test_eig_refines_a_perturbed_eigenvector(monkeypatch):
+    # LAPACK's vectors are accurate in practice, so the inverse-iteration
+    # polish is forced: one column comes back perturbed by about 1e-6.
+    spec = ModelSpec(ScarfII(2.0), BDD, ConstantMass(), q_interval=(-4.0, 4.0))
+    matrix = build_reference_matrix(spec, uniform_grid(-4.0, 4.0, 40))
+    exact = eig(matrix, vectors=True)
+    noise = 1e-6 * np.random.default_rng(5).standard_normal(40) / np.sqrt(40)
+    lapack_eig = np.linalg.eig
+
+    def perturbed_eig(a):
+        vals, vecs = lapack_eig(a)
+        vecs[:, np.argmin(vals.real)] += noise
+        return vals, vecs
+
+    refined = []
+    refine_pair = eigen._refine_pair
+
+    def counting_refine(*args):
+        refined.append(args[1])
+        return refine_pair(*args)
+
+    monkeypatch.setattr(np.linalg, "eig", perturbed_eig)
+    monkeypatch.setattr(eigen, "_refine_pair", counting_refine)
+    spectrum = eig(matrix, vectors=True)
+    assert refined == [exact.eigenvalues[0]]  # the trigger fired on that pair only
+    assert spectrum.residuals.max() <= eigen._REFINE_TRIGGER
+    np.testing.assert_allclose(spectrum.eigenvalues, exact.eigenvalues, rtol=0, atol=1e-12)
 
 
 def test_eig_lowest_rejects_bad_input():
-    with pytest.raises(ValueError, match="tridiagonal"):
-        eig_lowest(np.ones((6, 6)), 2)
+    identity = _tridiagonal(np.ones(6), np.zeros(5), np.zeros(5))
     with pytest.raises(ValueError):
-        eig_lowest(np.eye(6), 0)
+        eig_lowest(identity, 0)
     with pytest.raises(ValueError):
-        eig_lowest(np.eye(6), 7)
+        eig_lowest(identity, 7)

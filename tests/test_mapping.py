@@ -11,7 +11,6 @@ from pdm_spectra import (
     SamsonovRoy,
     ScarfII,
     UnsupportedKindError,
-    alt_branch_potential,
     closed_form_reference,
     closed_form_target,
     ordering_preset,
@@ -129,26 +128,6 @@ def test_decomposition_w_is_minus_fprime_of_q():
     q = spec.profile.q_from_x(x)
     _, fq = spec.generator(q)
     np.testing.assert_allclose(potential_decomposition(spec, x).w, -fq, rtol=0, atol=1e-13)
-
-
-def test_alt_branch_spot_values():
-    # Morse(1) at q = 0: GoraWilliams gives -(1 - i), ZhuKroemer gives -2 + i
-    gw = alt_branch_potential(Morse(1.0), GW, 0.0, 0.0)
-    assert gw == pytest.approx(-1.0 + 1.0j, rel=1e-14)
-    zk = alt_branch_potential(Morse(1.0), ZK, 0.0, 0.0)
-    assert zk == pytest.approx(-2.0 + 1.0j, rel=1e-14)
-
-
-def test_alt_branch_at_bendanielduke_is_plain_reference():
-    # beta = -1 kills the ordering coefficients: (b+1)F' = 0, (4a(a+b+1)+b)F^2 = -F^2
-    bdd = ordering_preset("BenDanielDuke")
-    q = np.linspace(-2.0, 2.0, 41)
-    np.testing.assert_allclose(
-        alt_branch_potential(Morse(1.0), bdd, 0.3, q),
-        reference_potential(Morse(1.0), 0.3, q),
-        rtol=0,
-        atol=1e-14,
-    )
 
 
 def test_liouville_map_roundtrip_and_mu():

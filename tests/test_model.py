@@ -21,7 +21,6 @@ from pdm_spectra import (
     ScarfII,
     constant_generator,
     delta_of,
-    generator_eval,
     ordering_preset,
 )
 
@@ -127,14 +126,6 @@ def test_mass_derivatives_spot():
     assert m2 == pytest.approx(1.0 / 32.0, rel=1e-15)
 
 
-def test_mass_power_matches_mass():
-    p = MassProfile(2.0, 1.0, 0.5)
-    x = np.linspace(0.0, 3.0, 11)
-    m = p.eval(x).mass
-    np.testing.assert_allclose(p.mass_power(x, 0.5), np.sqrt(m), rtol=1e-14)
-    np.testing.assert_allclose(p.mass_power(x, -1.0), 1.0 / m, rtol=1e-14)
-
-
 @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
 def test_mu_prime_mu_delta_is_constant(delta):
     # the class is defined by mu' * mu^delta == c1/(delta+1)
@@ -191,7 +182,6 @@ def test_constant_mass_is_identity():
     assert np.all(vals.mu_prime == 0.0) and np.all(vals.mu_second == 0.0)
     np.testing.assert_array_equal(cm.q_from_x(x), x)
     np.testing.assert_array_equal(cm.x_from_q(x), x)
-    assert np.all(cm.mass_power(x, -0.5) == 1.0)
 
 
 def test_scarf2_values():
@@ -230,7 +220,7 @@ def test_morse_values():
 
 def test_custom_generator_accepts_consistent_pair():
     g = CustomGenerator(np.sin, np.cos)
-    f, fp = generator_eval(g, 0.3)
+    f, fp = g(0.3)
     assert f == pytest.approx(np.sin(0.3)) and fp == pytest.approx(np.cos(0.3))
 
 
@@ -248,8 +238,6 @@ def test_spec_interval_validation():
     zk = ordering_preset("ZhuKroemer")
     with pytest.raises(BadIntervalError):
         ModelSpec(ScarfII(2.0), zk, ConstantMass(), q_interval=(1.0, -1.0))
-    with pytest.raises(ValueError, match="boundary"):
-        ModelSpec(ScarfII(2.0), zk, ConstantMass(), boundary="periodic")
 
 
 def test_spec_rejects_window_outside_map_image():

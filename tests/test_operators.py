@@ -8,7 +8,6 @@ from pdm_spectra import (
     MAX_DENSE_NODES,
     BadIntervalError,
     ConstantMass,
-    MassProfile,
     ModelSpec,
     OperatorMatrix,
     OutOfDomainError,
@@ -17,11 +16,10 @@ from pdm_spectra import (
     TooFewNodesError,
     TooLargeError,
     build_eta_matrix,
-    build_ordered_kinetic,
     build_reference_matrix,
     build_target_matrix,
     constant_generator,
-    export_matrix,
+    eig,
     matched_domains,
     ordering_preset,
     q_induced_grid,
@@ -77,11 +75,24 @@ def test_matched_domains_share_q_window():
 
 
 def test_operator_matrix_guards():
-    g = uniform_grid(0.0, 1.0, 3)
+    with pytest.raises(ValueError, match="upper"):
+        OperatorMatrix(np.zeros(2), np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError, match="lower"):
+        OperatorMatrix(np.zeros(3), np.zeros(3), np.zeros(2))
+    with pytest.raises(ValueError, match="diag"):
+        OperatorMatrix(np.zeros(0), np.zeros((1, 1)), np.zeros(0))
+    m = OperatorMatrix([1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0])
     with pytest.raises(ValueError):
-        OperatorMatrix(np.zeros((2, 3)), "x", g)
-    with pytest.raises(ValueError):
-        OperatorMatrix(np.zeros((4, 4)), "x", g)  # grid has 3 nodes
+        m.diag[0] = 0.0  # the bands are read-only
+
+
+def test_operator_matrix_dense_and_sparse_forms():
+    m = OperatorMatrix([1.0, 2.0j], [3.0, 4.0, 5.0], [6.0, 7.0])
+    expected = np.array([[3.0, 6.0, 0.0], [1.0, 4.0, 7.0], [0.0, 2.0j, 5.0]])
+    np.testing.assert_array_equal(m.entries, expected)
+    assert m.entries is not m.entries  # built on each access, never cached
+    assert m.sparse().format == "csc"
+    np.testing.assert_array_equal(m.sparse().toarray(), expected)
 
 
 def test_reference_matrix_free_box_exact():
@@ -151,18 +162,22 @@ def test_target_assembles_on_criterion_2_window():
 
 
 def test_oversized_grid_is_refused_before_allocating():
+    # the bands of an oversized grid take O(n) memory; only densifying them
+    # would allocate n^2, and that is refused first
     spec = ModelSpec.from_ordering(ScarfII(2.0), GW, q_interval=(0.5, 4.0))
     n = MAX_DENSE_NODES + 1
     grid_x = uniform_grid(1.0, 2.0, n, coordinate="x")
-    builders = [
-        lambda: build_reference_matrix(spec, uniform_grid(0.5, 4.0, n)),
-        lambda: build_target_matrix(spec, grid_x),
-        lambda: build_eta_matrix(spec, grid_x),
-        lambda: build_ordered_kinetic(GW, spec.profile, grid_x),
+    matrices = [
+        build_reference_matrix(spec, uniform_grid(0.5, 4.0, n)),
+        build_target_matrix(spec, grid_x),
+        build_eta_matrix(spec, grid_x),
     ]
-    for build in builders:
+    for matrix in matrices:
+        assert matrix.n == n
         with pytest.raises(TooLargeError, match=str(MAX_DENSE_NODES)):
-            build()
+            matrix.entries
+        with pytest.raises(TooLargeError, match=str(MAX_DENSE_NODES)):
+            eig(matrix)
 
 
 def test_target_domain_guard():
@@ -245,99 +260,3 @@ def test_eta_commutes_with_free_flat_operator_in_the_interior():
     assert corner == pytest.approx(1.0 / g.h**3, rel=1e-12)
     interior = np.max(np.abs(comm[2:-2, :]))
     assert interior <= 1e-12 * corner
-
-
-def test_ordered_kinetic_constant_mass_is_iterated_difference():
-    g = uniform_grid(0.0, 1.0, 6, coordinate="x")
-    t = build_ordered_kinetic(ZK, ConstantMass(), g).entries
-    n, h = g.n, g.h
-    dc = np.zeros((n, n))
-    i = np.arange(n - 1)
-    dc[i, i + 1] = 1.0 / (2.0 * h)
-    dc[i + 1, i] = -1.0 / (2.0 * h)
-    np.testing.assert_array_equal(t, (-dc @ dc).astype(complex))
-
-
-def test_ordered_kinetic_needs_x_grid():
-    with pytest.raises(ValueError):
-        build_ordered_kinetic(ZK, ConstantMass(), uniform_grid(0.0, 1.0, 5))
-
-
-def _flat_bump(a, b):
-    """(x-a)^4 (b-x)^4 exp(-x): zeros of order four at both walls.
-
-    The iterated-difference kinetic forms have an O(h^2)/h closure defect
-    in their first and last rows proportional to psi''' at the wall; a
-    fourth-order zero pushes that defect to O(h^2) like the interior.
-    """
-    x = sympy.Symbol("x")
-    psi = (x - a) ** 4 * (b - x) ** 4 * sympy.exp(-x)
-    d1 = sympy.diff(psi, x)
-    d2 = sympy.diff(d1, x)
-    return tuple(sympy.lambdify(x, f, "numpy") for f in (psi, d1, d2))
-
-
-def test_ordered_kinetic_bendanielduke_matches_divergence_form():
-    # T_BDD = -D (1/M) D must act like -(psi'/M)' on smooth test functions
-    profile = MassProfile(1.0, 0.0, 1.0)
-
-    def action_error(n):
-        g = uniform_grid(0.5, 3.5, n, coordinate="x")
-        t = build_ordered_kinetic(BDD, profile, g).entries
-        psi, d1, d2 = _flat_bump(g.a, g.b)
-        xs = g.nodes
-        m, m1, _ = profile.mass_derivatives(xs)
-        exact = -d2(xs) / m + (m1 / m**2) * d1(xs)
-        return np.max(np.abs(t @ psi(xs) - exact))
-
-    assert action_error(160) / action_error(320) >= 3.0
-
-
-def test_ordered_kinetic_ordering_difference_is_multiplicative():
-    """T_GW - T_ZK converges to multiplication by -(M')^2/(4 M^3).
-
-    The divergence parts of the two orderings agree; the orderings differ
-    only through the coefficient of (M')^2/M^3, by 1 - 3/4 = 1/4.
-    """
-    profile = MassProfile(1.0, 0.0, 1.0)
-
-    def action_error(n):
-        g = uniform_grid(0.5, 3.5, n, coordinate="x")
-        diff = (
-            build_ordered_kinetic(GW, profile, g).entries
-            - build_ordered_kinetic(ZK, profile, g).entries
-        )
-        psi, _, _ = _flat_bump(g.a, g.b)
-        xs = g.nodes
-        m, m1, _ = profile.mass_derivatives(xs)
-        exact = -(m1**2) / (4.0 * m**3) * psi(xs)
-        return np.max(np.abs(diff @ psi(xs) - exact))
-
-    assert action_error(160) / action_error(320) >= 3.0
-
-
-def test_ordered_kinetic_domain_guard():
-    profile = MassProfile(1.0, 0.0, 1.0)
-    with pytest.raises(OutOfDomainError):
-        build_ordered_kinetic(BDD, profile, uniform_grid(-1.0, 1.0, 5, coordinate="x"))
-
-
-def test_export_matrix_roundtrip(tmp_path):
-    spec = ModelSpec(ScarfII(2.0), ZK, ConstantMass(), q_interval=(-2.0, 2.0))
-    m = build_reference_matrix(spec, uniform_grid(-2.0, 2.0, 4))
-
-    npy = tmp_path / "op.npy"
-    export_matrix(m, npy)
-    np.testing.assert_array_equal(np.load(npy), m.entries)
-
-    csv = tmp_path / "op.csv"
-    export_matrix(m, csv)
-    lines = csv.read_text().splitlines()
-    assert lines[0] == "row,col,re,im"
-    assert len(lines) == 1 + 16
-    r, c, re, im = lines[1].split(",")
-    assert (int(r), int(c)) == (0, 0)
-    assert complex(float(re), float(im)) == m.entries[0, 0]
-
-    with pytest.raises(ValueError):
-        export_matrix(m, tmp_path / "op.txt")

@@ -9,6 +9,8 @@ import pytest
 from pdm_spectra import (
     InsufficientBoundStatesError,
     ModelSpec,
+    OperatorMatrix,
+    build_eta_matrix,
     build_reference_matrix,
     build_target_matrix,
     eig,
@@ -33,6 +35,7 @@ from pdm_spectra import (
     ordering_preset,
     samsonov_roy_levels,
     scarf2_levels,
+    uniform_grid,
 )
 from pdm_spectra.verify import atomic_write_text
 
@@ -119,6 +122,34 @@ def test_check_intertwining():
     assert report.passed
     assert report.details["strictly_decreasing"]
     assert report.details["rate"] >= 0.9
+    # the sparse products sum in another order than dense ones would
+    for n, residual in zip(report.details["n"], report.details["residual"]):
+        grid = uniform_grid(*spec.x_interval, n, coordinate="x")
+        ham = build_target_matrix(spec, grid).entries
+        eta = build_eta_matrix(spec, grid).entries
+        dense = np.linalg.norm(eta @ ham - ham.conj().T @ eta) / (
+            np.linalg.norm(eta) * np.linalg.norm(ham))
+        assert residual == pytest.approx(dense, rel=1e-14, abs=0)
+
+
+def test_banded_checks_never_densify(monkeypatch):
+    # Only the checks that need every level (check_analytic, solve, the solver
+    # validation) may build an n x n array; these work on the three bands.
+    def refuse(matrix):
+        raise AssertionError(f"densified a {matrix.n}-node operator")
+
+    monkeypatch.setattr(OperatorMatrix, "entries", property(refuse))
+    iso = ModelSpec.from_ordering(ScarfII(2.5), ZK, q_interval=(-8.0, 8.0))  # criterion 4
+    assert check_isospectral(iso, 240, k=2).passed
+    assert isospectral_sweep(iso, [60, 120, 240], k=2).passed
+    ladder = ModelSpec.from_ordering(ScarfII(2.5), ZK, q_interval=(-12.0, 12.0))  # criterion 2
+    for picture in ("reference", "target"):
+        result = convergence_sweep(ladder, [300, 600], picture=picture)
+        assert result["error"][-1] < result["error"][0]
+    residual = ModelSpec.from_ordering(ScarfII(2.0), ZK, q_interval=(-2.0, 2.0))  # criterion 5
+    assert check_intertwining(residual, [100, 200, 400]).passed
+    with pytest.raises(AssertionError, match="densified"):
+        eig(build_reference_matrix(iso, matched_domains(iso, 20)[1]))
 
 
 def test_check_analytic_sech_model():
