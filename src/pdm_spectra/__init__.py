@@ -14,7 +14,6 @@ from .errors import (
     BetaMinusOneError,
     ConfigError,
     InsufficientBoundStatesError,
-    MissingVectorsError,
     NoConvergenceError,
     OutOfDomainError,
     OutOfRangeError,
@@ -63,7 +62,6 @@ from .operators import (
 from .eigen import (
     Spectrum,
     brute_oracle_small,
-    classify_spectrum,
     eig,
     eig_lowest,
     match_eigenvalue_sets,
@@ -79,7 +77,6 @@ from .verify import (
     convergence_sweep,
     eigensolver_validation,
     fit_decay_rate,
-    free_box_levels,
     isospectral_sweep,
     samsonov_roy_levels,
     scarf2_levels,

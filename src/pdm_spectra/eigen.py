@@ -1,11 +1,10 @@
-"""Dense nonsymmetric eigensolving, a low-window tridiagonal solver,
-bound-state classification, an independent small-matrix oracle, and
-eigenvalue set matching.
+"""Dense nonsymmetric eigenvalues, a low-window tridiagonal solver, an
+independent small-matrix oracle, and eigenvalue set matching.
 
-The main entry point `eig` wraps LAPACK's general complex solver and adds
-the package conventions: eigenvalues in lexicographic order (real part,
-then imaginary part), per-pair residual norms, an inverse-iteration polish
-for the rare pair whose residual is out of line, and a trace cross-check.
+The main entry point `eig` wraps LAPACK's general complex eigenvalue
+solver and adds the package conventions: eigenvalues in lexicographic
+order (real part, then imaginary part), the Frobenius norm of the matrix,
+and a trace cross-check.  It computes no eigenvectors.
 
 `eig_lowest` returns only the lowest few eigenvalues of an OperatorMatrix,
 working on its three bands by shift-invert Arnoldi (ARPACK, through scipy)
@@ -21,29 +20,22 @@ solver can be checked against something that cannot fail the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    MissingVectorsError,
-    NoConvergenceError,
-    TooLargeError,
-)
-from .operators import Grid, OperatorMatrix
+from .errors import NoConvergenceError, TooLargeError
+from .operators import OperatorMatrix
 
 __all__ = [
     "Spectrum",
     "eig",
     "eig_lowest",
     "brute_oracle_small",
-    "classify_spectrum",
     "match_eigenvalue_sets",
 ]
 
 _ORACLE_MAX_SIZE = 8
-_REFINE_TRIGGER = 1e-9
-_REFINE_STEPS = 3
 # Real parts closer than this, relative to the Gershgorin bound on ||A||, are
 # a tie: rounding alone decides their lexicographic order.
 _TIE_RTOL = 1e-10
@@ -65,18 +57,13 @@ def _entries(matrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues (lex-ordered) with optional vectors and diagnostics.
+    """Lex-ordered eigenvalues with two diagnostics.
 
-    vectors, when present, holds one unit-norm column per eigenvalue in the
-    same order.  residuals are ||A v - lambda v|| / ||A||_F.  bound_flags is
-    filled by classify_spectrum.  trace_error compares the eigenvalue sum
-    with the matrix trace, relative to max(1, |trace|, sum |lambda|).
+    matrix_norm is ||A||_F.  trace_error compares the eigenvalue sum with
+    the matrix trace, relative to max(1, |trace|, sum |lambda|).
     """
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray | None = None
-    residuals: np.ndarray | None = None
-    bound_flags: np.ndarray | None = None
     matrix_norm: float = 0.0
     trace_error: float = 0.0
 
@@ -85,43 +72,8 @@ class Spectrum:
         vals.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
 
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.size
 
-    @property
-    def bound_eigenvalues(self) -> np.ndarray:
-        if self.bound_flags is None:
-            raise MissingVectorsError("spectrum has not been classified yet")
-        return self.eigenvalues[self.bound_flags]
-
-
-def _refine_pair(a: np.ndarray, lam: complex, vec: np.ndarray, norm_a: float):
-    """A few steps of inverse iteration with Rayleigh-quotient updates."""
-    n = a.shape[0]
-    best_lam, best_vec = lam, vec
-    best_res = np.linalg.norm(a @ vec - lam * vec)
-    reg = 1e-13 * norm_a
-    for _ in range(_REFINE_STEPS):
-        shifted = a - (best_lam + reg) * np.eye(n)
-        try:
-            w = np.linalg.solve(shifted, best_vec)
-        except np.linalg.LinAlgError:
-            break
-        nw = np.linalg.norm(w)
-        if not np.isfinite(nw) or nw == 0.0:
-            break
-        w = w / nw
-        lam_new = complex(np.vdot(w, a @ w))
-        res = np.linalg.norm(a @ w - lam_new * w)
-        if res < best_res:
-            best_lam, best_vec, best_res = lam_new, w, res
-        else:
-            break
-    return best_lam, best_vec
-
-
-def eig(matrix, vectors: bool = False) -> Spectrum:
+def eig(matrix) -> Spectrum:
     """Full spectrum of a dense complex matrix with package conventions.
 
     Accepts an OperatorMatrix, densified through its `entries`, or a plain
@@ -129,49 +81,17 @@ def eig(matrix, vectors: bool = False) -> Spectrum:
     up.
     """
     a = _entries(matrix)
-    norm_a = float(np.linalg.norm(a))
     try:
-        if vectors:
-            vals, vecs = np.linalg.eig(a)
-        else:
-            vals = np.linalg.eigvals(a)
-            vecs = None
+        vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"dense eigensolve failed: {exc}") from exc
-
-    order = _lex_order(vals)
-    vals = vals[order]
-    residuals = None
-    if vecs is not None:
-        vecs = vecs[:, order]
-        vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-        denom = norm_a if norm_a > 0.0 else 1.0
-        residuals = np.linalg.norm(a @ vecs - vecs * vals[None, :], axis=0) / denom
-        bad = np.nonzero(residuals > _REFINE_TRIGGER)[0]
-        for idx in bad:
-            lam, vec = _refine_pair(a, complex(vals[idx]), vecs[:, idx].copy(), norm_a)
-            vals[idx] = lam
-            vecs[:, idx] = vec
-            residuals[idx] = np.linalg.norm(a @ vec - lam * vec) / denom
-        if bad.size:
-            order = _lex_order(vals)
-            vals = vals[order]
-            vecs = vecs[:, order]
-            residuals = residuals[order]
-
+    vals = vals[_lex_order(vals)]
     tr = complex(np.trace(a))
     scale = max(1.0, abs(tr), float(np.sum(np.abs(vals))))
-    trace_error = abs(vals.sum() - tr) / scale
-    if vecs is not None:
-        vecs.setflags(write=False)
-    if residuals is not None:
-        residuals.setflags(write=False)
     return Spectrum(
         eigenvalues=vals,
-        vectors=vecs,
-        residuals=residuals,
-        matrix_norm=norm_a,
-        trace_error=trace_error,
+        matrix_norm=float(np.linalg.norm(a)),
+        trace_error=abs(vals.sum() - tr) / scale,
     )
 
 
@@ -294,48 +214,6 @@ def brute_oracle_small(matrix) -> np.ndarray:
         raise TooLargeError(f"oracle accepts matrices up to size {_ORACLE_MAX_SIZE}, got {n}")
     roots = _durand_kerner(_char_poly_coeffs(a))
     return roots[_lex_order(roots)]
-
-
-def classify_spectrum(
-    spectrum: Spectrum,
-    grid: Grid | None = None,
-    im_tol: float = 1e-6,
-    edge_frac: float = 0.05,
-    continuum_threshold: float | None = None,
-) -> Spectrum:
-    """Flag bound states; returns a copy with bound_flags filled.
-
-    An eigenvalue is bound when |Im| <= im_tol and it is not a box artifact
-    of the Dirichlet truncation.  Without a continuum_threshold every
-    small-imaginary eigenvalue counts.  With one, eigenvalues below the
-    threshold count directly, and eigenvalues at or above it count only if
-    their eigenvector keeps under 1% of its mass in each edge band of
-    edge_frac * n nodes (truncation artifacts pile up mass at the walls).
-    The edge rule needs eigenvectors; MissingVectorsError otherwise.
-    """
-    vals = spectrum.eigenvalues
-    flags = np.abs(vals.imag) <= im_tol
-    if continuum_threshold is not None:
-        above = flags & (vals.real >= continuum_threshold)
-        if above.any():
-            if spectrum.vectors is None:
-                raise MissingVectorsError(
-                    "edge-localization test needs eigenvectors; rerun the solve with vectors=True"
-                )
-            n = spectrum.vectors.shape[0]
-            if grid is not None and grid.n != n:
-                raise ValueError(f"grid has {grid.n} nodes but vectors have {n} rows")
-            band = max(1, int(edge_frac * n))
-            for idx in np.nonzero(above)[0]:
-                v = spectrum.vectors[:, idx]
-                mass = np.abs(v) ** 2
-                total = mass.sum()
-                lo = mass[:band].sum() / total
-                hi = mass[-band:].sum() / total
-                if lo > 0.01 or hi > 0.01:
-                    flags[idx] = False
-    flags.setflags(write=False)
-    return replace(spectrum, bound_flags=flags)
 
 
 def match_eigenvalue_sets(targets: np.ndarray, candidates: np.ndarray):

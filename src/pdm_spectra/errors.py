@@ -44,10 +44,6 @@ class TooLargeError(PdmSpectraError):
     brute-force characteristic-polynomial oracle (n <= 8)."""
 
 
-class MissingVectorsError(PdmSpectraError):
-    """Spectrum classification needed eigenvectors that were not computed."""
-
-
 class InsufficientBoundStatesError(PdmSpectraError):
     """Fewer bound-classified eigenvalues were found than requested."""
 

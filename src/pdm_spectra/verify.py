@@ -32,13 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InsufficientBoundStatesError, UnsupportedGeneratorError
-from .eigen import (
-    brute_oracle_small,
-    classify_spectrum,
-    eig,
-    eig_lowest,
-    match_eigenvalue_sets,
-)
+from .eigen import brute_oracle_small, eig, eig_lowest, match_eigenvalue_sets
 from .mapping import (
     closed_form_target,
     potential_decomposition,
@@ -57,10 +51,10 @@ from .errors import UnsupportedKindError
 
 __all__ = [
     "SAMSONOV_ROY_MISSING_LEVEL",
+    "SAMSONOV_ROY_MISSING_WINDOW",
     "VerificationReport",
     "scarf2_levels",
     "samsonov_roy_levels",
-    "free_box_levels",
     "analytic_levels",
     "fit_decay_rate",
     "check_isospectral",
@@ -73,8 +67,10 @@ __all__ = [
     "atomic_write_text",
 ]
 
-# The trigonometric model's ladder n^2/4 - 25/16 skips n = 2.
+# The trigonometric model's ladder n^2/4 - 25/16 skips n = 2; check_analytic
+# wants every eigenvalue at least the window away from the missing level.
 SAMSONOV_ROY_MISSING_LEVEL = -9.0 / 16.0
+SAMSONOV_ROY_MISSING_WINDOW = 0.2
 
 
 def _jsonable(value):
@@ -151,12 +147,6 @@ def scarf2_levels(v2) -> np.ndarray:
 def samsonov_roy_levels() -> np.ndarray:
     """Levels n^2/4 - 25/16 for n in {1, 3, 4, 5}; n = 2 is absent."""
     return np.array([n * n / 4.0 - 25.0 / 16.0 for n in (1, 3, 4, 5)])
-
-
-def free_box_levels(a: float, b: float, k: int) -> np.ndarray:
-    """Lowest k Dirichlet levels (n pi / (b-a))^2 of the free particle."""
-    n = np.arange(1, k + 1)
-    return (n * np.pi / (b - a)) ** 2
 
 
 def analytic_levels(generator) -> np.ndarray:
@@ -286,60 +276,45 @@ def check_analytic(
     n: int,
     tol: float = 2e-2,
     im_tol: float | None = None,
-    edge_frac: float = 0.05,
-    missing_window: float = 0.2,
 ) -> VerificationReport:
     """Numerically bound flat-picture levels against the closed-form ladder.
 
-    Matching uses complex modulus: near a spectral defect the discretization
-    splits a real level into a conjugate pair with O(h) imaginary parts, so
-    the default im_tol for the trigonometric model is tol itself, while the
-    sech model (whose levels stay cleanly real) uses 1e-6.
+    The bound candidates are the eigenvalues with |Im| <= im_tol; for the
+    sech model only those below the continuum threshold, where the ladder
+    lives (box modes of the truncated continuum sit above it).  Matching
+    uses complex modulus: near a spectral defect the discretization splits
+    a real level into a conjugate pair with O(h) imaginary parts, so the
+    default im_tol for the trigonometric model is tol itself, while the sech
+    model (whose levels stay cleanly real) uses 1e-6.
 
     For the trigonometric model the report additionally confirms that no
-    eigenvalue comes within missing_window of the absent n = 2 level.
+    eigenvalue comes within SAMSONOV_ROY_MISSING_WINDOW of the absent n = 2
+    level.
     """
     gen = spec.generator
     oracle = analytic_levels(gen)
+    sech = isinstance(gen, ScarfII)
+    if im_tol is None:
+        im_tol = 1e-6 if sech else tol
     grid = uniform_grid(*spec.q_interval, n, coordinate="q")
-    matrix = build_reference_matrix(spec, grid)
+    eigenvalues = eig(build_reference_matrix(spec, grid)).eigenvalues
+    bound = np.abs(eigenvalues.imag) <= im_tol
     details: dict = {
         "n": n,
         "tol": tol,
         "q_interval": list(spec.q_interval),
         "levels": oracle,
+        "im_tol": im_tol,
     }
-
-    if isinstance(gen, ScarfII):
-        if im_tol is None:
-            im_tol = 1e-6
-        spectrum = eig(matrix, vectors=True)
+    if sech:
         endpoint_v = reference_potential(gen, spec.alpha0, np.asarray(spec.q_interval, float))
         threshold = float(np.max(endpoint_v.real))
-        classified = classify_spectrum(
-            spectrum,
-            grid,
-            im_tol=im_tol,
-            edge_frac=edge_frac,
-            continuum_threshold=threshold,
-        )
+        bound &= eigenvalues.real < threshold
         details["continuum_threshold"] = threshold
-    else:
-        if im_tol is None:
-            im_tol = tol
-        spectrum = eig(matrix)
-        classified = classify_spectrum(spectrum, grid, im_tol=im_tol)
-    details["im_tol"] = im_tol
-
-    bound = classified.bound_eigenvalues
-    details["bound_count"] = int(bound.size)
-    if isinstance(gen, ScarfII):
-        # The ladder lives strictly below the continuum threshold; box modes
-        # of the truncated continuum sit above it and are not counted.
-        candidates = bound[bound.real < details["continuum_threshold"]]
+    candidates = eigenvalues[bound]
+    details["bound_count"] = int(candidates.size)
+    if sech:
         details["bound_below_threshold"] = int(candidates.size)
-    else:
-        candidates = bound
     if oracle.size == 0:
         details["note"] = "no bound levels to compare"
         return VerificationReport("analytic", True, details)
@@ -353,16 +328,14 @@ def check_analytic(
     details["max_gap"] = float(gaps.max())
     passed = bool(gaps.max() <= tol)
 
-    if isinstance(gen, ScarfII):
+    if sech:
         passed = passed and candidates.size == oracle.size
     if isinstance(gen, SamsonovRoy):
-        clearance = float(
-            np.min(np.abs(spectrum.eigenvalues - SAMSONOV_ROY_MISSING_LEVEL))
-        )
+        clearance = float(np.min(np.abs(eigenvalues - SAMSONOV_ROY_MISSING_LEVEL)))
         details["missing_level"] = SAMSONOV_ROY_MISSING_LEVEL
         details["missing_level_clearance"] = clearance
-        details["missing_window"] = missing_window
-        passed = passed and clearance >= missing_window
+        details["missing_window"] = SAMSONOV_ROY_MISSING_WINDOW
+        passed = passed and clearance >= SAMSONOV_ROY_MISSING_WINDOW
     return VerificationReport("analytic", passed, details)
 
 

@@ -1,27 +1,23 @@
-"""Eigensolver conventions, the small-matrix oracle, and classification."""
+"""Eigensolver conventions, the low-window solver, the small-matrix oracle,
+and eigenvalue set matching."""
 
 import numpy as np
 import pytest
 
 from pdm_spectra import (
     ConstantMass,
-    MissingVectorsError,
     ModelSpec,
     NoConvergenceError,
     OperatorMatrix,
     SamsonovRoy,
     ScarfII,
-    Spectrum,
     TooLargeError,
     brute_oracle_small,
     build_reference_matrix,
     build_target_matrix,
-    classify_spectrum,
-    constant_generator,
     delta_of,
     eig,
     eig_lowest,
-    free_box_levels,
     match_eigenvalue_sets,
     matched_domains,
     ordering_preset,
@@ -105,21 +101,16 @@ def test_eig_rejects_nonsquare():
 
 
 def test_eig_residuals_and_unit_vectors():
+    # eig returns eigenvalues only; the trace identity is what is left to check
     spec = ModelSpec(ScarfII(2.0), BDD, ConstantMass(), q_interval=(-4.0, 4.0))
-    spectrum = eig(build_reference_matrix(spec, uniform_grid(-4.0, 4.0, 120)), vectors=True)
-    assert spectrum.vectors.shape == (120, 120)
-    np.testing.assert_allclose(np.linalg.norm(spectrum.vectors, axis=0), 1.0, rtol=1e-13)
-    assert spectrum.residuals.max() <= 1e-12  # relative to ||A||_F
+    spectrum = eig(build_reference_matrix(spec, uniform_grid(-4.0, 4.0, 120)))
     assert spectrum.trace_error <= 1e-13
 
 
 def test_eig_deterministic_bitwise():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-    a = eig(m, vectors=True)
-    b = eig(m, vectors=True)
-    assert np.array_equal(a.eigenvalues, b.eigenvalues)
-    assert np.array_equal(a.vectors, b.vectors)
+    assert np.array_equal(eig(m).eigenvalues, eig(m).eigenvalues)
 
 
 def test_eig_propagates_failure():
@@ -150,42 +141,6 @@ def test_oracle_defective_matrix():
 def test_oracle_size_cap():
     with pytest.raises(TooLargeError):
         brute_oracle_small(np.eye(9))
-
-
-def test_classify_keeps_real_below_threshold():
-    spectrum = eig(np.diag([1.0 + 0.5j, -3.0 + 0.0j, 2.0 + 0.0j]))
-    flagged = classify_spectrum(spectrum, im_tol=1e-6)
-    np.testing.assert_array_equal(flagged.bound_flags, [True, False, True])
-    np.testing.assert_allclose(flagged.bound_eigenvalues, [-3.0, 2.0])
-
-
-def test_classify_free_box_edge_rule():
-    # free particle on (0, pi): levels n^2; with threshold 50 the edge rule
-    # must keep interior sine modes and exactly the 7 levels below 50 remain
-    # bound below the threshold
-    grid = uniform_grid(0.0, np.pi, 200)
-    spec = ModelSpec(constant_generator(0.0), BDD, ConstantMass(), q_interval=(0.0, np.pi))
-    spectrum = eig(build_reference_matrix(spec, grid), vectors=True)
-    np.testing.assert_allclose(
-        spectrum.eigenvalues[:3].real, free_box_levels(0.0, np.pi, 3), rtol=1e-3
-    )
-    flagged = classify_spectrum(spectrum, grid, im_tol=1e-8, continuum_threshold=50.0)
-    below = flagged.bound_flags & (spectrum.eigenvalues.real < 50.0)
-    assert int(below.sum()) == 7
-
-
-def test_classify_needs_vectors_only_for_edge_rule():
-    spectrum = eig(np.diag([1.0, 2.0, 60.0]))
-    with pytest.raises(MissingVectorsError):
-        classify_spectrum(spectrum, continuum_threshold=50.0)
-    # no eigenvalue at or above the threshold: vectors not needed
-    flagged = classify_spectrum(eig(np.diag([1.0, 2.0])), continuum_threshold=50.0)
-    assert flagged.bound_flags.tolist() == [True, True]
-
-
-def test_unclassified_spectrum_refuses_bound_access():
-    with pytest.raises(MissingVectorsError):
-        Spectrum(eigenvalues=np.array([1.0 + 0j])).bound_eigenvalues
 
 
 def test_match_eigenvalue_sets_assignment():
@@ -322,35 +277,6 @@ def test_eig_lowest_matches_oracle_on_small_random_tridiagonals(dense_calls):
                 np.testing.assert_allclose(
                     np.sort(low.real), np.sort(oracle.real)[:k], rtol=0, atol=1e-8)
     assert min(paths.values()) >= 20, paths
-
-
-def test_eig_refines_a_perturbed_eigenvector(monkeypatch):
-    # LAPACK's vectors are accurate in practice, so the inverse-iteration
-    # polish is forced: one column comes back perturbed by about 1e-6.
-    spec = ModelSpec(ScarfII(2.0), BDD, ConstantMass(), q_interval=(-4.0, 4.0))
-    matrix = build_reference_matrix(spec, uniform_grid(-4.0, 4.0, 40))
-    exact = eig(matrix, vectors=True)
-    noise = 1e-6 * np.random.default_rng(5).standard_normal(40) / np.sqrt(40)
-    lapack_eig = np.linalg.eig
-
-    def perturbed_eig(a):
-        vals, vecs = lapack_eig(a)
-        vecs[:, np.argmin(vals.real)] += noise
-        return vals, vecs
-
-    refined = []
-    refine_pair = eigen._refine_pair
-
-    def counting_refine(*args):
-        refined.append(args[1])
-        return refine_pair(*args)
-
-    monkeypatch.setattr(np.linalg, "eig", perturbed_eig)
-    monkeypatch.setattr(eigen, "_refine_pair", counting_refine)
-    spectrum = eig(matrix, vectors=True)
-    assert refined == [exact.eigenvalues[0]]  # the trigger fired on that pair only
-    assert spectrum.residuals.max() <= eigen._REFINE_TRIGGER
-    np.testing.assert_allclose(spectrum.eigenvalues, exact.eigenvalues, rtol=0, atol=1e-12)
 
 
 def test_eig_lowest_rejects_bad_input():

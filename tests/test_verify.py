@@ -30,7 +30,6 @@ from pdm_spectra import (
     convergence_sweep,
     eigensolver_validation,
     fit_decay_rate,
-    free_box_levels,
     isospectral_sweep,
     ordering_preset,
     samsonov_roy_levels,
@@ -56,10 +55,6 @@ def test_samsonov_roy_ladder():
     assert SAMSONOV_ROY_MISSING_LEVEL == -9.0 / 16.0
     # the hole is well separated from its neighbours
     assert np.min(np.abs(samsonov_roy_levels() - SAMSONOV_ROY_MISSING_LEVEL)) == pytest.approx(0.75)
-
-
-def test_free_box_ladder():
-    np.testing.assert_allclose(free_box_levels(0.0, np.pi, 3), [1.0, 4.0, 9.0])
 
 
 def test_analytic_levels_dispatch():
@@ -157,6 +152,8 @@ def test_check_analytic_sech_model():
     report = check_analytic(spec, 300)
     assert report.passed
     assert report.details["bound_below_threshold"] == 2
+    # the lowest box modes of the 16-wide window are not bound states
+    assert report.details["bound_count"] == 2
     assert report.details["max_gap"] <= 2e-2
 
 
@@ -165,6 +162,7 @@ def test_check_analytic_empty_ladder_passes_with_note():
     report = check_analytic(spec, 120)
     assert report.passed
     assert report.details["note"] == "no bound levels to compare"
+    assert report.details["bound_count"] == 0
 
 
 def test_check_analytic_trigonometric_model():
@@ -178,6 +176,9 @@ def test_check_analytic_trigonometric_model():
     assert report.passed
     assert report.details["max_gap"] <= 2e-2
     assert report.details["missing_level_clearance"] >= 0.2
+    # The pair has |Im| ~ 0.0099 here, so im_tol = 1e-3 drops it from the
+    # candidates and the ladder can no longer be matched.
+    assert check_analytic(spec, 600, im_tol=1e-3).passed is False
 
 
 def test_check_identities_all_routes():
