@@ -9,7 +9,9 @@ and a trace cross-check.  It computes no eigenvectors.
 `eig_lowest` returns only the lowest few eigenvalues of an OperatorMatrix,
 working on its three bands by shift-invert Arnoldi (ARPACK, through scipy)
 with a proof that the window it returns is complete, and falls back to the
-dense `eig` where it cannot give that proof.
+dense `eig` where it cannot give that proof.  Every verification check on
+an operator goes through it; only `solve`, the solver validation and that
+fallback take the dense `eig`.
 
 `brute_oracle_small` shares no code path with LAPACK: it builds the
 characteristic polynomial by the Faddeev-LeVerrier recursion and finds all

@@ -279,13 +279,16 @@ def check_analytic(
 ) -> VerificationReport:
     """Numerically bound flat-picture levels against the closed-form ladder.
 
-    The bound candidates are the eigenvalues with |Im| <= im_tol; for the
-    sech model only those below the continuum threshold, where the ladder
-    lives (box modes of the truncated continuum sit above it).  Matching
-    uses complex modulus: near a spectral defect the discretization splits
-    a real level into a conjugate pair with O(h) imaginary parts, so the
-    default im_tol for the trigonometric model is tol itself, while the sech
-    model (whose levels stay cleanly real) uses 1e-6.
+    The bound candidates are the eigenvalues with |Im| <= im_tol below a
+    real cutoff, and bound_count counts them; only the levels up to the
+    cutoff are solved.  For the sech model the cutoff is the continuum
+    threshold (box modes of the truncated continuum sit above it); for the
+    trigonometric model max(ladder) + tol, above which no level can pass
+    the match.  Matching uses complex modulus: near a spectral defect the
+    discretization splits a real level into a conjugate pair with O(h)
+    imaginary parts, so the default im_tol for the trigonometric model is
+    tol itself, while the sech model (whose levels stay cleanly real) uses
+    1e-6.
 
     For the trigonometric model the report additionally confirms that no
     eigenvalue comes within SAMSONOV_ROY_MISSING_WINDOW of the absent n = 2
@@ -296,9 +299,6 @@ def check_analytic(
     sech = isinstance(gen, ScarfII)
     if im_tol is None:
         im_tol = 1e-6 if sech else tol
-    grid = uniform_grid(*spec.q_interval, n, coordinate="q")
-    eigenvalues = eig(build_reference_matrix(spec, grid)).eigenvalues
-    bound = np.abs(eigenvalues.imag) <= im_tol
     details: dict = {
         "n": n,
         "tol": tol,
@@ -308,9 +308,17 @@ def check_analytic(
     }
     if sech:
         endpoint_v = reference_potential(gen, spec.alpha0, np.asarray(spec.q_interval, float))
-        threshold = float(np.max(endpoint_v.real))
-        bound &= eigenvalues.real < threshold
-        details["continuum_threshold"] = threshold
+        cutoff = float(np.max(endpoint_v.real))
+        details["continuum_threshold"] = cutoff
+    else:
+        # The clearance over the window is exact whenever it is below
+        # cutoff - missing level (5.27 at tol = 2e-2), itself >= the window.
+        cutoff = max(float(oracle.max()) + tol,
+                     SAMSONOV_ROY_MISSING_LEVEL + SAMSONOV_ROY_MISSING_WINDOW)
+    grid = uniform_grid(*spec.q_interval, n, coordinate="q")
+    eigenvalues = _window_past(build_reference_matrix(spec, grid), oracle.size + 1,
+                               lambda window: cutoff)
+    bound = (np.abs(eigenvalues.imag) <= im_tol) & (eigenvalues.real < cutoff)
     candidates = eigenvalues[bound]
     details["bound_count"] = int(candidates.size)
     if sech:
@@ -402,6 +410,17 @@ def check_identities(
     )
 
 
+def _window_past(matrix, k: int, cutoff) -> np.ndarray:
+    """The lowest k levels, lex-ordered, with k doubled until the top one's
+    real part exceeds cutoff(window) or k = n."""
+    k = min(k, matrix.n)
+    while True:
+        window = eig_lowest(matrix, k)
+        if k == matrix.n or window[-1].real > cutoff(window):
+            return window
+        k = min(2 * k, matrix.n)
+
+
 def _ladder_error(oracle: np.ndarray, matrix) -> float:
     """Worst matched gap of a ladder against the matrix's lowest levels.
 
@@ -410,15 +429,12 @@ def _ladder_error(oracle: np.ndarray, matrix) -> float:
     value than any gap picked, so the greedy match over the whole spectrum
     would pick the same levels.
     """
-    n = matrix.n
     top = float(oracle.real.max())
-    k = min(oracle.size + 1, n)
-    while True:
-        window = eig_lowest(matrix, k)
-        worst = float(match_eigenvalue_sets(oracle, window)[1].max())
-        if k == n or window[-1].real > top + worst:
-            return worst
-        k = min(2 * k, n)
+
+    def worst(window):
+        return float(match_eigenvalue_sets(oracle, window)[1].max())
+
+    return worst(_window_past(matrix, oracle.size + 1, lambda window: top + worst(window)))
 
 
 def convergence_sweep(

@@ -23,11 +23,14 @@ from pdm_spectra import (
     UnsupportedGeneratorError,
     VerificationReport,
     analytic_levels,
+    build_spec,
     check_analytic,
     check_identities,
     check_intertwining,
     check_isospectral,
+    config_from_dict,
     convergence_sweep,
+    eig_lowest,
     eigensolver_validation,
     fit_decay_rate,
     isospectral_sweep,
@@ -36,9 +39,12 @@ from pdm_spectra import (
     scarf2_levels,
     uniform_grid,
 )
-from pdm_spectra.verify import atomic_write_text
+from pdm_spectra import verify
+from pdm_spectra.verify import SAMSONOV_ROY_MISSING_WINDOW, atomic_write_text
 
 ZK = ordering_preset("ZhuKroemer")
+C2_SPEC = ModelSpec.from_ordering(ScarfII(2.5), ZK, q_interval=(-12.0, 12.0))
+C3_SPEC = ModelSpec.from_ordering(SamsonovRoy(), ZK, q_interval=(-np.pi, np.pi), c2=2.0)
 
 
 def test_scarf2_ladder():
@@ -128,8 +134,8 @@ def test_check_intertwining():
 
 
 def test_banded_checks_never_densify(monkeypatch):
-    # Only the checks that need every level (check_analytic, solve, the solver
-    # validation) may build an n x n array; these work on the three bands.
+    # Only solve and the solver validation build an n x n array (and
+    # eig_lowest, when its window reaches n); these checks work on the bands.
     def refuse(matrix):
         raise AssertionError(f"densified a {matrix.n}-node operator")
 
@@ -137,14 +143,96 @@ def test_banded_checks_never_densify(monkeypatch):
     iso = ModelSpec.from_ordering(ScarfII(2.5), ZK, q_interval=(-8.0, 8.0))  # criterion 4
     assert check_isospectral(iso, 240, k=2).passed
     assert isospectral_sweep(iso, [60, 120, 240], k=2).passed
-    ladder = ModelSpec.from_ordering(ScarfII(2.5), ZK, q_interval=(-12.0, 12.0))  # criterion 2
-    for picture in ("reference", "target"):
-        result = convergence_sweep(ladder, [300, 600], picture=picture)
+    for picture in ("reference", "target"):  # criterion 2
+        result = convergence_sweep(C2_SPEC, [300, 600], picture=picture)
         assert result["error"][-1] < result["error"][0]
+    assert check_analytic(C2_SPEC, 300, tol=1e-2, im_tol=1e-6).passed
+    assert check_analytic(C3_SPEC, 600).passed  # criterion 3
     residual = ModelSpec.from_ordering(ScarfII(2.0), ZK, q_interval=(-2.0, 2.0))  # criterion 5
     assert check_intertwining(residual, [100, 200, 400]).passed
     with pytest.raises(AssertionError, match="densified"):
         eig(build_reference_matrix(iso, matched_domains(iso, 20)[1]))
+
+
+def _assert_sets_close(expected, actual, atol):
+    """Matched-set agreement; the members of a conjugate pair (|Im| > 1e-6,
+    ill-conditioned where two real levels met) are held to 1e-7 only."""
+    expected = np.asarray(expected)
+    gaps = match_eigenvalue_sets(expected, actual)[1]
+    bound = np.where(np.abs(expected.imag) > 1e-6, 1e-7, atol)
+    assert np.all(gaps <= bound), (gaps, bound)
+
+
+def _analytic_cutoff(details):
+    """The real cutoff check_analytic solves up to, recomputed from its report."""
+    if "continuum_threshold" in details:
+        return details["continuum_threshold"]
+    return max(max(details["levels"]) + details["tol"],
+               SAMSONOV_ROY_MISSING_LEVEL + SAMSONOV_ROY_MISSING_WINDOW)
+
+
+@pytest.mark.parametrize("label", ["c2", "c3", "default"])
+def test_check_analytic_agrees_with_dense_eig(label, monkeypatch):
+    spec, n, kwargs = {
+        "c2": (C2_SPEC, 300, {"tol": 1e-2, "im_tol": 1e-6}),
+        "c3": (C3_SPEC, 600, {"tol": 2e-2}),
+        "default": (build_spec(config_from_dict({})), 400, {"tol": 2e-2}),
+    }[label]
+    cutoffs = []
+    window_past = verify._window_past
+
+    def recording(matrix, k, cutoff):
+        window = window_past(matrix, k, cutoff)
+        cutoffs.append(cutoff(window))
+        return window
+
+    monkeypatch.setattr(verify, "_window_past", recording)
+    report = check_analytic(spec, n, **kwargs)
+    details = report.details
+    cutoff = _analytic_cutoff(details)
+    assert cutoffs == [cutoff]
+    # the same report, from every level of the same matrix
+    full = eig(build_reference_matrix(spec, uniform_grid(*spec.q_interval, n,
+                                                         coordinate="q"))).eigenvalues
+    candidates = full[(np.abs(full.imag) <= details["im_tol"]) & (full.real < cutoff)]
+    assert details["bound_count"] == candidates.size
+    oracle = np.asarray(details["levels"])
+    gaps = match_eigenvalue_sets(oracle, candidates)[1]
+    passed = gaps.max() <= details["tol"]
+    if "continuum_threshold" in details:
+        passed = passed and candidates.size == oracle.size
+    else:
+        clearance = np.min(np.abs(full - SAMSONOV_ROY_MISSING_LEVEL))
+        assert details["missing_level_clearance"] == pytest.approx(clearance, rel=0, abs=1e-10)
+        passed = passed and clearance >= SAMSONOV_ROY_MISSING_WINDOW
+    assert report.passed == passed
+    # The pair's two members are equally near 39/16, so rounding picks one:
+    # each picked level is checked against the dense candidates as a set.
+    _assert_sets_close(details["matched"], candidates, 1e-10)
+    np.testing.assert_allclose(details["gaps"], gaps, rtol=0,
+                               atol=1e-7 if label == "c3" else 1e-10)
+
+
+def test_window_past_doubles_until_it_passes_the_cutoff(monkeypatch):
+    # Criterion 3's ladder tops out at 75/16 = 4.6875, and its fifth level
+    # sits just below the cutoff 4.7075, so the first window of five falls short.
+    matrix = build_reference_matrix(C3_SPEC, uniform_grid(*C3_SPEC.q_interval, 600,
+                                                          coordinate="q"))
+    cutoff = 75.0 / 16.0 + 2e-2
+    sizes = []
+
+    def counting(matrix, k):
+        sizes.append(k)
+        return eig_lowest(matrix, k)
+
+    monkeypatch.setattr(verify, "eig_lowest", counting)
+    window = verify._window_past(matrix, 5, lambda window: cutoff)
+    assert sizes == [5, 10]
+    assert window[-1].real > cutoff
+    full = eig(matrix).eigenvalues
+    below = full[full.real <= cutoff]
+    assert np.count_nonzero(window.real <= cutoff) == below.size == 5
+    _assert_sets_close(below, window[window.real <= cutoff], 1e-10)
 
 
 def test_check_analytic_sech_model():
@@ -169,16 +257,15 @@ def test_check_analytic_trigonometric_model():
     """The n = 4 level appears as a conjugate pair with O(h) imaginary split,
     so matching runs on complex modulus; the absent n = 2 level must stay
     clear of the whole spectrum."""
-    spec = ModelSpec.from_ordering(
-        SamsonovRoy(), ZK, q_interval=(-np.pi, np.pi), c2=2.0
-    )
-    report = check_analytic(spec, 600)
+    report = check_analytic(C3_SPEC, 600)
     assert report.passed
     assert report.details["max_gap"] <= 2e-2
     assert report.details["missing_level_clearance"] >= 0.2
+    # the four ladder levels, the n = 4 one as both members of its pair
+    assert report.details["bound_count"] == 5
     # The pair has |Im| ~ 0.0099 here, so im_tol = 1e-3 drops it from the
     # candidates and the ladder can no longer be matched.
-    assert check_analytic(spec, 600, im_tol=1e-3).passed is False
+    assert check_analytic(C3_SPEC, 600, im_tol=1e-3).passed is False
 
 
 def test_check_identities_all_routes():
