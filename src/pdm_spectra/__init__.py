@@ -64,6 +64,7 @@ from .eigen import (
     brute_oracle_small,
     eig,
     eig_lowest,
+    eig_tridiagonal,
     match_eigenvalue_sets,
 )
 from .verify import (

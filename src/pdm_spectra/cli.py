@@ -33,7 +33,7 @@ from .config import (
     load_config,
 )
 from .errors import ConfigError, PdmSpectraError, UnsupportedGeneratorError
-from .eigen import eig
+from .eigen import eig_tridiagonal
 from .mapping import potential_decomposition, target_potential
 from .model import ORDERING_PRESETS, delta_of
 from .operators import (
@@ -129,7 +129,7 @@ def _solve_payload(spec, picture: str, n: int) -> dict:
     else:
         grid, _ = matched_domains(spec, n)
         matrix = build_target_matrix(spec, grid)
-    spectrum = eig(matrix)
+    spectrum = eig_tridiagonal(matrix)
     return {
         "picture": picture,
         "n": n,

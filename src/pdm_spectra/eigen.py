@@ -1,17 +1,21 @@
-"""Dense nonsymmetric eigenvalues, a low-window tridiagonal solver, an
-independent small-matrix oracle, and eigenvalue set matching.
+"""Dense nonsymmetric eigenvalues, low-window and full-spectrum tridiagonal
+solvers, an independent small-matrix oracle, and eigenvalue set matching.
 
-The main entry point `eig` wraps LAPACK's general complex eigenvalue
-solver and adds the package conventions: eigenvalues in lexicographic
-order (real part, then imaginary part), the Frobenius norm of the matrix,
-and a trace cross-check.  It computes no eigenvectors.
+`eig` wraps LAPACK's general complex eigenvalue solver and adds the package
+conventions: eigenvalues in lexicographic order (real part, then imaginary
+part), the Frobenius norm of the matrix, and a trace cross-check.  It
+computes no eigenvectors.
 
 `eig_lowest` returns only the lowest few eigenvalues of an OperatorMatrix,
 working on its three bands by shift-invert Arnoldi (ARPACK, through scipy)
 with a proof that the window it returns is complete, and falls back to the
 dense `eig` where it cannot give that proof.  Every verification check on
-an operator goes through it; only `solve`, the solver validation and that
-fallback take the dense `eig`.
+an operator goes through it.
+
+`eig_tridiagonal` returns the whole spectrum of an OperatorMatrix from its
+bands by Ehrlich-Aberth iteration, in O(n^2) time and O(n) memory with
+numpy alone, with the same conventions as `eig`; `solve` takes it.  Only
+the solver validation and the `eig_lowest` fallback take the dense `eig`.
 
 `brute_oracle_small` shares no code path with LAPACK: it builds the
 characteristic polynomial by the Faddeev-LeVerrier recursion and finds all
@@ -27,12 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergenceError, TooLargeError
-from .operators import OperatorMatrix
+from .operators import MAX_DENSE_NODES, OperatorMatrix
 
 __all__ = [
     "Spectrum",
     "eig",
     "eig_lowest",
+    "eig_tridiagonal",
     "brute_oracle_small",
     "match_eigenvalue_sets",
 ]
@@ -41,6 +46,10 @@ _ORACLE_MAX_SIZE = 8
 # Real parts closer than this, relative to the Gershgorin bound on ||A||, are
 # a tie: rounding alone decides their lexicographic order.
 _TIE_RTOL = 1e-10
+# eig_tridiagonal: the sweep limit, and the number of entries in one block of
+# its pair sum, so that no n x n temporary is held whole.
+_MAX_SWEEPS = 200
+_PAIR_BLOCK = 1 << 16
 
 
 def _lex_order(values: np.ndarray) -> np.ndarray:
@@ -87,14 +96,14 @@ def eig(matrix) -> Spectrum:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"dense eigensolve failed: {exc}") from exc
+    return _spectrum(vals, complex(np.trace(a)), float(np.linalg.norm(a)))
+
+
+def _spectrum(vals: np.ndarray, trace: complex, norm: float) -> Spectrum:
+    """Eigenvalues in lex order, with their trace error against `trace`."""
     vals = vals[_lex_order(vals)]
-    tr = complex(np.trace(a))
-    scale = max(1.0, abs(tr), float(np.sum(np.abs(vals))))
-    return Spectrum(
-        eigenvalues=vals,
-        matrix_norm=float(np.linalg.norm(a)),
-        trace_error=abs(vals.sum() - tr) / scale,
-    )
+    scale = max(1.0, abs(trace), float(np.sum(np.abs(vals))))
+    return Spectrum(eigenvalues=vals, matrix_norm=norm, trace_error=abs(vals.sum() - trace) / scale)
 
 
 def _row_sums(couplings: np.ndarray) -> np.ndarray:
@@ -103,6 +112,16 @@ def _row_sums(couplings: np.ndarray) -> np.ndarray:
     out[:-1] += couplings
     out[1:] += couplings
     return out
+
+
+def _bounds(matrix: OperatorMatrix):
+    """sqrt(lower * upper) and the bounds lo <= Re <= hi, |Im| <= B it gives
+    on every eigenvalue (see eig_lowest)."""
+    diag = matrix.diag
+    root = np.sqrt(matrix.lower * matrix.upper)
+    rows = _row_sums(np.abs(root.real))
+    height = float(np.max(np.abs(diag.imag) + _row_sums(np.abs(root.imag))))
+    return root, float(np.min(diag.real - rows)), float(np.max(diag.real + rows)), height
 
 
 def eig_lowest(matrix: OperatorMatrix, k: int) -> np.ndarray:
@@ -125,11 +144,8 @@ def eig_lowest(matrix: OperatorMatrix, k: int) -> np.ndarray:
     n = matrix.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
-    lower, diag, upper = matrix.lower, matrix.diag, matrix.upper
-    root = np.sqrt(lower * upper)
-    floor = float(np.min(diag.real - _row_sums(np.abs(root.real))))
-    im_bound = float(np.max(np.abs(diag.imag) + _row_sums(np.abs(root.imag))))
-    tie = _TIE_RTOL * max(1.0, float(np.max(np.abs(diag) + _row_sums(np.abs(root)))))
+    root, floor, _, im_bound = _bounds(matrix)
+    tie = _TIE_RTOL * max(1.0, float(np.max(np.abs(matrix.diag) + _row_sums(np.abs(root)))))
     sigma = floor - max(im_bound, tie)
     m = k + 1
     if m < n - 2:
@@ -154,6 +170,78 @@ def eig_lowest(matrix: OperatorMatrix, k: int) -> np.ndarray:
                 break  # a tie at the cut; a larger window cannot decide it
             m *= 2
     return eig(matrix).eigenvalues[:k]
+
+
+def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
+    """Full spectrum of a tridiagonal matrix from its bands, in O(n^2).
+
+    Same conventions as `eig`.  Ehrlich-Aberth iteration on p(z) = det(A - zI)
+    (Bini, Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27 (2005) 153-175)
+    moves each unfrozen root z by 1/(p'/p - sum_j 1/(z - z_j)) per sweep;
+    p'/p = sum r_i'/r_i over the ratio continuant
+    r_i = (d_i - z) - l_{i-1} u_{i-1} / r_{i-1}.  The start is Chebyshev-spaced
+    on an ellipse over the Gershgorin real interval of the bands symmetrized
+    to sqrt(lower * upper), as high as the Bendixson |Im| bound.  A root
+    freezes once its step is at most 4 eps max(|z|, 1e-3 ||A||_F), or has
+    stopped shrinking at most 1e-8 of that scale.  Raises TooLargeError for
+    n > MAX_DENSE_NODES, NoConvergenceError on a non-finite entry or when
+    roots still move after _MAX_SWEEPS sweeps.
+    """
+    n = matrix.n
+    if n > MAX_DENSE_NODES:
+        raise TooLargeError(f"full spectra are limited to {MAX_DENSE_NODES} nodes, got {n}")
+    lower, diag, upper = matrix.lower, matrix.diag, matrix.upper
+    norm = float(np.linalg.norm(np.concatenate((lower, diag, upper))))
+    if not math.isfinite(norm):
+        raise NoConvergenceError("the bands hold a non-finite entry")
+    if norm == 0.0:
+        return Spectrum(np.zeros(n, dtype=complex))
+    _, lo, hi, height = _bounds(matrix)
+    floor = 1e-3 * norm
+    width = max(0.5 * (hi - lo), height, floor)
+    # Chebyshev abscissae alternately above and below the real axis; the
+    # quarter offset breaks the mirror symmetry x -> lo + hi - x, which would
+    # otherwise carry two roots of a mirror-symmetric spectrum onto one point.
+    theta = np.pi * (np.arange(n) + 0.25) / n
+    z = (0.5 * (lo + hi) + width * np.cos(theta)
+         + 1j * max(height, 1e-3 * width) * np.sin(theta) * (-1.0) ** np.arange(n))
+    eps = np.finfo(float).eps
+    pivot = eps * norm  # stands in for an r_i that is exactly zero
+    d0, rest, couplings = complex(diag[0]), diag[1:].tolist(), (lower * upper).tolist()
+    block = max(1, _PAIR_BLOCK // n)
+    active = np.arange(n)
+    last = np.full(n, np.inf)
+    for _ in range(_MAX_SWEEPS):
+        za = z[active]
+        r = d0 - za
+        np.copyto(r, pivot, where=r == 0)
+        g = -1.0 / r
+        dlogp = g.copy()
+        for d, c in zip(rest, couplings):
+            t = c / r
+            r = (d - za) - t
+            np.copyto(r, pivot, where=r == 0)
+            g = (t * g - 1.0) / r
+            dlogp += g
+        pair = np.empty_like(za)
+        for i in range(0, za.size, block):
+            diff = za[i:i + block, None] - z
+            diff[diff == 0] = np.inf  # the self term, and exact coincidences
+            pair[i:i + block] = (1.0 / diff).sum(axis=1)
+        step = 1.0 / (dlogp - pair)
+        z[active] = za - step
+        # A root pushed only by a close neighbour takes small steps while its
+        # Newton correction 1/(p'/p) stays large; neither may be large.
+        size = np.maximum(np.abs(step), 1.0 / np.maximum(np.abs(dlogp), np.finfo(float).tiny))
+        scale = np.maximum(np.abs(za), floor)
+        done = (size <= 4 * eps * scale) | ((size >= last[active]) & (size <= 1e-8 * scale))
+        last[active] = size
+        active = active[~done]
+        if not active.size:
+            return _spectrum(z, complex(np.sum(diag)), norm)
+    raise NoConvergenceError(
+        f"{active.size} of {n} roots still moving after {_MAX_SWEEPS} Aberth sweeps"
+    )
 
 
 def _char_poly_coeffs(a: np.ndarray) -> np.ndarray:

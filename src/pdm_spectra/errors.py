@@ -40,8 +40,9 @@ class NoConvergenceError(PdmSpectraError):
 
 
 class TooLargeError(PdmSpectraError):
-    """A matrix exceeds a size limit: dense assembly (MAX_DENSE_NODES) or the
-    brute-force characteristic-polynomial oracle (n <= 8)."""
+    """A matrix exceeds a size limit: a full spectrum or dense assembly
+    (MAX_DENSE_NODES) or the brute-force characteristic-polynomial oracle
+    (n <= 8)."""
 
 
 class InsufficientBoundStatesError(PdmSpectraError):

@@ -57,8 +57,9 @@ __all__ = [
 # log-mapped grid, so the guard is free of the window's scale.
 EDGE_EPSILON_FACTOR = 1e-8
 
-# Largest matrix that is densified: one complex n x n array takes 16 n^2
-# bytes, 1.0 GB at this size.
+# Largest matrix that is densified, or whose full spectrum is computed: one
+# complex n x n array takes 16 n^2 bytes, 1.0 GB at this size, and a banded
+# full spectrum takes O(n^2) time.
 MAX_DENSE_NODES = 8000
 
 

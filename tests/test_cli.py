@@ -10,10 +10,12 @@ from pdm_spectra.config import DEFAULTS
 
 
 def run_cli(*argv):
+    # The timeout turns a lost size guard into a failure instead of a hang.
     return subprocess.run(
         [sys.executable, "-m", "pdm_spectra", *argv],
         capture_output=True,
         text=True,
+        timeout=120,
     )
 
 
@@ -79,10 +81,12 @@ def test_solve_writes_json(tmp_path):
 
 
 def test_solve_reruns_are_byte_identical(tmp_path):
+    # large enough that roots freeze over many sweeps
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
-    assert run_cli("solve", "--n", "40", "--out", str(first)).returncode == 0
-    assert run_cli("solve", "--n", "40", "--out", str(second)).returncode == 0
+    for out in (first, second):
+        proc = run_cli("solve", "--picture", "both", "--n", "300", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -172,17 +176,30 @@ def test_oversized_grid_is_refused_before_allocating():
     assert "TooLargeError" in proc.stderr
 
 
+def _loads_scipy(code):
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\n"
+         "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1] == "True"
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy is imported by the low-window solver on first use only, so the
     # package import stays cheap.
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, pdm_spectra; print(any(m == 'scipy' or m.startswith('scipy.') "
-         "for m in sys.modules))"],
-        capture_output=True, text=True,
+    assert not _loads_scipy("import pdm_spectra")
+
+
+def test_solve_leaves_scipy_unloaded(tmp_path):
+    # the full spectrum comes from the bands with numpy alone
+    out = tmp_path / "both.json"
+    assert not _loads_scipy(
+        "from pdm_spectra import cli\n"
+        f"assert cli.main(['solve', '--picture', 'both', '--n', '60', '--out', {str(out)!r}]) == 0"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert out.exists()
 
 
 def test_sweep_csv_and_rate(tmp_path):

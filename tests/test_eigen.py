@@ -1,10 +1,15 @@
-"""Eigensolver conventions, the low-window solver, the small-matrix oracle,
-and eigenvalue set matching."""
+"""Eigensolver conventions, the low-window and full tridiagonal solvers, the
+small-matrix oracle, and eigenvalue set matching."""
+
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pdm_spectra import (
+    MAX_DENSE_NODES,
     ConstantMass,
     ModelSpec,
     NoConvergenceError,
@@ -18,6 +23,7 @@ from pdm_spectra import (
     delta_of,
     eig,
     eig_lowest,
+    eig_tridiagonal,
     match_eigenvalue_sets,
     matched_domains,
     ordering_preset,
@@ -59,6 +65,13 @@ def _picture_matrix(spec, picture, n):
     if picture == "reference":
         return build_reference_matrix(spec, grid_q)
     return build_target_matrix(spec, grid_x)
+
+
+@functools.cache
+def _dense_at_300(label, picture):
+    """Dense spectrum of an acceptance spec at n = 300, shared by the tests
+    of both tridiagonal solvers."""
+    return eig(_picture_matrix(ACCEPTANCE_SPECS[label], picture, 300))
 
 
 def _window_gap(matrix, k, dense=None):
@@ -176,7 +189,7 @@ def test_eig_lowest_matches_dense_on_acceptance_specs(label, picture):
     # criterion 3's model has a conjugate pair at levels 3-4 (see below)
     k = 2 if label == "c3:trig" else 4
     matrix = _picture_matrix(ACCEPTANCE_SPECS[label], picture, 300)
-    assert _window_gap(matrix, k) <= 1e-10
+    assert _window_gap(matrix, k, _dense_at_300(label, picture).eigenvalues) <= 1e-10
 
 
 @pytest.mark.parametrize("picture", ["reference", "target"])
@@ -285,3 +298,103 @@ def test_eig_lowest_rejects_bad_input():
         eig_lowest(identity, 0)
     with pytest.raises(ValueError):
         eig_lowest(identity, 7)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("picture", ["reference", "target"])
+@pytest.mark.parametrize("label", sorted(ACCEPTANCE_SPECS))
+def test_eig_tridiagonal_matches_dense_on_acceptance_specs(label, picture):
+    dense = _dense_at_300(label, picture)
+    full = eig_tridiagonal(_picture_matrix(ACCEPTANCE_SPECS[label], picture, 300))
+    assert full.eigenvalues.shape == (300,)
+    gaps = match_eigenvalue_sets(dense.eigenvalues, full.eigenvalues)[1]
+    # relative, as matched sets; only the members of criterion 3's conjugate
+    # pair (see test_eig_lowest_matches_dense_at_criterion_3_size) are held
+    # to 1e-7, though they agree to 4e-11 at this size
+    pair = (label == "c3:trig") & (np.abs(dense.eigenvalues.imag) > 1e-6)
+    bound = np.where(pair, 1e-7, 1e-10)
+    assert np.all(gaps <= bound * np.maximum(np.abs(dense.eigenvalues), 1.0))
+    assert full.matrix_norm == pytest.approx(dense.matrix_norm, rel=1e-14)
+    assert abs(full.trace_error - dense.trace_error) <= 1e-14
+
+
+def _assert_lex_ordered(vals):
+    re, im = vals.real, vals.imag
+    assert np.all((re[1:] > re[:-1]) | ((re[1:] == re[:-1]) & (im[1:] >= im[:-1])))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eig_tridiagonal_matches_oracle_on_small_random_tridiagonals():
+    # Zero couplings split the determinant into blocks, and a root that lands
+    # exactly on an isolated diagonal entry makes a pivot r_i exactly zero.
+    # The repeated diagonal entry is kept inside one coupled block, so every
+    # eigenvalue stays simple for the oracle.
+    rng = np.random.default_rng(400)
+    for case in range(400):
+        n = 2 + case % 7
+        a = _random_tridiagonal(rng, "complex", n)
+        lower, diag, upper = a.lower.copy(), a.diag.copy(), a.upper.copy()
+        if case % 2:
+            cut = rng.random(n - 1) < 0.4
+            (lower if rng.random() < 0.5 else upper)[cut] = 0.0
+        if case % 4 >= 2:
+            i = int(rng.integers(n - 1))
+            diag[i + 1] = diag[i]
+            lower[i], upper[i] = lower[i] or 1.0, upper[i] or 1.0
+        a = _tridiagonal(diag, lower, upper)
+        full = eig_tridiagonal(a).eigenvalues
+        _assert_lex_ordered(full)
+        assert match_eigenvalue_sets(brute_oracle_small(a), full)[1].max() <= 1e-9
+        assert match_eigenvalue_sets(eig(a).eigenvalues, full)[1].max() <= 1e-9
+
+
+_entry = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _small_tridiagonals(draw):
+    n = draw(st.integers(2, 8))
+    bands = [draw(st.lists(_entry, min_size=size, max_size=size))
+             for size in (n - 1, n, n - 1)]
+    return _tridiagonal(bands[1], bands[0], bands[2])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_small_tridiagonals())
+def test_eig_tridiagonal_property_against_oracle(a):
+    # Simple, separated eigenvalues only: at a multiple eigenvalue both
+    # routes lose half their digits, and the oracle may not settle at all.
+    dense = eig(a)
+    scale = max(1.0, dense.matrix_norm)
+    vals = dense.eigenvalues
+    assume(np.min(np.abs(vals[:, None] - vals[None, :]) + np.eye(a.n) * scale) > 1e-3 * scale)
+    full = eig_tridiagonal(a)
+    _assert_lex_ordered(full.eigenvalues)
+    assert match_eigenvalue_sets(brute_oracle_small(a), full.eigenvalues)[1].max() <= 1e-8 * scale
+    assert np.array_equal(eig_tridiagonal(a).eigenvalues, full.eigenvalues)
+
+
+def test_eig_tridiagonal_edge_cases():
+    np.testing.assert_allclose(eig_tridiagonal(_tridiagonal([3.0], [], [])).eigenvalues, [3.0],
+                               rtol=1e-15)
+    zero = eig_tridiagonal(_tridiagonal(np.zeros(4), np.zeros(3), np.zeros(3)))
+    assert zero.eigenvalues.tolist() == [0.0] * 4 and zero.matrix_norm == 0.0
+    # a Jordan block: the double root 0 is reached exactly
+    jordan = eig_tridiagonal(_tridiagonal([0.0, 0.0], [0.0], [1.0])).eigenvalues
+    np.testing.assert_allclose(jordan, [0.0, 0.0], atol=1e-15)
+    # a spectrum symmetric under x -> -x: no two roots settle on one point
+    mirror = eig_tridiagonal(_tridiagonal([0.0, 0.0, 0.0], [1.0, 1.0], [-1.0, 0.0])).eigenvalues
+    assert match_eigenvalue_sets(np.array([-1j, 0.0, 1j]), mirror)[1].max() <= 1e-14
+
+
+def test_eig_tridiagonal_refuses_oversized_input_before_solving():
+    n = MAX_DENSE_NODES + 1
+    with pytest.raises(TooLargeError):
+        eig_tridiagonal(_tridiagonal(np.ones(n), np.ones(n - 1), np.ones(n - 1)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eig_tridiagonal_propagates_failure():
+    with pytest.raises(NoConvergenceError):
+        eig_tridiagonal(_tridiagonal([np.nan, 1.0], [0.5], [0.5]))

@@ -39,7 +39,7 @@ from pdm_spectra import (
     scarf2_levels,
     uniform_grid,
 )
-from pdm_spectra import verify
+from pdm_spectra import cli, verify
 from pdm_spectra.verify import SAMSONOV_ROY_MISSING_WINDOW, atomic_write_text
 
 ZK = ordering_preset("ZhuKroemer")
@@ -133,13 +133,18 @@ def test_check_intertwining():
         assert residual == pytest.approx(dense, rel=1e-14, abs=0)
 
 
-def test_banded_checks_never_densify(monkeypatch):
-    # Only solve and the solver validation build an n x n array (and
-    # eig_lowest, when its window reaches n); these checks work on the bands.
+@pytest.fixture
+def refuse_dense(monkeypatch):
+    """Makes densifying any OperatorMatrix fail the test."""
     def refuse(matrix):
         raise AssertionError(f"densified a {matrix.n}-node operator")
 
     monkeypatch.setattr(OperatorMatrix, "entries", property(refuse))
+
+
+def test_banded_checks_never_densify(refuse_dense):
+    # Only the solver validation builds an n x n array (and eig_lowest, when
+    # its window reaches n); these checks work on the bands.
     iso = ModelSpec.from_ordering(ScarfII(2.5), ZK, q_interval=(-8.0, 8.0))  # criterion 4
     assert check_isospectral(iso, 240, k=2).passed
     assert isospectral_sweep(iso, [60, 120, 240], k=2).passed
@@ -152,6 +157,13 @@ def test_banded_checks_never_densify(monkeypatch):
     assert check_intertwining(residual, [100, 200, 400]).passed
     with pytest.raises(AssertionError, match="densified"):
         eig(build_reference_matrix(iso, matched_domains(iso, 20)[1]))
+
+
+def test_solve_never_densifies(refuse_dense, tmp_path):
+    out = tmp_path / "both.json"
+    assert cli.main(["solve", "--picture", "both", "--n", "120", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert len(payload["reference"]["eigenvalues"]) == len(payload["target"]["eigenvalues"]) == 120
 
 
 def _assert_sets_close(expected, actual, atol):
