@@ -175,17 +175,15 @@ def eig_lowest(matrix: OperatorMatrix, k: int) -> np.ndarray:
 def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
     """Full spectrum of a tridiagonal matrix from its bands, in O(n^2).
 
-    Same conventions as `eig`.  Ehrlich-Aberth iteration on p(z) = det(A - zI)
-    (Bini, Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27 (2005) 153-175)
-    moves each unfrozen root z by 1/(p'/p - sum_j 1/(z - z_j)) per sweep;
-    p'/p = sum r_i'/r_i over the ratio continuant
-    r_i = (d_i - z) - l_{i-1} u_{i-1} / r_{i-1}.  The start is Chebyshev-spaced
-    on an ellipse over the Gershgorin real interval of the bands symmetrized
-    to sqrt(lower * upper), as high as the Bendixson |Im| bound.  A root
-    freezes once its step is at most 4 eps max(|z|, 1e-3 ||A||_F), or has
-    stopped shrinking at most 1e-8 of that scale.  Raises TooLargeError for
-    n > MAX_DENSE_NODES, NoConvergenceError on a non-finite entry or when
-    roots still move after _MAX_SWEEPS sweeps.
+    Same conventions as `eig`.  Ehrlich-Aberth iteration on det(A - zI)
+    (Bini, Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27 (2005)
+    153-175), with p'/p from the ratio continuant
+    r_i = (d_i - z) - l_{i-1} u_{i-1} / r_{i-1}, started on an ellipse that
+    holds the Gershgorin and Bendixson bounds.  A root freezes once its step
+    is at most 4 eps max(|z|, 1e-3 ||A||_F), or stops shrinking at most
+    max(1e-8 |z|, 8 eps ||A||_F), the continuant's rounding level near 0.
+    Raises TooLargeError for n > MAX_DENSE_NODES, NoConvergenceError on a
+    non-finite entry or when roots still move after _MAX_SWEEPS sweeps.
     """
     n = matrix.n
     if n > MAX_DENSE_NODES:
@@ -233,8 +231,9 @@ def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
         # A root pushed only by a close neighbour takes small steps while its
         # Newton correction 1/(p'/p) stays large; neither may be large.
         size = np.maximum(np.abs(step), 1.0 / np.maximum(np.abs(dlogp), np.finfo(float).tiny))
-        scale = np.maximum(np.abs(za), floor)
-        done = (size <= 4 * eps * scale) | ((size >= last[active]) & (size <= 1e-8 * scale))
+        mag = np.abs(za)
+        stalled = (size >= last[active]) & (size <= np.maximum(1e-8 * mag, 8 * eps * norm))
+        done = (size <= 4 * eps * np.maximum(mag, floor)) | stalled
         last[active] = size
         active = active[~done]
         if not active.size:

@@ -16,8 +16,9 @@ The checks:
   ladders (sech-profile and trigonometric models).
 * check_identities: the independent algebraic routes to the potentials
   agree pointwise to near machine precision.
-* eigensolver_validation: the production eigensolver against the
-  LAPACK-free small-matrix oracle on seeded random matrices.
+* eigensolver_validation: the dense and the full-spectrum tridiagonal
+  eigensolvers against the LAPACK-free small-matrix oracle on seeded random
+  matrices.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InsufficientBoundStatesError, UnsupportedGeneratorError
-from .eigen import brute_oracle_small, eig, eig_lowest, match_eigenvalue_sets
+from .eigen import brute_oracle_small, eig, eig_lowest, eig_tridiagonal, match_eigenvalue_sets
 from .mapping import (
     closed_form_target,
     potential_decomposition,
@@ -41,6 +42,7 @@ from .mapping import (
 )
 from .model import ModelSpec, SamsonovRoy, ScarfII
 from .operators import (
+    OperatorMatrix,
     build_eta_matrix,
     build_reference_matrix,
     build_target_matrix,
@@ -477,36 +479,50 @@ def convergence_sweep(
     }
 
 
+def _against_oracle(solve, matrices):
+    """Worst oracle gap and trace error of `solve` over `matrices`, and
+    whether re-solving the first three gives the same bits."""
+    worst_gap = worst_trace = 0.0
+    first = []
+    for matrix in matrices:
+        spectrum = solve(matrix)
+        _, gaps = match_eigenvalue_sets(brute_oracle_small(matrix), spectrum.eigenvalues)
+        worst_gap = max(worst_gap, float(gaps.max()))
+        worst_trace = max(worst_trace, float(spectrum.trace_error))
+        if len(first) < 3:
+            first.append(spectrum.eigenvalues)
+    replays = all(np.array_equal(solve(m).eigenvalues, vals) for m, vals in zip(matrices, first))
+    return worst_gap, worst_trace, replays
+
+
 def eigensolver_validation(
     seed: int = 1234,
     count: int = 100,
     tol: float = 1e-8,
     trace_tol: float = 1e-10,
 ) -> VerificationReport:
-    """Production solver vs the LAPACK-free oracle on random matrices.
+    """The dense and tridiagonal solvers vs the LAPACK-free oracle.
 
-    Draws `count` dense complex Gaussian matrices of sizes 2..8, compares
-    matched eigenvalues, checks the trace identity, and re-solves a few
-    inputs to confirm bitwise-identical output.
+    Draws `count` dense complex Gaussian matrices of sizes 2..8 for `eig`,
+    then one complex Gaussian tridiagonal of each size 2..8 for
+    `eig_tridiagonal`, compares matched eigenvalues with the oracle's,
+    checks the trace identity, and re-solves a few inputs of each to confirm
+    bitwise-identical output.  `worst_gap` and `worst_trace_error` are
+    `eig`'s; the `tridiagonal_` keys are `eig_tridiagonal`'s.
     """
     rng = np.random.default_rng(seed)
-    worst_gap = 0.0
-    worst_trace = 0.0
-    replay = []
-    for trial in range(count):
+    dense = []
+    for _ in range(count):
         size = int(rng.integers(2, 9))
-        matrix = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-        spectrum = eig(matrix)
-        oracle = brute_oracle_small(matrix)
-        _, gaps = match_eigenvalue_sets(oracle, spectrum.eigenvalues)
-        worst_gap = max(worst_gap, float(gaps.max()))
-        worst_trace = max(worst_trace, float(spectrum.trace_error))
-        if trial < 3:
-            replay.append((matrix, spectrum.eigenvalues))
-    deterministic = all(
-        np.array_equal(eig(m).eigenvalues, vals) for m, vals in replay
-    )
-    passed = worst_gap <= tol and worst_trace <= trace_tol and deterministic
+        dense.append(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
+    bands = [rng.standard_normal((3, size)) + 1j * rng.standard_normal((3, size))
+             for size in range(2, 9)]
+    tridiagonal = [OperatorMatrix(b[0, 1:], b[1], b[2, 1:]) for b in bands]
+    worst_gap, worst_trace, dense_replays = _against_oracle(eig, dense)
+    tri_gap, tri_trace, tri_replays = _against_oracle(eig_tridiagonal, tridiagonal)
+    deterministic = dense_replays and tri_replays
+    passed = (max(worst_gap, tri_gap) <= tol and max(worst_trace, tri_trace) <= trace_tol
+              and deterministic)
     return VerificationReport(
         check="solver",
         passed=passed,
@@ -518,6 +534,8 @@ def eigensolver_validation(
             "tol": tol,
             "worst_trace_error": worst_trace,
             "trace_tol": trace_tol,
+            "tridiagonal_worst_gap": tri_gap,
+            "tridiagonal_worst_trace_error": tri_trace,
             "deterministic": deterministic,
         },
     )

@@ -68,10 +68,10 @@ def _picture_matrix(spec, picture, n):
 
 
 @functools.cache
-def _dense_at_300(label, picture):
-    """Dense spectrum of an acceptance spec at n = 300, shared by the tests
-    of both tridiagonal solvers."""
-    return eig(_picture_matrix(ACCEPTANCE_SPECS[label], picture, 300))
+def _dense(label, picture, n):
+    """Dense spectrum of an acceptance spec, shared by the tests of both
+    tridiagonal solvers."""
+    return eig(_picture_matrix(ACCEPTANCE_SPECS[label], picture, n))
 
 
 def _window_gap(matrix, k, dense=None):
@@ -189,19 +189,19 @@ def test_eig_lowest_matches_dense_on_acceptance_specs(label, picture):
     # criterion 3's model has a conjugate pair at levels 3-4 (see below)
     k = 2 if label == "c3:trig" else 4
     matrix = _picture_matrix(ACCEPTANCE_SPECS[label], picture, 300)
-    assert _window_gap(matrix, k, _dense_at_300(label, picture).eigenvalues) <= 1e-10
+    assert _window_gap(matrix, k, _dense(label, picture, 300).eigenvalues) <= 1e-10
 
 
 @pytest.mark.parametrize("picture", ["reference", "target"])
 def test_eig_lowest_matches_dense_at_criterion_2_size(picture):
     # the largest grid of the convergence sweep, which takes this path
     matrix = _picture_matrix(ACCEPTANCE_SPECS["c2:sech"], picture, 1200)
-    assert _window_gap(matrix, 4) <= 1e-10
+    assert _window_gap(matrix, 4, _dense("c2:sech", picture, 1200).eigenvalues) <= 1e-10
 
 
 def test_eig_lowest_matches_dense_at_criterion_3_size():
     matrix = _picture_matrix(ACCEPTANCE_SPECS["c3:trig"], "reference", 1200)
-    dense = eig(matrix).eigenvalues
+    dense = _dense("c3:trig", "reference", 1200).eigenvalues
     assert _window_gap(matrix, 2, dense) <= 1e-10
     # Levels 3-4 are the pair 2.4375 +- 0.0066i, born where two real levels
     # met; its members move like the square root of a perturbation.  On the
@@ -304,7 +304,7 @@ def test_eig_lowest_rejects_bad_input():
 @pytest.mark.parametrize("picture", ["reference", "target"])
 @pytest.mark.parametrize("label", sorted(ACCEPTANCE_SPECS))
 def test_eig_tridiagonal_matches_dense_on_acceptance_specs(label, picture):
-    dense = _dense_at_300(label, picture)
+    dense = _dense(label, picture, 300)
     full = eig_tridiagonal(_picture_matrix(ACCEPTANCE_SPECS[label], picture, 300))
     assert full.eigenvalues.shape == (300,)
     gaps = match_eigenvalue_sets(dense.eigenvalues, full.eigenvalues)[1]
@@ -316,6 +316,21 @@ def test_eig_tridiagonal_matches_dense_on_acceptance_specs(label, picture):
     assert np.all(gaps <= bound * np.maximum(np.abs(dense.eigenvalues), 1.0))
     assert full.matrix_norm == pytest.approx(dense.matrix_norm, rel=1e-14)
     assert abs(full.trace_error - dense.trace_error) <= 1e-14
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("label, picture", [("c2:sech", "reference"), ("c2:sech", "target"),
+                                            ("c3:trig", "reference")])
+def test_eig_tridiagonal_matches_dense_at_criterion_size(label, picture):
+    # n = 1200, where ||A||_F is about 1e6 times the lowest levels: each
+    # level, the lowest ones too, is held to 1e-10 of max(|E|, 1), except
+    # the members of criterion 3's conjugate pair (1e-7, as above).
+    dense = _dense(label, picture, 1200).eigenvalues
+    full = eig_tridiagonal(_picture_matrix(ACCEPTANCE_SPECS[label], picture, 1200))
+    gaps = match_eigenvalue_sets(dense, full.eigenvalues)[1]
+    pair = (label == "c3:trig") & (np.abs(dense.imag) > 1e-6)
+    bound = np.where(pair, 1e-7, 1e-10)
+    assert np.all(gaps <= bound * np.maximum(np.abs(dense), 1.0))
 
 
 def _assert_lex_ordered(vals):
@@ -383,6 +398,9 @@ def test_eig_tridiagonal_edge_cases():
     # a Jordan block: the double root 0 is reached exactly
     jordan = eig_tridiagonal(_tridiagonal([0.0, 0.0], [0.0], [1.0])).eigenvalues
     np.testing.assert_allclose(jordan, [0.0, 0.0], atol=1e-15)
+    # a simple eigenvalue at exactly 0, which no bound relative to |z| freezes
+    singular = eig_tridiagonal(_tridiagonal([1.0, 1 + 1j], [1.0], [1 + 1j])).eigenvalues
+    assert match_eigenvalue_sets(np.array([0.0, 2 + 1j]), singular)[1].max() <= 1e-15
     # a spectrum symmetric under x -> -x: no two roots settle on one point
     mirror = eig_tridiagonal(_tridiagonal([0.0, 0.0, 0.0], [1.0, 1.0], [-1.0, 0.0])).eigenvalues
     assert match_eigenvalue_sets(np.array([-1j, 0.0, 1j]), mirror)[1].max() <= 1e-14

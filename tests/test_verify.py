@@ -320,6 +320,8 @@ def test_eigensolver_validation_report():
     assert report.details["deterministic"] is True
     assert report.details["worst_gap"] <= 1e-8
     assert report.details["worst_trace_error"] <= 1e-10
+    assert report.details["tridiagonal_worst_gap"] <= 1e-8
+    assert report.details["tridiagonal_worst_trace_error"] <= 1e-10
 
 
 def test_report_roundtrip(tmp_path):
