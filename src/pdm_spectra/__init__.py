@@ -39,7 +39,6 @@ from .model import (
     ordering_preset,
 )
 from .mapping import (
-    LiouvilleMap,
     PotentialDecomposition,
     closed_form_reference,
     closed_form_target,

@@ -22,8 +22,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .config import (
     DEFAULTS,
     RunConfig,
@@ -32,8 +30,8 @@ from .config import (
     config_from_dict,
     load_config,
 )
-from .errors import ConfigError, PdmSpectraError, UnsupportedGeneratorError
-from .eigen import eig_tridiagonal
+from .errors import ConfigError, NoConvergenceError, PdmSpectraError, UnsupportedGeneratorError
+from .eigen import eig, eig_tridiagonal
 from .mapping import potential_decomposition, target_potential
 from .model import ORDERING_PRESETS, delta_of
 from .operators import (
@@ -103,19 +101,17 @@ def cmd_map(args) -> int:
     cfg = _load(args)
     spec = build_spec(cfg)
     qa, qb = spec.q_interval
-    grid_q = uniform_grid(qa, qb, args.n or cfg.n, coordinate="q")
+    n = args.n if args.n is not None else cfg.n
+    grid_q = uniform_grid(qa, qb, n, coordinate="q")
     q = grid_q.nodes
-    x = np.broadcast_to(np.asarray(spec.profile.x_from_q(q), float), q.shape)
-    mu = np.broadcast_to(np.asarray(spec.profile.eval(x).mu, float), q.shape)
+    x = spec.profile.x_from_q(q)
+    mu = spec.profile.eval(x).mu
     veff = target_potential(spec, x)
     dec = potential_decomposition(spec, x)
-    vtilde = np.broadcast_to(np.asarray(dec.vtilde, float), q.shape)
-    w = np.broadcast_to(np.asarray(dec.w, float), q.shape)
-    v = np.broadcast_to(np.asarray(dec.v, float), q.shape)
     lines = ["q,x,mu,veff_re,veff_im,vtilde,w,v"]
     for i in range(q.size):
         lines.append(",".join(_fmt(val) for val in (
-            q[i], x[i], mu[i], veff[i].real, veff[i].imag, vtilde[i], w[i], v[i],
+            q[i], x[i], mu[i], veff[i].real, veff[i].imag, dec.vtilde[i], dec.w[i], dec.v[i],
         )))
     _emit("\n".join(lines) + "\n", args.out or cfg.out)
     return 0
@@ -129,7 +125,12 @@ def _solve_payload(spec, picture: str, n: int) -> dict:
     else:
         grid, _ = matched_domains(spec, n)
         matrix = build_target_matrix(spec, grid)
-    spectrum = eig_tridiagonal(matrix)
+    try:
+        spectrum = eig_tridiagonal(matrix)
+    except NoConvergenceError as exc:
+        # The banded solve can stall where the dense one still converges.
+        print(f"note: {picture} picture: {exc}; taking the dense eig", file=sys.stderr)
+        spectrum = eig(matrix)
     return {
         "picture": picture,
         "n": n,
@@ -145,7 +146,7 @@ def _solve_payload(spec, picture: str, n: int) -> dict:
 def cmd_solve(args) -> int:
     cfg = _load(args)
     spec = build_spec(cfg)
-    n = args.n or cfg.n
+    n = args.n if args.n is not None else cfg.n
     if args.picture == "both":
         payload = {
             "picture": "both",

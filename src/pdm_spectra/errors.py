@@ -36,7 +36,8 @@ class SingularEdgeError(PdmSpectraError):
 
 
 class NoConvergenceError(PdmSpectraError):
-    """The QR eigenvalue iteration failed to converge."""
+    """An eigenvalue iteration failed to converge: LAPACK's dense solve, or
+    the Ehrlich-Aberth sweeps of the banded full-spectrum solve."""
 
 
 class TooLargeError(PdmSpectraError):
@@ -46,7 +47,8 @@ class TooLargeError(PdmSpectraError):
 
 
 class InsufficientBoundStatesError(PdmSpectraError):
-    """Fewer bound-classified eigenvalues were found than requested."""
+    """More shared levels were requested than the lowest quarter of an
+    n-node grid's spectrum holds (k > n // 4)."""
 
 
 class UnsupportedKindError(PdmSpectraError):

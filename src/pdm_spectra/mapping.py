@@ -22,7 +22,6 @@ from .errors import UnsupportedKindError
 from .model import Generator, MassLike, ModelSpec, SamsonovRoy, ScarfII
 
 __all__ = [
-    "LiouvilleMap",
     "reference_potential",
     "closed_form_reference",
     "target_potential",
@@ -31,25 +30,6 @@ __all__ = [
     "potential_decomposition",
     "wavefunction_pullback",
 ]
-
-
-@dataclass(frozen=True)
-class LiouvilleMap:
-    """Invertible coordinate change generated by a mass profile."""
-
-    profile: MassLike
-
-    def q_of_x(self, x):
-        """Flat coordinate of position `x`; OutOfDomainError outside the profile."""
-        return self.profile.q_from_x(x)
-
-    def x_of_q(self, q):
-        """Position at flat coordinate `q`; OutOfRangeError when not attained."""
-        return self.profile.x_from_q(q)
-
-    def mu(self, x):
-        """Inverse square-root mass mu(x) = M(x)^(-1/2)."""
-        return self.profile.eval(x).mu
 
 
 def reference_potential(generator: Generator, alpha0: float, q):
@@ -65,16 +45,13 @@ def closed_form_reference(generator: Generator, q):
     -6/(cos q + 2i sin q)^2 - 25/16.  Both assume alpha0 = 0.  Other kinds
     raise UnsupportedKindError.
     """
-    arr = np.asarray(q, dtype=float)
-    scalar = arr.ndim == 0
+    q = np.asarray(q, dtype=float)
     if isinstance(generator, ScarfII):
-        sech = 1.0 / np.cosh(arr)
-        out = -generator.v2**2 * sech**2 - 1j * generator.v2 * sech * np.tanh(arr)
-    elif isinstance(generator, SamsonovRoy):
-        out = -6.0 / (np.cos(arr) + 2j * np.sin(arr)) ** 2 - 25.0 / 16.0
-    else:
-        raise UnsupportedKindError(f"no closed-form potential for {generator}")
-    return out.item() if scalar else out
+        sech = 1.0 / np.cosh(q)
+        return -generator.v2**2 * sech**2 - 1j * generator.v2 * sech * np.tanh(q)
+    if isinstance(generator, SamsonovRoy):
+        return -6.0 / (np.cos(q) + 2j * np.sin(q)) ** 2 - 25.0 / 16.0
+    raise UnsupportedKindError(f"no closed-form potential for {generator}")
 
 
 def target_potential(spec: ModelSpec, x):
@@ -99,23 +76,19 @@ def closed_form_target(spec: ModelSpec, x):
 
     Both assume alpha0 = 0; other generator kinds raise UnsupportedKindError.
     """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
     gen = spec.generator
-    q = np.asarray(spec.profile.q_from_x(arr), dtype=float)
+    q = spec.profile.q_from_x(x)
     if isinstance(gen, ScarfII):
         f = gen.sign * np.exp(q)
         f2 = f * f
         den = (f2 + 1.0) ** 2
-        out = -4.0 * gen.v2**2 * f2 / den - gen.sign * 2j * gen.v2 * f * (f2 - 1.0) / den
-    elif isinstance(gen, SamsonovRoy):
-        mu = np.asarray(spec.profile.eval(arr).mu, dtype=float)
+        return -4.0 * gen.v2**2 * f2 / den - gen.sign * 2j * gen.v2 * f * (f2 - 1.0) / den
+    if isinstance(gen, SamsonovRoy):
+        mu = spec.profile.eval(x).mu
         g = np.cos(q)
         g_prime = -np.sin(q) / mu  # dg/dx through the chain rule
-        out = -6.0 / (g - 2j * mu * g_prime) ** 2 - 25.0 / 16.0
-    else:
-        raise UnsupportedKindError(f"no closed-form target potential for {gen}")
-    return out.item() if scalar else out
+        return -6.0 / (g - 2j * mu * g_prime) ** 2 - 25.0 / 16.0
+    raise UnsupportedKindError(f"no closed-form target potential for {gen}")
 
 
 @dataclass(frozen=True)
@@ -158,15 +131,12 @@ def potential_decomposition(spec: ModelSpec, x) -> PotentialDecomposition:
     return PotentialDecomposition(vtilde, w, v)
 
 
-def wavefunction_pullback(liouville_map: LiouvilleMap, samples):
-    """Carry flat-picture samples (q, phi(q)) to mass-picture pairs (x, psi(x)).
+def wavefunction_pullback(profile: MassLike, q, phi):
+    """Carry flat-picture values phi(q) to the mass picture.
 
-    psi(x) = phi(q(x)) / sqrt(mu(x)) evaluated at x = x_of_q(q).
+    Returns (x, psi) with x = x(q) and psi(x) = phi(q(x)) / sqrt(mu(x)).
+    Raises OutOfRangeError for a q the change of variables does not attain.
     """
-    out = []
-    for q, phi in samples:
-        x = liouville_map.x_of_q(q)
-        mu = liouville_map.profile.eval(x).mu
-        out.append((x, phi / np.sqrt(mu)))
-    return out
+    x = profile.x_from_q(q)
+    return x, np.asarray(phi) / np.sqrt(profile.eval(x).mu)
 

@@ -17,6 +17,9 @@ exponent delta compatible with a given ordering is
 
 undefined at beta = -1.  Orderings and delta values are kept as exact
 rationals; profile evaluation is floating point.
+
+Profiles and generators take array-likes and return float arrays of the
+same shape; a scalar argument gives numpy's 0-d result.
 """
 
 from __future__ import annotations
@@ -131,19 +134,10 @@ def delta_of(ordering: AmbiguityOrdering) -> Fraction:
 class ProfileValues(NamedTuple):
     """Pointwise profile data: mu, mu', mu'' and the mass M = mu^-2."""
 
-    mu: np.ndarray | float
-    mu_prime: np.ndarray | float
-    mu_second: np.ndarray | float
-    mass: np.ndarray | float
-
-
-def _prepare(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _maybe_item(value: np.ndarray, scalar: bool):
-    return value.item() if scalar else value
+    mu: np.ndarray
+    mu_prime: np.ndarray
+    mu_second: np.ndarray
+    mass: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -160,13 +154,8 @@ class MassProfile:
         if self.delta == -1.0:
             raise ValueError("delta = -1 makes the profile exponent 1/(delta+1) undefined")
 
-    @property
-    def singularity(self) -> float:
-        """Position of the mass singularity, where c1*x + c2 = 0."""
-        return -self.c2 / self.c1
-
-    def _argument(self, x: np.ndarray) -> np.ndarray:
-        u = self.c1 * x + self.c2
+    def _argument(self, x) -> np.ndarray:
+        u = self.c1 * np.asarray(x, dtype=float) + self.c2
         if np.any(u <= 0.0):
             raise OutOfDomainError(
                 f"position outside profile domain: need c1*x + c2 > 0 "
@@ -175,61 +164,51 @@ class MassProfile:
         return u
 
     def eval(self, x) -> ProfileValues:
-        """Evaluate mu, mu', mu'' and M at `x` (scalar or array).
+        """Evaluate mu, mu', mu'' and M at the points `x`.
 
         Raises OutOfDomainError when any point has c1*x + c2 <= 0.
         """
-        arr, scalar = _prepare(x)
-        u = self._argument(arr)
+        u = self._argument(x)
         p = 1.0 / (self.delta + 1.0)
         mu = u**p
         mu1 = self.c1 * p * u ** (p - 1.0)
         mu2 = self.c1 * self.c1 * p * (p - 1.0) * u ** (p - 2.0)
         mass = u ** (-2.0 * p)
-        return ProfileValues(
-            _maybe_item(mu, scalar),
-            _maybe_item(mu1, scalar),
-            _maybe_item(mu2, scalar),
-            _maybe_item(mass, scalar),
-        )
+        return ProfileValues(mu, mu1, mu2, mass)
 
     def mass_derivatives(self, x):
         """Return (M, M', M'') at `x`; used by the ordering-term identity check."""
-        arr, scalar = _prepare(x)
-        u = self._argument(arr)
+        u = self._argument(x)
         e = -2.0 / (self.delta + 1.0)
         m = u**e
         m1 = self.c1 * e * u ** (e - 1.0)
         m2 = self.c1 * self.c1 * e * (e - 1.0) * u ** (e - 2.0)
-        return _maybe_item(m, scalar), _maybe_item(m1, scalar), _maybe_item(m2, scalar)
+        return m, m1, m2
 
     # Change of variables q(x) = integral of 1/mu.  Closed forms:
     #   delta != 0:  q = (delta+1)/(delta*c1) * (c1*x + c2)^(delta/(delta+1))
     #   delta == 0:  q = log(c1*x + c2)/c1
     def q_from_x(self, x):
-        arr, scalar = _prepare(x)
-        u = self._argument(arr)
+        u = self._argument(x)
         d = self.delta
         if d == 0.0:
-            q = np.log(u) / self.c1
-        else:
-            q = (d + 1.0) / (d * self.c1) * u ** (d / (d + 1.0))
-        return _maybe_item(q, scalar)
+            return np.log(u) / self.c1
+        return (d + 1.0) / (d * self.c1) * u ** (d / (d + 1.0))
 
     def x_from_q(self, q):
-        arr, scalar = _prepare(q)
+        q = np.asarray(q, dtype=float)
         d = self.delta
         if d == 0.0:
-            u = np.exp(self.c1 * arr)
+            u = np.exp(self.c1 * q)
         else:
-            s = arr * d * self.c1 / (d + 1.0)
+            s = q * d * self.c1 / (d + 1.0)
             if np.any(s <= 0.0):
                 raise OutOfRangeError(
                     f"q value not attained by the map for delta={d}, c1={self.c1} "
                     "(the image of q is a half-line)"
                 )
             u = s ** ((d + 1.0) / d)
-        return _maybe_item((u - self.c2) / self.c1, scalar)
+        return (u - self.c2) / self.c1
 
     def __str__(self) -> str:
         return f"MassProfile(c1={self.c1:g}, c2={self.c2:g}, delta={self.delta:g})"
@@ -240,29 +219,20 @@ class ConstantMass:
     """Flat profile mu = M = 1; the change of variables is the identity."""
 
     def eval(self, x) -> ProfileValues:
-        arr, scalar = _prepare(x)
-        one = np.ones_like(arr)
-        zero = np.zeros_like(arr)
-        return ProfileValues(
-            _maybe_item(one, scalar),
-            _maybe_item(zero, scalar),
-            _maybe_item(zero, scalar),
-            _maybe_item(one.copy(), scalar),
-        )
+        one = np.ones_like(x, dtype=float)
+        zero = np.zeros_like(one)
+        return ProfileValues(one, zero, zero, one.copy())
 
     def mass_derivatives(self, x):
-        arr, scalar = _prepare(x)
-        one = np.ones_like(arr)
-        zero = np.zeros_like(arr)
-        return _maybe_item(one, scalar), _maybe_item(zero, scalar), _maybe_item(zero.copy(), scalar)
+        one = np.ones_like(x, dtype=float)
+        zero = np.zeros_like(one)
+        return one, zero, zero.copy()
 
     def q_from_x(self, x):
-        arr, scalar = _prepare(x)
-        return _maybe_item(arr.copy(), scalar)
+        return np.array(x, dtype=float)
 
     def x_from_q(self, q):
-        arr, scalar = _prepare(q)
-        return _maybe_item(arr.copy(), scalar)
+        return np.array(q, dtype=float)
 
     def __str__(self) -> str:
         return "ConstantMass()"
@@ -293,11 +263,9 @@ class ScarfII(Generator):
             raise ValueError("sign must be +1 or -1")
 
     def __call__(self, q):
-        arr, scalar = _prepare(q)
-        sech = 1.0 / np.cosh(arr)
-        f = -self.v2 * sech
-        fp = self.v2 * sech * np.tanh(arr)
-        return _maybe_item(f, scalar), _maybe_item(fp, scalar)
+        q = np.asarray(q, dtype=float)
+        sech = 1.0 / np.cosh(q)
+        return -self.v2 * sech, self.v2 * sech * np.tanh(q)
 
     def __str__(self) -> str:
         return f"ScarfII(v2={self.v2:g}, sign={self.sign:+d})"
@@ -308,11 +276,9 @@ class SamsonovRoy(Generator):
     """F(q) = -4/(3*cos(q)^2 - 4) - 5/4, a pi-periodic bounded generator."""
 
     def __call__(self, q):
-        arr, scalar = _prepare(q)
-        den = 3.0 * np.cos(arr) ** 2 - 4.0
-        f = -4.0 / den - 1.25
-        fp = -24.0 * np.sin(arr) * np.cos(arr) / den**2
-        return _maybe_item(f, scalar), _maybe_item(fp, scalar)
+        q = np.asarray(q, dtype=float)
+        den = 3.0 * np.cos(q) ** 2 - 4.0
+        return -4.0 / den - 1.25, -24.0 * np.sin(q) * np.cos(q) / den**2
 
     def __str__(self) -> str:
         return "SamsonovRoy()"
@@ -325,9 +291,8 @@ class Morse(Generator):
     a: float = 1.0
 
     def __call__(self, q):
-        arr, scalar = _prepare(q)
-        f = self.a * np.exp(-arr)
-        return _maybe_item(f, scalar), _maybe_item(-f, scalar)
+        f = self.a * np.exp(-np.asarray(q, dtype=float))
+        return f, -f
 
     def __str__(self) -> str:
         return f"Morse(a={self.a:g})"
@@ -359,10 +324,8 @@ class CustomGenerator(Generator):
             )
 
     def __call__(self, q):
-        arr, scalar = _prepare(q)
-        f = np.asarray(self._f(arr), float)
-        fp = np.asarray(self._fp(arr), float)
-        return _maybe_item(f, scalar), _maybe_item(fp, scalar)
+        q = np.asarray(q, dtype=float)
+        return np.asarray(self._f(q), float), np.asarray(self._fp(q), float)
 
     def __str__(self) -> str:
         return "CustomGenerator()"

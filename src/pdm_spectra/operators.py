@@ -251,16 +251,12 @@ def build_target_matrix(spec: ModelSpec, grid: Grid) -> OperatorMatrix:
     n = grid.n
     x = grid.nodes
     mu, mu1, mu2, _ = spec.profile.eval(x)
-    mu = np.broadcast_to(np.asarray(mu, float), x.shape)
-    mu1 = np.broadcast_to(np.asarray(mu1, float), x.shape)
-    mu2 = np.broadcast_to(np.asarray(mu2, float), x.shape)
     diag_pot = -mu1 * mu1 / 4.0 - mu * mu2 / 2.0 + target_potential(spec, x)
 
     if grid.kind == "uniform_x":
         h = grid.h
         midpoints = grid.a + h * (np.arange(n + 1) + 0.5)
-        w = np.asarray(spec.profile.eval(midpoints).mu, float)
-        w = np.broadcast_to(w, midpoints.shape) ** 2
+        w = spec.profile.eval(midpoints).mu ** 2
         off = -w[1:-1] / h**2
         return OperatorMatrix(off, (w[:-1] + w[1:]) / h**2 + diag_pot, off)
     pts = grid.points
@@ -286,7 +282,7 @@ def build_eta_matrix(spec: ModelSpec, grid: Grid) -> OperatorMatrix:
         raise ValueError(f"eta assembly needs a uniform_x grid, got {grid.kind}")
     _guard_mass_nodes(spec.profile, grid)
     x = grid.nodes
-    mu = np.broadcast_to(np.asarray(spec.profile.eval(x).mu, float), x.shape)
-    f = np.asarray(spec.generator(spec.profile.q_from_x(x))[0], float)
+    mu = spec.profile.eval(x).mu
+    f, _ = spec.generator(spec.profile.q_from_x(x))
     coupling = (mu[:-1] + mu[1:]) / (4.0 * grid.h)
     return OperatorMatrix(1j * coupling, f, -1j * coupling)

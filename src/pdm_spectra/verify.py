@@ -85,10 +85,8 @@ def _jsonable(value):
         return {"re": _jsonable(value.real), "im": _jsonable(value.imag)}
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, np.generic):
-        return _jsonable(value.item())
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (np.generic, np.ndarray)):
+        return _jsonable(value.tolist())
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -370,9 +368,6 @@ def check_identities(
     dec = potential_decomposition(spec, x)
 
     mu, mu1, mu2, _ = spec.profile.eval(x)
-    mu = np.broadcast_to(np.asarray(mu, float), x.shape)
-    mu1 = np.broadcast_to(np.asarray(mu1, float), x.shape)
-    mu2 = np.broadcast_to(np.asarray(mu2, float), x.shape)
 
     triangle_gap = float(
         np.max(np.abs(dec.vtilde + mu * mu2 / 2.0 + mu1 * mu1 / 4.0 + 1j * dec.w - veff))
@@ -381,9 +376,6 @@ def check_identities(
     a = float(spec.ordering.alpha)
     b = float(spec.ordering.beta)
     m, m1, m2 = spec.profile.mass_derivatives(x)
-    m = np.broadcast_to(np.asarray(m, float), x.shape)
-    m1 = np.broadcast_to(np.asarray(m1, float), x.shape)
-    m2 = np.broadcast_to(np.asarray(m2, float), x.shape)
     terms_mass = (1.0 + b) / 2.0 * m2 / m**2 - (a * (a + b + 1.0) + b + 1.0) * m1**2 / m**3
     terms_mu = dec.vtilde - dec.v
     ordering_gap = float(np.max(np.abs(terms_mass - terms_mu)))

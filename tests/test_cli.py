@@ -6,6 +6,15 @@ import sys
 
 import pytest
 
+from pdm_spectra import (
+    build_reference_matrix,
+    build_spec,
+    build_target_matrix,
+    config_from_dict,
+    eig,
+    matched_domains,
+    uniform_grid,
+)
 from pdm_spectra.config import DEFAULTS
 
 
@@ -97,6 +106,37 @@ def test_solve_both_pictures(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["reference"]["grid"]["kind"] == "uniform_q"
     assert payload["target"]["grid"]["kind"] == "q_induced_x"
+
+
+def test_solve_takes_dense_eig_where_the_banded_solve_stalls(tmp_path):
+    # The Aberth sweeps stall on the built-in Morse generator over the default
+    # q-window; solve then takes the dense eig and says so on stderr.
+    blob = {"generator": {"kind": "morse"}}
+    out = tmp_path / "morse.json"
+    proc = run_cli("solve", "--picture", "both", "--n", "50",
+                   "--config", write_config(tmp_path, blob), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("taking the dense eig") == 2
+    payload = json.loads(out.read_text())
+    spec = build_spec(config_from_dict(blob))
+    qa, qb = spec.q_interval
+    matrices = {
+        "reference": build_reference_matrix(spec, uniform_grid(qa, qb, 50, coordinate="q")),
+        "target": build_target_matrix(spec, matched_domains(spec, 50)[0]),
+    }
+    for picture, matrix in matrices.items():
+        dense = eig(matrix)
+        got = [complex(v["re"], v["im"]) for v in payload[picture]["eigenvalues"]]
+        assert got == dense.eigenvalues.tolist()
+        assert payload[picture]["matrix_norm"] == dense.matrix_norm
+        assert payload[picture]["trace_error"] == dense.trace_error
+
+
+@pytest.mark.parametrize("command", ["solve", "map"])
+def test_zero_nodes_is_refused(command):
+    proc = run_cli(command, "--n", "0")
+    assert proc.returncode == 2
+    assert "TooFewNodesError" in proc.stderr
 
 
 def test_map_row_count():

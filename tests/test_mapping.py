@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pdm_spectra import (
-    LiouvilleMap,
     MassProfile,
     ModelSpec,
     Morse,
@@ -130,22 +129,12 @@ def test_decomposition_w_is_minus_fprime_of_q():
     np.testing.assert_allclose(potential_decomposition(spec, x).w, -fq, rtol=0, atol=1e-13)
 
 
-def test_liouville_map_roundtrip_and_mu():
-    profile = MassProfile(1.0, 0.0, 1.0)
-    lm = LiouvilleMap(profile)
-    x = np.linspace(0.2, 5.0, 33)
-    np.testing.assert_allclose(lm.x_of_q(lm.q_of_x(x)), x, rtol=1e-12)
-    np.testing.assert_allclose(lm.mu(4.0), 2.0, rtol=1e-15)
-
-
 def test_wavefunction_pullback_values():
-    # log branch: q = 1 lands at x = e with mu = e, so phi = 1 becomes e^-1/2
-    lm = LiouvilleMap(MassProfile(1.0, 0.0, 0.0))
-    [(x, psi)] = wavefunction_pullback(lm, [(1.0, 1.0)])
-    assert x == pytest.approx(np.e, rel=1e-15)
-    assert psi == pytest.approx(np.exp(-0.5), rel=1e-14)
+    # log branch: q = 1 lands at x = e with mu = e, so phi = 1 becomes e^-1/2;
     # power branch: q = 1 at delta = 1 lands at x = 1/4 with mu = 1/2
-    lm2 = LiouvilleMap(MassProfile(1.0, 0.0, 1.0))
-    [(x2, psi2)] = wavefunction_pullback(lm2, [(1.0, 3.0)])
-    assert x2 == pytest.approx(0.25, rel=1e-14)
-    assert psi2 == pytest.approx(3.0 * np.sqrt(2.0), rel=1e-14)
+    x, psi = wavefunction_pullback(MassProfile(1.0, 0.0, 0.0), [1.0, 2.0], [1.0, 1.0])
+    x2, psi2 = wavefunction_pullback(MassProfile(1.0, 0.0, 1.0), [1.0], [3.0])
+    assert x == pytest.approx([np.e, np.e**2], rel=1e-15)
+    assert psi == pytest.approx([np.exp(-0.5), np.exp(-1.0)], rel=1e-14)
+    assert x2 == pytest.approx([0.25], rel=1e-14)
+    assert psi2 == pytest.approx([3.0 * np.sqrt(2.0)], rel=1e-14)

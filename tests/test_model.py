@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdm_spectra import (
     AmbiguityOrdering,
@@ -170,8 +172,70 @@ def test_profile_constructor_guards():
         MassProfile(1.0, 0.0, -1.0)
 
 
-def test_singularity_location():
-    assert MassProfile(2.0, -3.0, 1.0).singularity == pytest.approx(1.5)
+_profiles = st.one_of(
+    st.just(ConstantMass()),
+    st.builds(
+        MassProfile,
+        st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
+        st.floats(-2.0, 2.0),
+        st.just(0.0) | st.floats(0.1, 3.0) | st.floats(-0.8, -0.1),
+    ),
+)
+_generators = st.one_of(
+    st.builds(ScarfII, st.floats(0.1, 5.0), st.sampled_from((-1, 1))),
+    st.just(SamsonovRoy()),
+    st.builds(Morse, st.floats(-3.0, 3.0)),
+    st.just(CustomGenerator(np.sin, np.cos)),
+)
+_arguments = st.lists(st.floats(0.05, 10.0), min_size=1, max_size=8)
+_property = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def _points(profile, u):
+    """Positions with c1*x + c2 = u > 0, inside any profile's domain."""
+    c1, c2 = (profile.c1, profile.c2) if isinstance(profile, MassProfile) else (1.0, 0.0)
+    return (np.array(u) - c2) / c1, c1, c2
+
+
+def _same_number(scalar_result, array_result, scale=0.0):
+    # A scalar argument gives a 0-d result, equal to the one-element array's
+    # up to the last bits, where numpy's scalar and array arithmetic differ;
+    # `scale` bounds the terms that cancel in the result.
+    s, a = np.asarray(scalar_result), np.asarray(array_result)
+    assert s.shape == () and a.shape == (1,)
+    np.testing.assert_allclose(s, a[0], rtol=1e-14, atol=1e-14 * scale)
+
+
+@_property
+@given(_profiles, _arguments)
+def test_map_roundtrip_property(profile, u):
+    x, c1, c2 = _points(profile, u)
+    back = profile.x_from_q(profile.q_from_x(x))
+    assert back.shape == x.shape
+    # The round trip may lose a few ulps of u = c1*x + c2, and so of c1*x.
+    assert np.all(np.abs(back - x) <= 1e-12 * (np.array(u) + abs(c2)) / abs(c1))
+
+
+@_property
+@given(_profiles, _arguments)
+def test_profile_scalar_matches_one_element_array(profile, u):
+    x, c1, c2 = _points(profile, u)
+    x0 = float(x[0])
+    q0 = float(profile.q_from_x(x0))
+    for scalar, array in zip(profile.eval(x0), profile.eval(x[:1])):
+        _same_number(scalar, array)
+    for scalar, array in zip(profile.mass_derivatives(x0), profile.mass_derivatives(x[:1])):
+        _same_number(scalar, array)
+    _same_number(profile.q_from_x(x0), profile.q_from_x(x[:1]))
+    _same_number(profile.x_from_q(q0), profile.x_from_q(np.array([q0])),
+                 scale=(u[0] + abs(c2)) / abs(c1))
+
+
+@_property
+@given(_generators, st.floats(-5.0, 5.0))
+def test_generator_scalar_matches_one_element_array(generator, q):
+    for scalar, array in zip(generator(q), generator(np.array([q]))):
+        _same_number(scalar, array)
 
 
 def test_constant_mass_is_identity():
