@@ -26,15 +26,14 @@ from .errors import (
 )
 from .model import (
     AmbiguityOrdering,
+    Constant,
     ConstantMass,
-    CustomGenerator,
     MassProfile,
     ModelSpec,
     Morse,
     ORDERING_PRESETS,
     SamsonovRoy,
     ScarfII,
-    constant_generator,
     delta_of,
     ordering_preset,
 )

@@ -30,11 +30,12 @@ from .config import (
     config_from_dict,
     load_config,
 )
-from .errors import ConfigError, NoConvergenceError, PdmSpectraError, UnsupportedGeneratorError
-from .eigen import eig, eig_tridiagonal
+from .errors import ConfigError, PdmSpectraError, TooLargeError, UnsupportedGeneratorError
+from .eigen import eig
 from .mapping import potential_decomposition, target_potential
 from .model import ORDERING_PRESETS, delta_of
 from .operators import (
+    MAX_DENSE_NODES,
     build_reference_matrix,
     build_target_matrix,
     matched_domains,
@@ -125,12 +126,10 @@ def _solve_payload(spec, picture: str, n: int) -> dict:
     else:
         grid, _ = matched_domains(spec, n)
         matrix = build_target_matrix(spec, grid)
-    try:
-        spectrum = eig_tridiagonal(matrix)
-    except NoConvergenceError as exc:
-        # The banded solve can stall where the dense one still converges.
-        print(f"note: {picture} picture: {exc}; taking the dense eig", file=sys.stderr)
-        spectrum = eig(matrix)
+    spectrum = eig(matrix)
+    if spectrum.fallback:
+        print(f"note: {picture} picture: {spectrum.fallback}; taking the dense eig",
+              file=sys.stderr)
     return {
         "picture": picture,
         "n": n,
@@ -147,6 +146,9 @@ def cmd_solve(args) -> int:
     cfg = _load(args)
     spec = build_spec(cfg)
     n = args.n if args.n is not None else cfg.n
+    if n > MAX_DENSE_NODES:
+        # before any grid or band is built
+        raise TooLargeError(f"full spectra are limited to {MAX_DENSE_NODES} nodes, got {n}")
     if args.picture == "both":
         payload = {
             "picture": "both",

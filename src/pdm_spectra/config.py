@@ -8,19 +8,20 @@ with a default.  Every key has a default; an empty config is valid.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConfigError
 from .model import (
     AmbiguityOrdering,
+    Constant,
     ConstantMass,
     ModelSpec,
     Morse,
     ORDERING_PRESETS,
     SamsonovRoy,
     ScarfII,
-    constant_generator,
     ordering_preset,
 )
 
@@ -74,6 +75,8 @@ def _require(condition: bool, message: str) -> None:
 def _as_number(value, key: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{key} must be a number, got {value!r}")
+    # json reads NaN, Infinity, and integers too large for a float; all fail this
+    _require(abs(value) <= sys.float_info.max, f"{key} must be finite, got {value!r}")
     return float(value)
 
 
@@ -167,7 +170,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     _require(not bad, f"unknown tolerance keys: {', '.join(bad)}")
     tol = {**DEFAULT_TOLERANCES, **tolerances}
     for key, value in tol.items():
-        if value is not None:
+        if value is not None or key != "im":  # only im may be null
             tol[key] = _as_number(value, f"tolerances.{key}")
 
     seed = _as_int(merged["seed"], "seed")
@@ -225,7 +228,7 @@ def build_generator(blob: dict):
             return Morse(a=_as_number(params.get("a", 1.0), "generator.a"))
         extra = sorted(set(params) - {"value"})
         _require(not extra, f"unknown constant generator fields: {', '.join(extra)}")
-        return constant_generator(_as_number(params.get("value", 0.0), "generator.value"))
+        return Constant(_as_number(params.get("value", 0.0), "generator.value"))
     except ValueError as exc:
         raise ConfigError(f"bad generator: {exc}") from exc
 

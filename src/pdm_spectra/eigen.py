@@ -1,26 +1,25 @@
-"""Dense nonsymmetric eigenvalues, low-window and full-spectrum tridiagonal
-solvers, an independent small-matrix oracle, and eigenvalue set matching.
+"""Full-spectrum and low-window eigenvalue solvers, an independent
+small-matrix oracle, and eigenvalue set matching.
 
-`eig` wraps LAPACK's general complex eigenvalue solver and adds the package
+`eig` is the one entry point for a whole spectrum, with the package
 conventions: eigenvalues in lexicographic order (real part, then imaginary
 part), the Frobenius norm of the matrix, and a trace cross-check.  It
-computes no eigenvectors.
+computes no eigenvectors.  An OperatorMatrix goes to `eig_tridiagonal`,
+which works on its three bands by Ehrlich-Aberth iteration in O(n^2) time
+and O(n) memory with numpy alone; where those sweeps do not converge, `eig`
+takes LAPACK's general complex solver on the dense `entries` and records
+why in `Spectrum.fallback`.  A plain array goes to LAPACK.
 
 `eig_lowest` returns only the lowest few eigenvalues of an OperatorMatrix,
 working on its three bands by shift-invert Arnoldi (ARPACK, through scipy)
-with a proof that the window it returns is complete, and falls back to the
-dense `eig` where it cannot give that proof.  Every verification check on
-an operator goes through it.
-
-`eig_tridiagonal` returns the whole spectrum of an OperatorMatrix from its
-bands by Ehrlich-Aberth iteration, in O(n^2) time and O(n) memory with
-numpy alone, with the same conventions as `eig`; `solve` takes it.  Only
-the solver validation and the `eig_lowest` fallback take the dense `eig`.
+with a proof that the window it returns is complete, and hands the matrix
+to `eig` where it cannot give that proof.  Every verification check on an
+operator goes through it.
 
 `brute_oracle_small` shares no code path with LAPACK: it builds the
 characteristic polynomial by the Faddeev-LeVerrier recursion and finds all
 roots simultaneously with Durand-Kerner iteration.  It exists so the main
-solver can be checked against something that cannot fail the same way.
+solvers can be checked against something that cannot fail the same way.
 """
 
 from __future__ import annotations
@@ -68,15 +67,18 @@ def _entries(matrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Lex-ordered eigenvalues with two diagnostics.
+    """Lex-ordered eigenvalues with three diagnostics.
 
     matrix_norm is ||A||_F.  trace_error compares the eigenvalue sum with
-    the matrix trace, relative to max(1, |trace|, sum |lambda|).
+    the matrix trace, relative to max(1, |trace|, sum |lambda|).  fallback
+    is "" unless the banded solve of an OperatorMatrix failed and the dense
+    one answered; it then holds the banded solver's error text.
     """
 
     eigenvalues: np.ndarray
     matrix_norm: float = 0.0
     trace_error: float = 0.0
+    fallback: str = ""
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.eigenvalues, dtype=complex)
@@ -85,25 +87,34 @@ class Spectrum:
 
 
 def eig(matrix) -> Spectrum:
-    """Full spectrum of a dense complex matrix with package conventions.
+    """Full spectrum with package conventions.
 
-    Accepts an OperatorMatrix, densified through its `entries`, or a plain
-    array.  Raises NoConvergenceError if the underlying QR iteration gives
-    up.
+    An OperatorMatrix is solved on its bands by `eig_tridiagonal`.  If that
+    raises NoConvergenceError, its dense `entries` go to LAPACK and the
+    banded error text is kept in `fallback`; TooLargeError propagates.  A
+    plain array goes to LAPACK.  Raises NoConvergenceError if the dense QR
+    iteration gives up.
     """
+    fallback = ""
+    if isinstance(matrix, OperatorMatrix):
+        try:
+            return eig_tridiagonal(matrix)
+        except NoConvergenceError as exc:
+            fallback = str(exc)
     a = _entries(matrix)
     try:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"dense eigensolve failed: {exc}") from exc
-    return _spectrum(vals, complex(np.trace(a)), float(np.linalg.norm(a)))
+    return _spectrum(vals, complex(np.trace(a)), float(np.linalg.norm(a)), fallback)
 
 
-def _spectrum(vals: np.ndarray, trace: complex, norm: float) -> Spectrum:
+def _spectrum(vals: np.ndarray, trace: complex, norm: float, fallback: str = "") -> Spectrum:
     """Eigenvalues in lex order, with their trace error against `trace`."""
     vals = vals[_lex_order(vals)]
     scale = max(1.0, abs(trace), float(np.sum(np.abs(vals))))
-    return Spectrum(eigenvalues=vals, matrix_norm=norm, trace_error=abs(vals.sum() - trace) / scale)
+    return Spectrum(eigenvalues=vals, matrix_norm=norm,
+                    trace_error=abs(vals.sum() - trace) / scale, fallback=fallback)
 
 
 def _row_sums(couplings: np.ndarray) -> np.ndarray:
@@ -134,7 +145,8 @@ def eig_lowest(matrix: OperatorMatrix, k: int) -> np.ndarray:
     sigma + sqrt(R^2 - B^2), the reach.  The window is accepted when the
     k-th value lies below the reach and is not tied with the (k+1)-th;
     otherwise m doubles.  A tie at the cut, an ARPACK failure, or m reaching
-    n - 2 hands the matrix to the dense `eig`, whose sort then decides.
+    n - 2 hands the matrix to `eig`, which solves it on its bands (densifying
+    only where those sweeps fail) and whose sort then decides.
 
     The bounds come from Bendixson's theorem and Gershgorin's discs applied
     to the diagonally similar matrix whose off-diagonal pairs both equal
@@ -175,7 +187,9 @@ def eig_lowest(matrix: OperatorMatrix, k: int) -> np.ndarray:
 def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
     """Full spectrum of a tridiagonal matrix from its bands, in O(n^2).
 
-    Same conventions as `eig`.  Ehrlich-Aberth iteration on det(A - zI)
+    The banded path of `eig`, which adds the dense fallback; called alone
+    it is the raw solver that the solver validation checks.  Same
+    conventions as `eig`.  Ehrlich-Aberth iteration on det(A - zI)
     (Bini, Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27 (2005)
     153-175), with p'/p from the ratio continuant
     r_i = (d_i - z) - l_{i-1} u_{i-1} / r_{i-1}, started on an ellipse that

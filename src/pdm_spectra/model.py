@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -48,8 +48,7 @@ __all__ = [
     "ScarfII",
     "SamsonovRoy",
     "Morse",
-    "CustomGenerator",
-    "constant_generator",
+    "Constant",
     "ModelSpec",
 ]
 
@@ -298,45 +297,18 @@ class Morse(Generator):
         return f"Morse(a={self.a:g})"
 
 
-class CustomGenerator(Generator):
-    """Caller-supplied F and F'; the pair is cross-checked at construction.
+@dataclass(frozen=True)
+class Constant(Generator):
+    """F(q) = value; handy for free-operator limits."""
 
-    Parameters
-    ----------
-    f, f_prime : callables mapping float arrays to float arrays.
-    sample_q : points where the declared derivative is compared against a
-        centered difference of `f` (default: 25 points on [-3, 3]).
-    tol : allowed mismatch, relative to 1 + |F'|.
-    """
-
-    def __init__(self, f: Callable, f_prime: Callable, sample_q=None, tol: float = 1e-6):
-        self._f = f
-        self._fp = f_prime
-        qs = np.linspace(-3.0, 3.0, 25) if sample_q is None else np.asarray(sample_q, float)
-        step = 1e-5
-        declared = np.asarray(f_prime(qs), float)
-        numeric = (np.asarray(f(qs + step), float) - np.asarray(f(qs - step), float)) / (2 * step)
-        err = np.abs(declared - numeric) / (1.0 + np.abs(declared))
-        if err.max() > tol:
-            raise ValueError(
-                f"declared derivative disagrees with centered differences of f: "
-                f"max mismatch {err.max():.3e} at q={qs[err.argmax()]:g} (tol {tol:g})"
-            )
+    value: float = 0.0
 
     def __call__(self, q):
-        q = np.asarray(q, dtype=float)
-        return np.asarray(self._f(q), float), np.asarray(self._fp(q), float)
+        f = np.full_like(np.asarray(q, dtype=float), self.value)
+        return f, np.zeros_like(f)
 
     def __str__(self) -> str:
-        return "CustomGenerator()"
-
-
-def constant_generator(value: float = 0.0) -> CustomGenerator:
-    """Generator with F identically `value`; handy for free-operator limits."""
-    return CustomGenerator(
-        lambda q: np.full_like(np.asarray(q, float), float(value)),
-        lambda q: np.zeros_like(np.asarray(q, float)),
-    )
+        return f"Constant(value={self.value:g})"
 
 
 @dataclass(frozen=True)

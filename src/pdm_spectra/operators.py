@@ -103,6 +103,8 @@ def uniform_grid(a: float, b: float, n: int, coordinate: str = "q") -> Grid:
     `coordinate` tags the axis ("q" flat picture, "x" mass picture) so the
     matrix builders can reject grids from the wrong picture.
     """
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise BadIntervalError(f"need finite endpoints, got ({a}, {b})")
     if not a < b:
         raise BadIntervalError(f"need a < b, got ({a}, {b})")
     if n < 3:

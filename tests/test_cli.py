@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from pdm_spectra import (
+    MAX_DENSE_NODES,
     build_reference_matrix,
     build_spec,
     build_target_matrix,
@@ -15,6 +16,7 @@ from pdm_spectra import (
     matched_domains,
     uniform_grid,
 )
+from pdm_spectra import cli
 from pdm_spectra.config import DEFAULTS
 
 
@@ -125,7 +127,7 @@ def test_solve_takes_dense_eig_where_the_banded_solve_stalls(tmp_path):
         "target": build_target_matrix(spec, matched_domains(spec, 50)[0]),
     }
     for picture, matrix in matrices.items():
-        dense = eig(matrix)
+        dense = eig(matrix.entries)
         got = [complex(v["re"], v["im"]) for v in payload[picture]["eigenvalues"]]
         assert got == dense.eigenvalues.tolist()
         assert payload[picture]["matrix_norm"] == dense.matrix_norm
@@ -214,6 +216,20 @@ def test_oversized_grid_is_refused_before_allocating():
     proc = run_cli("solve", "--n", "100000")
     assert proc.returncode == 2
     assert "TooLargeError" in proc.stderr
+
+
+@pytest.mark.parametrize("picture", ["reference", "target", "both"])
+def test_oversized_solve_is_refused_before_any_grid(picture, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a grid or a band")
+
+    for name in ("uniform_grid", "matched_domains", "build_reference_matrix",
+                 "build_target_matrix"):
+        monkeypatch.setattr(cli, name, refuse)
+    argv = ["solve", "--picture", picture, "--n", str(MAX_DENSE_NODES + 1)]
+    assert cli.main(argv) == 2
+    assert f"TooLargeError: full spectra are limited to {MAX_DENSE_NODES} nodes" in \
+        capsys.readouterr().err
 
 
 def _loads_scipy(code):

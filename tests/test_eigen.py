@@ -12,6 +12,7 @@ from pdm_spectra import (
     MAX_DENSE_NODES,
     ConstantMass,
     ModelSpec,
+    Morse,
     NoConvergenceError,
     OperatorMatrix,
     SamsonovRoy,
@@ -69,15 +70,15 @@ def _picture_matrix(spec, picture, n):
 
 @functools.cache
 def _dense(label, picture, n):
-    """Dense spectrum of an acceptance spec, shared by the tests of both
+    """LAPACK spectrum of an acceptance spec, shared by the tests of both
     tridiagonal solvers."""
-    return eig(_picture_matrix(ACCEPTANCE_SPECS[label], picture, n))
+    return eig(_picture_matrix(ACCEPTANCE_SPECS[label], picture, n).entries)
 
 
 def _window_gap(matrix, k, dense=None):
-    """Worst matched distance between eig_lowest and the dense lowest k."""
+    """Worst matched distance between eig_lowest and the LAPACK lowest k."""
     if dense is None:
-        dense = eig(matrix).eigenvalues
+        dense = eig(matrix.entries).eigenvalues
     low = eig_lowest(matrix, k)
     assert low.shape == (k,)
     return float(match_eigenvalue_sets(dense[:k], low)[1].max())
@@ -103,9 +104,30 @@ def test_eig_lexicographic_order():
 
 
 def test_eig_accepts_operator_matrix_and_array():
-    spec = ModelSpec(ScarfII(2.0), BDD, ConstantMass(), q_interval=(-2.0, 2.0))
-    matrix = build_reference_matrix(spec, uniform_grid(-2.0, 2.0, 30))
-    np.testing.assert_array_equal(eig(matrix).eigenvalues, eig(matrix.entries).eigenvalues)
+    # An OperatorMatrix is solved on its bands: bitwise eig_tridiagonal's
+    # spectrum, and LAPACK's on the dense array as sets.
+    for label in sorted(ACCEPTANCE_SPECS):
+        for picture in ("reference", "target"):
+            matrix = _picture_matrix(ACCEPTANCE_SPECS[label], picture, 300)
+            banded, raw = eig(matrix), eig_tridiagonal(matrix)
+            assert banded.fallback == raw.fallback == ""
+            np.testing.assert_array_equal(banded.eigenvalues, raw.eigenvalues)
+            assert (banded.matrix_norm, banded.trace_error) == (raw.matrix_norm, raw.trace_error)
+            dense = _dense(label, picture, 300).eigenvalues
+            gaps = match_eigenvalue_sets(dense, banded.eigenvalues)[1]
+            assert np.all(gaps <= 1e-10 * np.maximum(np.abs(dense), 1.0)), label
+    # The sweeps stall on the Morse generator over (-8, 8): eig then answers
+    # with LAPACK on the dense array, bitwise, and says why.
+    morse = ModelSpec.from_ordering(Morse(), ZK, q_interval=(-8.0, 8.0))
+    for picture in ("reference", "target"):
+        matrix = _picture_matrix(morse, picture, 50)
+        with pytest.raises(NoConvergenceError) as stalled:
+            eig_tridiagonal(matrix)
+        spectrum, dense = eig(matrix), eig(matrix.entries)
+        assert spectrum.fallback == str(stalled.value) != "" == dense.fallback
+        np.testing.assert_array_equal(spectrum.eigenvalues, dense.eigenvalues)
+        assert (spectrum.matrix_norm, spectrum.trace_error) == (dense.matrix_norm,
+                                                                dense.trace_error)
 
 
 def test_eig_rejects_nonsquare():
@@ -234,8 +256,8 @@ def _random_tridiagonal(rng, kind, n):
 
 
 @pytest.fixture
-def dense_calls(monkeypatch):
-    """Records each call eig_lowest makes to the dense `eig`."""
+def eig_calls(monkeypatch):
+    """Records each call eig_lowest makes to the full-spectrum `eig`."""
     calls = []
 
     def counting_eig(*args, **kwargs):
@@ -246,45 +268,73 @@ def dense_calls(monkeypatch):
     return calls
 
 
-def test_eig_lowest_matches_dense_on_random_tridiagonals(dense_calls):
+def test_eig_lowest_matches_dense_on_random_tridiagonals(eig_calls):
     rng = np.random.default_rng(2024)
     cuts = {"tie": 0, "clear": 0}
     for kind in ("complex", "real", "doubled"):
         for _ in range(4):
             n = int(rng.integers(30, 80))
             a = _random_tridiagonal(rng, kind, n)
-            dense = eig(a).eigenvalues
+            dense = eig(a.entries).eigenvalues
             for k in range(1, 9):
-                dense_calls.clear()
-                assert _window_gap(a, k, dense) <= 1e-10
+                eig_calls.clear()
+                low = eig_lowest(a, k)
                 tied = abs(dense[k].real - dense[k - 1].real) <= 1e-8
                 cuts["tie" if tied else "clear"] += 1
-                # a tie at the cut goes to the dense sort; a clear cut does not
-                assert bool(dense_calls) == tied
+                # a tie at the cut goes to eig's sort; a clear cut does not
+                assert bool(eig_calls) == tied
+                if not tied:
+                    assert match_eigenvalue_sets(dense[:k], low)[1].max() <= 1e-10
+                    continue
+                # Rounding alone orders the tied levels, in eig's banded sort
+                # as in LAPACK's: each value is a distinct eigenvalue, and
+                # the window holds the lowest k real parts.
+                assert match_eigenvalue_sets(low, dense)[1].max() <= 1e-10
+                np.testing.assert_allclose(np.sort(low.real), dense.real[:k], rtol=0, atol=1e-10)
     assert min(cuts.values()) >= 10
 
 
-def test_eig_lowest_takes_dense_path_at_small_n(dense_calls):
+def test_eig_lowest_takes_dense_path_at_small_n(eig_calls):
     a = _tridiagonal([4.0, 1.0, 3.0, 2.0, 5.0], [0.5] * 4, [0.25] * 4)
     low = eig_lowest(a, 2)
-    assert len(dense_calls) == 1
+    assert len(eig_calls) == 1
     np.testing.assert_array_equal(low, eig(a).eigenvalues[:2])
 
 
-def test_eig_lowest_matches_oracle_on_small_random_tridiagonals(dense_calls):
+def test_eig_lowest_at_a_tie_never_densifies(eig_calls, monkeypatch):
+    # Two uncoupled copies of one block tie every level with its twin, so a
+    # window cut after an odd number of levels is tied and goes to eig, which
+    # answers from the bands.
+    a = _random_tridiagonal(np.random.default_rng(5), "doubled", 60)
+    dense = eig(a.entries).eigenvalues
+
+    def refuse(matrix):
+        raise AssertionError(f"densified a {matrix.n}-node operator")
+
+    monkeypatch.setattr(OperatorMatrix, "entries", property(refuse))
+    for k in (1, 3):
+        eig_calls.clear()
+        low = eig_lowest(a, k)
+        assert len(eig_calls) == 1
+        assert match_eigenvalue_sets(dense[:k], low)[1].max() <= 1e-10
+    with pytest.raises(AssertionError, match="densified"):
+        a.entries
+
+
+def test_eig_lowest_matches_oracle_on_small_random_tridiagonals(eig_calls):
     # Criterion 7's LAPACK-free oracle against the low-window solver.  Up to
-    # n = 4 every window goes to the dense path; from n = 5 a window of
+    # n = 4 every window goes to eig; from n = 5 a window of
     # k <= n - 4 levels can be proved complete by ARPACK alone.
     rng = np.random.default_rng(77)
-    paths = {"arpack": 0, "dense": 0}
+    paths = {"arpack": 0, "eig": 0}
     for n in range(2, 9):
         for _ in range(8):
             a = _random_tridiagonal(rng, "complex", n)
             oracle = brute_oracle_small(a)
             for k in range(1, n + 1):
-                dense_calls.clear()
+                eig_calls.clear()
                 low = eig_lowest(a, k)
-                paths["dense" if dense_calls else "arpack"] += 1
+                paths["eig" if eig_calls else "arpack"] += 1
                 assert match_eigenvalue_sets(low, oracle)[1].max() <= 1e-8
                 # the window holds the lowest k real parts, however ties sort
                 np.testing.assert_allclose(
@@ -357,7 +407,7 @@ def test_eig_tridiagonal_matches_oracle_on_small_random_tridiagonals():
         full = eig_tridiagonal(a).eigenvalues
         _assert_lex_ordered(full)
         assert match_eigenvalue_sets(brute_oracle_small(a), full)[1].max() <= 1e-9
-        assert match_eigenvalue_sets(eig(a).eigenvalues, full)[1].max() <= 1e-9
+        assert match_eigenvalue_sets(eig(a.entries).eigenvalues, full)[1].max() <= 1e-9
 
 
 _entry = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
@@ -376,7 +426,7 @@ def _small_tridiagonals(draw):
 def test_eig_tridiagonal_property_against_oracle(a):
     # Simple, separated eigenvalues only: at a multiple eigenvalue both
     # routes lose half their digits, and the oracle may not settle at all.
-    dense = eig(a)
+    dense = eig(a.entries)
     scale = max(1.0, dense.matrix_norm)
     vals = dense.eigenvalues
     assume(np.min(np.abs(vals[:, None] - vals[None, :]) + np.eye(a.n) * scale) > 1e-3 * scale)

@@ -11,8 +11,8 @@ from pdm_spectra import (
     AmbiguityOrdering,
     BadIntervalError,
     BetaMinusOneError,
+    Constant,
     ConstantMass,
-    CustomGenerator,
     MassProfile,
     ModelSpec,
     Morse,
@@ -21,7 +21,6 @@ from pdm_spectra import (
     OutOfRangeError,
     SamsonovRoy,
     ScarfII,
-    constant_generator,
     delta_of,
     ordering_preset,
 )
@@ -185,7 +184,7 @@ _generators = st.one_of(
     st.builds(ScarfII, st.floats(0.1, 5.0), st.sampled_from((-1, 1))),
     st.just(SamsonovRoy()),
     st.builds(Morse, st.floats(-3.0, 3.0)),
-    st.just(CustomGenerator(np.sin, np.cos)),
+    st.builds(Constant, st.floats(-3.0, 3.0)),
 )
 _arguments = st.lists(st.floats(0.05, 10.0), min_size=1, max_size=8)
 _property = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -282,20 +281,10 @@ def test_morse_values():
     assert f == 1.0 and fp == -1.0
 
 
-def test_custom_generator_accepts_consistent_pair():
-    g = CustomGenerator(np.sin, np.cos)
-    f, fp = g(0.3)
-    assert f == pytest.approx(np.sin(0.3)) and fp == pytest.approx(np.cos(0.3))
-
-
-def test_custom_generator_rejects_wrong_derivative():
-    with pytest.raises(ValueError, match="centered differences"):
-        CustomGenerator(np.sin, np.sin)
-
-
 def test_constant_generator():
-    f, fp = constant_generator(2.5)(np.array([0.0, 1.0]))
+    f, fp = Constant(2.5)(np.array([0.0, 1.0]))
     assert np.all(f == 2.5) and np.all(fp == 0.0)
+    assert str(Constant(2.5)) == "Constant(value=2.5)"
 
 
 def test_spec_interval_validation():

@@ -7,6 +7,7 @@ import sympy
 from pdm_spectra import (
     MAX_DENSE_NODES,
     BadIntervalError,
+    Constant,
     ConstantMass,
     ModelSpec,
     OperatorMatrix,
@@ -18,7 +19,6 @@ from pdm_spectra import (
     build_eta_matrix,
     build_reference_matrix,
     build_target_matrix,
-    constant_generator,
     eig,
     matched_domains,
     ordering_preset,
@@ -47,6 +47,12 @@ def test_uniform_grid_guards():
         uniform_grid(1.0, 1.0, 5)
     with pytest.raises(ValueError):
         uniform_grid(0.0, 1.0, 5, coordinate="y")
+
+
+@pytest.mark.parametrize("a, b", [(-8.0, np.inf), (-np.inf, 8.0), (np.nan, 1.0), (0.0, np.nan)])
+def test_uniform_grid_refuses_non_finite_endpoints(a, b):
+    with pytest.raises(BadIntervalError, match="finite"):
+        uniform_grid(a, b, 5)
 
 
 def test_q_induced_grid_maps_nodes():
@@ -97,7 +103,7 @@ def test_operator_matrix_dense_and_sparse_forms():
 
 def test_reference_matrix_free_box_exact():
     # h = 0.25: diagonal 2/h^2 = 32, off-diagonal -1/h^2 = -16, no potential
-    spec = ModelSpec(constant_generator(0.0), BDD, ConstantMass(), q_interval=(0.0, 1.0))
+    spec = ModelSpec(Constant(0.0), BDD, ConstantMass(), q_interval=(0.0, 1.0))
     m = build_reference_matrix(spec, uniform_grid(0.0, 1.0, 3)).entries
     expected = np.array([[32.0, -16.0, 0.0], [-16.0, 32.0, -16.0], [0.0, -16.0, 32.0]])
     np.testing.assert_array_equal(m, expected.astype(complex))
@@ -162,8 +168,8 @@ def test_target_assembles_on_criterion_2_window():
 
 
 def test_oversized_grid_is_refused_before_allocating():
-    # the bands of an oversized grid take O(n) memory; only densifying them
-    # would allocate n^2, and that is refused first
+    # the bands of an oversized grid take O(n) memory; densifying them and
+    # their full spectrum, O(n^2) in memory or time, are refused first
     spec = ModelSpec.from_ordering(ScarfII(2.0), GW, q_interval=(0.5, 4.0))
     n = MAX_DENSE_NODES + 1
     grid_x = uniform_grid(1.0, 2.0, n, coordinate="x")
@@ -251,7 +257,7 @@ def test_eta_commutes_with_free_flat_operator_in_the_interior():
     eta H - H eta vanishes except in the corner rows.  BLAS reassociation
     leaves O(eps/h^3) dust in the interior; corners carry O(1/h^3).
     """
-    spec = ModelSpec(constant_generator(0.0), BDD, ConstantMass(), q_interval=(0.0, 1.0))
+    spec = ModelSpec(Constant(0.0), BDD, ConstantMass(), q_interval=(0.0, 1.0))
     g = uniform_grid(0.0, 1.0, 50, coordinate="x")
     ham = build_target_matrix(spec, g).entries
     eta = build_eta_matrix(spec, g).entries

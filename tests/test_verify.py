@@ -100,8 +100,8 @@ def test_check_isospectral_pairs_conjugates_across_the_cut(k):
     spec = ModelSpec.from_ordering(SamsonovRoy(), ZK, q_interval=(-np.pi, np.pi), c2=2.0)
     n = 200
     grid_x, grid_q = matched_domains(spec, n)
-    vals_q = eig(build_reference_matrix(spec, grid_q)).eigenvalues
-    vals_x = eig(build_target_matrix(spec, grid_x)).eigenvalues
+    vals_q = eig(build_reference_matrix(spec, grid_q).entries).eigenvalues
+    vals_x = eig(build_target_matrix(spec, grid_x).entries).eigenvalues
     assert np.abs(vals_x[2:4] - vals_q[2:4]).max() > 0.1
     expected = match_eigenvalue_sets(vals_q[:k], vals_x[:k + 1])[1]
     gaps = np.asarray(check_isospectral(spec, n, k).details["gaps"])
@@ -143,8 +143,8 @@ def refuse_dense(monkeypatch):
 
 
 def test_banded_checks_never_densify(refuse_dense):
-    # Only the solver validation builds an n x n array (and eig_lowest, when
-    # its window reaches n); these checks work on the bands.
+    # Only the solver validation builds an n x n array (and eig, where the
+    # banded sweeps stall); these checks work on the bands.
     iso = ModelSpec.from_ordering(ScarfII(2.5), ZK, q_interval=(-8.0, 8.0))  # criterion 4
     assert check_isospectral(iso, 240, k=2).passed
     assert isospectral_sweep(iso, [60, 120, 240], k=2).passed
@@ -156,7 +156,7 @@ def test_banded_checks_never_densify(refuse_dense):
     residual = ModelSpec.from_ordering(ScarfII(2.0), ZK, q_interval=(-2.0, 2.0))  # criterion 5
     assert check_intertwining(residual, [100, 200, 400]).passed
     with pytest.raises(AssertionError, match="densified"):
-        eig(build_reference_matrix(iso, matched_domains(iso, 20)[1]))
+        build_reference_matrix(iso, matched_domains(iso, 20)[1]).entries
 
 
 def test_solve_never_densifies(refuse_dense, tmp_path):
@@ -205,7 +205,7 @@ def test_check_analytic_agrees_with_dense_eig(label, monkeypatch):
     assert cutoffs == [cutoff]
     # the same report, from every level of the same matrix
     full = eig(build_reference_matrix(spec, uniform_grid(*spec.q_interval, n,
-                                                         coordinate="q"))).eigenvalues
+                                                         coordinate="q")).entries).eigenvalues
     candidates = full[(np.abs(full.imag) <= details["im_tol"]) & (full.real < cutoff)]
     assert details["bound_count"] == candidates.size
     oracle = np.asarray(details["levels"])
@@ -241,7 +241,7 @@ def test_window_past_doubles_until_it_passes_the_cutoff(monkeypatch):
     window = verify._window_past(matrix, 5, lambda window: cutoff)
     assert sizes == [5, 10]
     assert window[-1].real > cutoff
-    full = eig(matrix).eigenvalues
+    full = eig(matrix.entries).eigenvalues
     below = full[full.real <= cutoff]
     assert np.count_nonzero(window.real <= cutoff) == below.size == 5
     _assert_sets_close(below, window[window.real <= cutoff], 1e-10)
