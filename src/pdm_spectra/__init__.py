@@ -72,7 +72,6 @@ from .verify import (
     check_analytic,
     check_identities,
     check_intertwining,
-    check_isospectral,
     convergence_sweep,
     eigensolver_validation,
     fit_decay_rate,

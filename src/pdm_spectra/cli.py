@@ -114,7 +114,7 @@ def cmd_map(args) -> int:
         lines.append(",".join(_fmt(val) for val in (
             q[i], x[i], mu[i], veff[i].real, veff[i].imag, dec.vtilde[i], dec.w[i], dec.v[i],
         )))
-    _emit("\n".join(lines) + "\n", args.out or cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -157,7 +157,7 @@ def cmd_solve(args) -> int:
         }
     else:
         payload = _solve_payload(spec, args.picture, n)
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out or cfg.out)
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
@@ -216,14 +216,14 @@ def cmd_verify(args) -> int:
         )
         for report in reports:
             print(_summary_line(report))
-        if args.out or cfg.out:
-            combined.save(args.out or cfg.out)
+        if args.out:
+            combined.save(args.out)
         return 0 if combined.passed else 1
 
     report = _run_check(args.which, cfg, seed)
     print(_summary_line(report))
-    if args.out or cfg.out:
-        report.save(args.out or cfg.out)
+    if args.out:
+        report.save(args.out)
     return 0 if report.passed else 1
 
 
@@ -236,7 +236,7 @@ def cmd_sweep(args) -> int:
     lines = ["n,h,error"]
     for n, h, err in zip(result["n"], result["h"], result["error"]):
         lines.append(f"{n},{_fmt(h)},{_fmt(err)}")
-    _emit("\n".join(lines) + "\n", args.out or cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     print(f"rate {result['rate']:.3f}", file=sys.stderr)
     return 0
 

@@ -1,13 +1,17 @@
-"""Run configuration: strict JSON schema plus builders to model objects.
+"""Run configuration: a strict JSON schema parsed once into model objects.
 
 A run config is a flat JSON object.  Unknown keys are rejected rather than
 ignored, so a typo like "k_level" fails loudly instead of silently running
-with a default.  Every key has a default; an empty config is valid.
+with a default.  Every key has a default; an empty config is valid.  The
+generator, ordering and mass profile are built when the config is loaded,
+so a bad model field fails every command; only the mapping of a q-window
+into the profile's domain waits until a command builds its ModelSpec.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -17,11 +21,15 @@ from .model import (
     AmbiguityOrdering,
     Constant,
     ConstantMass,
+    Generator,
+    MassLike,
+    MassProfile,
     ModelSpec,
     Morse,
     ORDERING_PRESETS,
     SamsonovRoy,
     ScarfII,
+    delta_of,
     ordering_preset,
 )
 
@@ -31,8 +39,6 @@ __all__ = [
     "RunConfig",
     "load_config",
     "config_from_dict",
-    "build_generator",
-    "build_ordering",
     "build_spec",
     "build_intertwine_spec",
 ]
@@ -61,7 +67,6 @@ DEFAULTS = {
     "oracle_level": None,
     "tolerances": DEFAULT_TOLERANCES,
     "seed": 1234,
-    "out": None,
 }
 
 _GENERATOR_KINDS = ("scarf2", "samsonov_roy", "morse", "constant")
@@ -97,11 +102,11 @@ def _as_pair(value, key: str) -> tuple[float, float]:
 
 @dataclass
 class RunConfig:
-    """Validated run settings with every field populated."""
+    """Validated run settings with every field populated and the model built."""
 
-    generator: dict
-    ordering: object
-    profile: object
+    generator: Generator
+    ordering: AmbiguityOrdering
+    profile: MassLike
     alpha0: float
     q_interval: tuple[float, float]
     intertwine_q_interval: tuple[float, float]
@@ -111,7 +116,6 @@ class RunConfig:
     oracle_level: object
     tolerances: dict = field(default_factory=dict)
     seed: int = 1234
-    out: str | None = None
 
 
 def config_from_dict(raw: dict) -> RunConfig:
@@ -120,23 +124,13 @@ def config_from_dict(raw: dict) -> RunConfig:
     _require(not unknown, f"unknown config keys: {', '.join(unknown)}")
     merged = {**DEFAULTS, **raw}
 
-    gen = merged["generator"]
-    _require(isinstance(gen, dict) and "kind" in gen,
-             "generator must be an object with a 'kind' field")
-
-    ordering = merged["ordering"]
-    _require(isinstance(ordering, (str, dict)),
-             f"ordering must be a preset name or an object, got {ordering!r}")
-
-    profile = merged["profile"]
-    if isinstance(profile, str):
-        _require(profile in ("derived", "constant"),
-                 f"profile must be 'derived', 'constant', or an object, got {profile!r}")
-    else:
-        _require(isinstance(profile, dict), f"profile must be a string or object, got {profile!r}")
-        extra = sorted(set(profile) - {"c1", "c2"})
-        _require(not extra, f"unknown profile keys: {', '.join(extra)}")
-        _require("c1" in profile, "profile object needs at least c1")
+    generator = _parse_generator(merged["generator"])
+    ordering = _parse_ordering(merged["ordering"])
+    profile = _parse_profile(merged["profile"], generator, ordering)
+    if isinstance(generator, SamsonovRoy) and "q_interval" not in raw:
+        # One period of the pi-periodic trigonometric model, which the
+        # derived profile's c2 = 2 maps to a singularity-free x-window.
+        merged["q_interval"] = [-math.pi, math.pi]
 
     alpha0 = _as_number(merged["alpha0"], "alpha0")
     q_interval = _as_pair(merged["q_interval"], "q_interval")
@@ -174,11 +168,8 @@ def config_from_dict(raw: dict) -> RunConfig:
             tol[key] = _as_number(value, f"tolerances.{key}")
 
     seed = _as_int(merged["seed"], "seed")
-    out = merged["out"]
-    _require(out is None or isinstance(out, str), f"out must be a path string, got {out!r}")
-
     return RunConfig(
-        generator=gen,
+        generator=generator,
         ordering=ordering,
         profile=profile,
         alpha0=alpha0,
@@ -190,7 +181,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         oracle_level=oracle_level,
         tolerances=tol,
         seed=seed,
-        out=out,
     )
 
 
@@ -205,8 +195,10 @@ def load_config(path) -> RunConfig:
     return config_from_dict(raw)
 
 
-def build_generator(blob: dict):
-    kind = blob.get("kind")
+def _parse_generator(blob) -> Generator:
+    _require(isinstance(blob, dict) and "kind" in blob,
+             "generator must be an object with a 'kind' field")
+    kind = blob["kind"]
     _require(kind in _GENERATOR_KINDS,
              f"generator kind must be one of {', '.join(_GENERATOR_KINDS)}, got {kind!r}")
     params = {k: v for k, v in blob.items() if k != "kind"}
@@ -237,7 +229,7 @@ def _normalize_name(name: str) -> str:
     return name.replace("-", "").replace("_", "").replace(" ", "").lower()
 
 
-def build_ordering(blob) -> AmbiguityOrdering:
+def _parse_ordering(blob) -> AmbiguityOrdering:
     if isinstance(blob, str):
         wanted = _normalize_name(blob)
         for name in ORDERING_PRESETS:
@@ -246,6 +238,8 @@ def build_ordering(blob) -> AmbiguityOrdering:
         raise ConfigError(
             f"unknown ordering preset {blob!r}; known: {', '.join(ORDERING_PRESETS)}"
         )
+    _require(isinstance(blob, dict),
+             f"ordering must be a preset name or an object, got {blob!r}")
     extra = sorted(set(blob) - {"alpha", "beta", "gamma", "name"})
     _require(not extra, f"unknown ordering fields: {', '.join(extra)}")
     _require({"alpha", "beta", "gamma"} <= set(blob),
@@ -269,48 +263,35 @@ def build_ordering(blob) -> AmbiguityOrdering:
         raise ConfigError(f"bad ordering: {exc}") from exc
 
 
-def _profile_constants(config: RunConfig, generator) -> tuple[float, float]:
-    if isinstance(config.profile, dict):
-        c1 = _as_number(config.profile["c1"], "profile.c1")
-        c2 = _as_number(config.profile.get("c2", 0.0), "profile.c2")
-        return c1, c2
-    # Derived convention: unit slope, with the trigonometric model shifted
-    # so its standard q-window maps to a singularity-free x-window.
-    if isinstance(generator, SamsonovRoy):
-        return 1.0, 2.0
-    return 1.0, 0.0
-
-
-def _spec_for_interval(config: RunConfig, q_interval: tuple[float, float]) -> ModelSpec:
-    generator = build_generator(config.generator)
-    ordering = build_ordering(config.ordering)
+def _parse_profile(blob, generator: Generator, ordering: AmbiguityOrdering) -> MassLike:
+    if isinstance(blob, str):
+        _require(blob in ("derived", "constant"),
+                 f"profile must be 'derived', 'constant', or an object, got {blob!r}")
+        if blob == "constant":
+            return ConstantMass()
+        # Derived convention: unit slope, with the trigonometric model shifted
+        # so its standard q-window maps to a singularity-free x-window.
+        c1, c2 = 1.0, (2.0 if isinstance(generator, SamsonovRoy) else 0.0)
+    else:
+        _require(isinstance(blob, dict), f"profile must be a string or object, got {blob!r}")
+        extra = sorted(set(blob) - {"c1", "c2"})
+        _require(not extra, f"unknown profile keys: {', '.join(extra)}")
+        _require("c1" in blob, "profile object needs at least c1")
+        c1 = _as_number(blob["c1"], "profile.c1")
+        c2 = _as_number(blob.get("c2", 0.0), "profile.c2")
     try:
-        if config.profile == "constant":
-            return ModelSpec(
-                generator=generator,
-                ordering=ordering,
-                profile=ConstantMass(),
-                alpha0=config.alpha0,
-                q_interval=q_interval,
-            )
-        c1, c2 = _profile_constants(config, generator)
-        return ModelSpec.from_ordering(
-            generator,
-            ordering,
-            q_interval=q_interval,
-            c1=c1,
-            c2=c2,
-            alpha0=config.alpha0,
-        )
+        return MassProfile(c1, c2, float(delta_of(ordering)))
     except ValueError as exc:
         raise ConfigError(f"config does not define a valid model: {exc}") from exc
 
 
 def build_spec(config: RunConfig) -> ModelSpec:
     """Model for the main q-window of the run."""
-    return _spec_for_interval(config, config.q_interval)
+    return ModelSpec(config.generator, config.ordering, config.profile, config.alpha0,
+                     config.q_interval)
 
 
 def build_intertwine_spec(config: RunConfig) -> ModelSpec:
     """Same model over the (usually narrower) intertwining q-window."""
-    return _spec_for_interval(config, config.intertwine_q_interval)
+    return ModelSpec(config.generator, config.ordering, config.profile, config.alpha0,
+                     config.intertwine_q_interval)

@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 _ORACLE_MAX_SIZE = 8
+# brute_oracle_small's Durand-Kerner iteration: relative step tolerance and
+# sweep limit.
+_ORACLE_TOL = 1e-12
+_ORACLE_MAX_ITER = 600
 # Real parts closer than this, relative to the Gershgorin bound on ||A||, are
 # a tie: rounding alone decides their lexicographic order.
 _TIE_RTOL = 1e-10
@@ -275,7 +279,7 @@ def _char_poly_coeffs(a: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _durand_kerner(coeffs: np.ndarray, tol: float = 1e-12, max_iter: int = 600) -> np.ndarray:
+def _durand_kerner(coeffs: np.ndarray) -> np.ndarray:
     """All roots of a monic polynomial by simultaneous iteration."""
     n = coeffs.size - 1
     if n == 0:
@@ -284,7 +288,7 @@ def _durand_kerner(coeffs: np.ndarray, tol: float = 1e-12, max_iter: int = 600) 
     # configuration away from real-axis symmetries.
     r0 = 1.0 + float(np.max(np.abs(coeffs[1:])))
     z = r0 * np.exp(2j * np.pi * np.arange(n) / n + 0.4j)
-    for _ in range(max_iter):
+    for _ in range(_ORACLE_MAX_ITER):
         p = np.polyval(coeffs, z)
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, 1.0)
@@ -294,11 +298,11 @@ def _durand_kerner(coeffs: np.ndarray, tol: float = 1e-12, max_iter: int = 600) 
         denom = diff.prod(axis=1)
         step = p / denom
         z = z - step
-        if np.max(np.abs(step)) < tol * max(1.0, float(np.max(np.abs(z)))):
+        if np.max(np.abs(step)) < _ORACLE_TOL * max(1.0, float(np.max(np.abs(z)))):
             break
     else:
         raise NoConvergenceError(
-            f"root iteration did not settle within {max_iter} sweeps"
+            f"root iteration did not settle within {_ORACLE_MAX_ITER} sweeps"
         )
     return z
 

@@ -1,10 +1,11 @@
 """Run-config validation: every bad value is a ConfigError, exit code 2."""
 
 import json
+import math
 
 import pytest
 
-from pdm_spectra import ConfigError, build_spec, cli, config_from_dict
+from pdm_spectra import ConfigError, SamsonovRoy, cli, config_from_dict
 
 
 @pytest.mark.parametrize("raw", [
@@ -21,9 +22,8 @@ from pdm_spectra import ConfigError, build_spec, cli, config_from_dict
     {"q_interval": [-8, 10**400]},
 ])
 def test_non_finite_numbers_are_refused(raw):
-    # generator and profile numbers are read when the model is built
     with pytest.raises(ConfigError, match="must be finite"):
-        build_spec(config_from_dict(raw))
+        config_from_dict(raw)
 
 
 @pytest.mark.parametrize("key", ["isospectral", "iso_rate", "analytic", "intertwine_rate",
@@ -32,6 +32,18 @@ def test_only_the_im_tolerance_may_be_null(key):
     with pytest.raises(ConfigError, match=f"tolerances.{key} must be a number"):
         config_from_dict({"tolerances": {key: None}})
     assert config_from_dict({"tolerances": {"im": None}}).tolerances["im"] is None
+
+
+# Model fields are built at load, so even the solver check, which builds no
+# model, refuses them.
+BAD_MODEL_FIELDS = [
+    ({"generator": {"kind": "scarf2", "V2": 3}}, "unknown scarf2 fields: V2"),
+    ({"ordering": "nonsense"}, "unknown ordering preset 'nonsense'; known: GoraWilliams, "),
+    ({"profile": {"c1": "x"}}, "profile.c1 must be a number, got 'x'"),
+    ({"ordering": "BenDanielDuke"},
+     "BetaMinusOneError: delta is undefined for beta = -1 (ordering BenDanielDuke)"),
+    ({"out": "report.json"}, "unknown config keys: out"),
+]
 
 
 @pytest.mark.parametrize("raw, argv, message", [
@@ -44,10 +56,39 @@ def test_only_the_im_tolerance_may_be_null(key):
      "tolerances.isospectral must be a number"),
     ({"tolerances": {"solver": None}}, ["verify", "--which", "solver"],
      "tolerances.solver must be a number"),
-])
+] + [(raw, ["verify", "--which", which], message)
+     for raw, message in BAD_MODEL_FIELDS for which in ("solver", "intertwining")])
 def test_bad_numbers_exit_two_before_running(raw, argv, message, tmp_path, capsys):
     # json writes NaN and Infinity, and reads them back, as the CLI does
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     assert cli.main([*argv, "--config", str(path)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {message}")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+def test_window_outside_the_map_waits_for_the_command_that_needs_it(tmp_path, capsys):
+    # (-2, 2), the default intertwining window, is not attained by the
+    # GoraWilliams map; only the intertwining check reads it.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"ordering": "GoraWilliams", "q_interval": [0.5, 8]}))
+    assert cli.main(["solve", "--n", "30", "--config", str(path)]) == 0
+    assert cli.main(["verify", "--which", "intertwining", "--config", str(path)]) == 2
+    assert "OutOfRangeError" in capsys.readouterr().err
+
+
+def test_trigonometric_generator_defaults_to_one_period(tmp_path, capsys):
+    cfg = config_from_dict({"generator": {"kind": "samsonov_roy"}})
+    assert isinstance(cfg.generator, SamsonovRoy)
+    assert cfg.q_interval == (-math.pi, math.pi)
+    assert (cfg.profile.c1, cfg.profile.c2) == (1.0, 2.0)
+    explicit = config_from_dict({"generator": {"kind": "samsonov_roy"}, "q_interval": [-8, 8]})
+    assert explicit.q_interval == (-8.0, 8.0)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"generator": {"kind": "samsonov_roy"}}))
+    assert cli.main(["verify", "--which", "analytic", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("analytic: pass (max_gap=1.970e-02")
+    # the printed defaults stay those of the sech model
+    assert cli.main(["defaults"]) == 0
+    assert json.loads(capsys.readouterr().out)["q_interval"] == [-8.0, 8.0]

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from pdm_spectra import (
+    Constant,
+    ConstantMass,
     InsufficientBoundStatesError,
     ModelSpec,
     OperatorMatrix,
@@ -27,7 +29,6 @@ from pdm_spectra import (
     check_analytic,
     check_identities,
     check_intertwining,
-    check_isospectral,
     config_from_dict,
     convergence_sweep,
     eig_lowest,
@@ -82,12 +83,11 @@ def test_fit_decay_rate_survives_exact_zero():
 
 
 def test_check_isospectral():
+    # the matched gaps of one grid of isospectral_sweep
     spec = ModelSpec.from_ordering(ScarfII(2.5), ZK, q_interval=(-8.0, 8.0))
-    report = check_isospectral(spec, 240, k=2)
-    assert report.passed
-    assert report.details["max_gap"] <= 5e-2
+    assert verify._iso_gaps(spec, 240, 2).max() <= 5e-2
     with pytest.raises(InsufficientBoundStatesError):
-        check_isospectral(spec, 40, k=11)
+        verify._iso_gaps(spec, 40, 11)
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -104,7 +104,7 @@ def test_check_isospectral_pairs_conjugates_across_the_cut(k):
     vals_x = eig(build_target_matrix(spec, grid_x).entries).eigenvalues
     assert np.abs(vals_x[2:4] - vals_q[2:4]).max() > 0.1
     expected = match_eigenvalue_sets(vals_q[:k], vals_x[:k + 1])[1]
-    gaps = np.asarray(check_isospectral(spec, n, k).details["gaps"])
+    gaps = verify._iso_gaps(spec, n, k)
     np.testing.assert_allclose(gaps, expected, rtol=0, atol=1e-8)
     assert gaps.max() < 0.05
 
@@ -115,6 +115,16 @@ def test_isospectral_sweep_rate():
     assert report.passed
     assert 1.5 <= report.details["rate"] <= 2.5
     assert report.details["gaps"][-1] < report.details["gaps"][0]
+
+
+def test_isospectral_sweep_passes_identical_pictures():
+    # Under constant mass both pictures are one operator: every gap is an
+    # exact zero, which has no decay rate to fit.
+    spec = ModelSpec(Constant(), ordering_preset("BenDanielDuke"), ConstantMass())
+    report = isospectral_sweep(spec, [60, 120], k=2)
+    assert report.details["gaps"] == [0.0, 0.0]
+    assert report.details["rate"] < 1.0
+    assert report.passed
 
 
 def test_check_intertwining():
@@ -146,7 +156,7 @@ def test_banded_checks_never_densify(refuse_dense):
     # Only the solver validation builds an n x n array (and eig, where the
     # banded sweeps stall); these checks work on the bands.
     iso = ModelSpec.from_ordering(ScarfII(2.5), ZK, q_interval=(-8.0, 8.0))  # criterion 4
-    assert check_isospectral(iso, 240, k=2).passed
+    assert verify._iso_gaps(iso, 240, 2).max() <= 5e-2
     assert isospectral_sweep(iso, [60, 120, 240], k=2).passed
     for picture in ("reference", "target"):  # criterion 2
         result = convergence_sweep(C2_SPEC, [300, 600], picture=picture)
@@ -328,9 +338,10 @@ def test_report_roundtrip(tmp_path):
     report = VerificationReport("demo", True, {"gap": 0.25, "n": [2, 3]})
     path = tmp_path / "report.json"
     report.save(path)
-    loaded = VerificationReport.load(path)
-    assert loaded.check == "demo" and loaded.passed is True
-    assert loaded.details == {"gap": 0.25, "n": [2, 3]}
+    with open(path, encoding="utf-8") as fh:
+        loaded = json.load(fh)
+    assert loaded["check"] == "demo" and loaded["passed"] is True
+    assert loaded["details"] == {"gap": 0.25, "n": [2, 3]}
 
 
 def test_report_json_safety():
