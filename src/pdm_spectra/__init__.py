@@ -54,6 +54,7 @@ from .operators import (
     build_reference_matrix,
     build_target_matrix,
     matched_domains,
+    picture_matrix,
     q_induced_grid,
     uniform_grid,
 )

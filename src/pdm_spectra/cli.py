@@ -34,13 +34,7 @@ from .errors import ConfigError, PdmSpectraError, TooLargeError, UnsupportedGene
 from .eigen import eig
 from .mapping import potential_decomposition, target_potential
 from .model import ORDERING_PRESETS, delta_of
-from .operators import (
-    MAX_DENSE_NODES,
-    build_reference_matrix,
-    build_target_matrix,
-    matched_domains,
-    uniform_grid,
-)
+from .operators import MAX_DENSE_NODES, picture_matrix, uniform_grid
 from .verify import (
     VerificationReport,
     atomic_write_text,
@@ -119,13 +113,7 @@ def cmd_map(args) -> int:
 
 
 def _solve_payload(spec, picture: str, n: int) -> dict:
-    if picture == "reference":
-        qa, qb = spec.q_interval
-        grid = uniform_grid(qa, qb, n, coordinate="q")
-        matrix = build_reference_matrix(spec, grid)
-    else:
-        grid, _ = matched_domains(spec, n)
-        matrix = build_target_matrix(spec, grid)
+    grid, matrix = picture_matrix(spec, picture, n)
     spectrum = eig(matrix)
     if spectrum.fallback:
         print(f"note: {picture} picture: {spectrum.fallback}; taking the dense eig",

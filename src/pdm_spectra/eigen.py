@@ -11,10 +11,10 @@ takes LAPACK's general complex solver on the dense `entries` and records
 why in `Spectrum.fallback`.  A plain array goes to LAPACK.
 
 `eig_lowest` returns only the lowest few eigenvalues of an OperatorMatrix,
-working on its three bands by shift-invert Arnoldi (ARPACK, through scipy)
-with a proof that the window it returns is complete, and hands the matrix
-to `eig` where it cannot give that proof.  Every verification check on an
-operator goes through it.
+as a set, working on its three bands by shift-invert Arnoldi (ARPACK,
+through scipy) with a proof that the window it returns is complete, and
+hands the matrix to `eig` where it cannot give that proof.  Every
+verification check on an operator goes through it.
 
 `brute_oracle_small` shares no code path with LAPACK: it builds the
 characteristic polynomial by the Faddeev-LeVerrier recursion and finds all
@@ -46,9 +46,10 @@ _ORACLE_MAX_SIZE = 8
 # sweep limit.
 _ORACLE_TOL = 1e-12
 _ORACLE_MAX_ITER = 600
-# Real parts closer than this, relative to the Gershgorin bound on ||A||, are
-# a tie: rounding alone decides their lexicographic order.
-_TIE_RTOL = 1e-10
+# eig_lowest's margin, relative to the Gershgorin bound on ||A||: the shift
+# sits at least this far below every real part, and an accepted window's top
+# real part this far below the reach, so rounding cannot carry either across.
+_MARGIN_RTOL = 1e-10
 # eig_tridiagonal: the sweep limit, and the number of entries in one block of
 # its pair sum, so that no n x n temporary is held whole.
 _MAX_SWEEPS = 200
@@ -140,17 +141,17 @@ def _bounds(matrix: OperatorMatrix):
 
 
 def eig_lowest(matrix: OperatorMatrix, k: int) -> np.ndarray:
-    """Lowest k eigenvalues of a tridiagonal matrix, lex-ordered.
+    """Lowest k eigenvalues of a tridiagonal matrix, as a set, lex-ordered.
 
-    Agrees with eig(matrix).eigenvalues[:k].  Shift-invert Arnoldi returns
-    the m eigenvalues nearest a real shift sigma placed below every real
-    part; they form a disk of radius R about sigma.  Every eigenvalue has
-    |Im| <= B, so one outside the disk has real part at least
-    sigma + sqrt(R^2 - B^2), the reach.  The window is accepted when the
-    k-th value lies below the reach and is not tied with the (k+1)-th;
-    otherwise m doubles.  A tie at the cut, an ARPACK failure, or m reaching
-    n - 2 hands the matrix to `eig`, which solves it on its bands (densifying
-    only where those sweeps fail) and whose sort then decides.
+    Agrees with eig(matrix).eigenvalues[:k] as a set; where two levels tie
+    in real part at the cut, either one completes the set.  Shift-invert
+    Arnoldi returns the m eigenvalues nearest a real shift sigma placed
+    below every real part; they form a disk of radius R about sigma.  Every
+    eigenvalue has |Im| <= B, so one outside the disk has real part at least
+    sigma + sqrt(R^2 - B^2), the reach.  The window is accepted when its
+    k-th value lies below the reach; otherwise m doubles.  An ARPACK
+    failure, or m reaching n - 2, hands the matrix to `eig`, which solves it
+    on its bands (densifying only where those sweeps fail).
 
     The bounds come from Bendixson's theorem and Gershgorin's discs applied
     to the diagonally similar matrix whose off-diagonal pairs both equal
@@ -161,8 +162,8 @@ def eig_lowest(matrix: OperatorMatrix, k: int) -> np.ndarray:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     root, floor, _, im_bound = _bounds(matrix)
-    tie = _TIE_RTOL * max(1.0, float(np.max(np.abs(matrix.diag) + _row_sums(np.abs(root)))))
-    sigma = floor - max(im_bound, tie)
+    margin = _MARGIN_RTOL * max(1.0, float(np.max(np.abs(matrix.diag) + _row_sums(np.abs(root)))))
+    sigma = floor - max(im_bound, margin)
     m = k + 1
     if m < n - 2:
         from scipy.sparse.linalg import ArpackError, eigs
@@ -177,13 +178,10 @@ def eig_lowest(matrix: OperatorMatrix, k: int) -> np.ndarray:
             vals = vals[_lex_order(vals)]
             radius = float(np.max(np.abs(vals - sigma)))
             reach = sigma + math.sqrt(max(radius**2 - im_bound**2, 0.0))
-            cut, after = vals[k - 1].real, vals[k].real
-            if min(reach, after) - cut > tie:
+            if reach - vals[k - 1].real > margin:
                 vals = vals[:k]
                 vals.setflags(write=False)
                 return vals
-            if after < reach:
-                break  # a tie at the cut; a larger window cannot decide it
             m *= 2
     return eig(matrix).eigenvalues[:k]
 
@@ -201,7 +199,7 @@ def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
     is at most 4 eps max(|z|, 1e-3 ||A||_F), or stops shrinking at most
     max(1e-8 |z|, 8 eps ||A||_F), the continuant's rounding level near 0.
     Raises TooLargeError for n > MAX_DENSE_NODES, NoConvergenceError on a
-    non-finite entry or when roots still move after _MAX_SWEEPS sweeps.
+    non-finite entry or when roots still move at the _MAX_SWEEPS limit.
     """
     n = matrix.n
     if n > MAX_DENSE_NODES:
@@ -257,7 +255,7 @@ def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
         if not active.size:
             return _spectrum(z, complex(np.sum(diag)), norm)
     raise NoConvergenceError(
-        f"{active.size} of {n} roots still moving after {_MAX_SWEEPS} Aberth sweeps"
+        f"{active.size} of {n} roots still moving at the limit of {_MAX_SWEEPS} Aberth sweeps"
     )
 
 

@@ -47,8 +47,9 @@ class TooLargeError(PdmSpectraError):
 
 
 class InsufficientBoundStatesError(PdmSpectraError):
-    """More shared levels were requested than the lowest quarter of an
-    n-node grid's spectrum holds (k > n // 4)."""
+    """A grid cannot hold the levels a check compares: more shared levels
+    than the lowest quarter of an n-node grid's spectrum (k > n // 4), or a
+    sweep ladder that is empty or longer than its smallest grid."""
 
 
 class UnsupportedKindError(PdmSpectraError):

@@ -116,7 +116,7 @@ def potential_decomposition(spec: ModelSpec, x) -> PotentialDecomposition:
     """
     a = float(spec.ordering.alpha)
     b = float(spec.ordering.beta)
-    mu, mu1, mu2, _ = spec.profile.eval(x)
+    mu, mu1, mu2 = spec.profile.eval(x)
     q = spec.profile.q_from_x(x)
     f, fq = spec.generator(q)
     df_dx = fq / mu

@@ -131,12 +131,11 @@ def delta_of(ordering: AmbiguityOrdering) -> Fraction:
 
 
 class ProfileValues(NamedTuple):
-    """Pointwise profile data: mu, mu', mu'' and the mass M = mu^-2."""
+    """Pointwise profile data: mu, mu' and mu''."""
 
     mu: np.ndarray
     mu_prime: np.ndarray
     mu_second: np.ndarray
-    mass: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,7 @@ class MassProfile:
         return u
 
     def eval(self, x) -> ProfileValues:
-        """Evaluate mu, mu', mu'' and M at the points `x`.
+        """Evaluate mu, mu' and mu'' at the points `x`.
 
         Raises OutOfDomainError when any point has c1*x + c2 <= 0.
         """
@@ -172,8 +171,7 @@ class MassProfile:
         mu = u**p
         mu1 = self.c1 * p * u ** (p - 1.0)
         mu2 = self.c1 * self.c1 * p * (p - 1.0) * u ** (p - 2.0)
-        mass = u ** (-2.0 * p)
-        return ProfileValues(mu, mu1, mu2, mass)
+        return ProfileValues(mu, mu1, mu2)
 
     def mass_derivatives(self, x):
         """Return (M, M', M'') at `x`; used by the ordering-term identity check."""
@@ -220,7 +218,7 @@ class ConstantMass:
     def eval(self, x) -> ProfileValues:
         one = np.ones_like(x, dtype=float)
         zero = np.zeros_like(one)
-        return ProfileValues(one, zero, zero, one.copy())
+        return ProfileValues(one, zero, zero.copy())
 
     def mass_derivatives(self, x):
         one = np.ones_like(x, dtype=float)

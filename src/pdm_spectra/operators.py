@@ -49,6 +49,7 @@ __all__ = [
     "build_reference_matrix",
     "build_target_matrix",
     "build_eta_matrix",
+    "picture_matrix",
 ]
 
 # Points of a mass-picture grid must keep c1*x + c2 above this fraction of
@@ -252,7 +253,7 @@ def build_target_matrix(spec: ModelSpec, grid: Grid) -> OperatorMatrix:
     _guard_mass_nodes(spec.profile, grid)
     n = grid.n
     x = grid.nodes
-    mu, mu1, mu2, _ = spec.profile.eval(x)
+    mu, mu1, mu2 = spec.profile.eval(x)
     diag_pot = -mu1 * mu1 / 4.0 - mu * mu2 / 2.0 + target_potential(spec, x)
 
     if grid.kind == "uniform_x":
@@ -288,3 +289,18 @@ def build_eta_matrix(spec: ModelSpec, grid: Grid) -> OperatorMatrix:
     f, _ = spec.generator(spec.profile.q_from_x(x))
     coupling = (mu[:-1] + mu[1:]) / (4.0 * grid.h)
     return OperatorMatrix(1j * coupling, f, -1j * coupling)
+
+
+def picture_matrix(spec: ModelSpec, picture: str, n: int) -> tuple[Grid, OperatorMatrix]:
+    """The grid and Hamiltonian of one picture on n nodes.
+
+    "reference" takes the uniform q grid of spec.q_interval, "target" the
+    x-nodes it induces (see matched_domains).
+    """
+    if picture == "reference":
+        grid = uniform_grid(*spec.q_interval, n, coordinate="q")
+        return grid, build_reference_matrix(spec, grid)
+    if picture == "target":
+        grid = matched_domains(spec, n)[0]
+        return grid, build_target_matrix(spec, grid)
+    raise ValueError(f"picture must be 'reference' or 'target', got {picture!r}")

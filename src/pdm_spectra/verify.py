@@ -47,6 +47,7 @@ from .operators import (
     build_reference_matrix,
     build_target_matrix,
     matched_domains,
+    picture_matrix,
     uniform_grid,
 )
 from .errors import UnsupportedKindError
@@ -293,8 +294,7 @@ def check_analytic(
         # cutoff - missing level (5.27 at tol = 2e-2), itself >= the window.
         cutoff = max(float(oracle.max()) + tol,
                      SAMSONOV_ROY_MISSING_LEVEL + SAMSONOV_ROY_MISSING_WINDOW)
-    grid = uniform_grid(*spec.q_interval, n, coordinate="q")
-    eigenvalues = _window_past(build_reference_matrix(spec, grid), oracle.size + 1,
+    eigenvalues = _window_past(picture_matrix(spec, "reference", n)[1], oracle.size + 1,
                                lambda window: cutoff)
     bound = (np.abs(eigenvalues.imag) <= im_tol) & (eigenvalues.real < cutoff)
     candidates = eigenvalues[bound]
@@ -344,7 +344,7 @@ def check_identities(
     veff = target_potential(spec, x)
     dec = potential_decomposition(spec, x)
 
-    mu, mu1, mu2, _ = spec.profile.eval(x)
+    mu, mu1, mu2 = spec.profile.eval(x)
 
     triangle_gap = float(
         np.max(np.abs(dec.vtilde + mu * mu2 / 2.0 + mu1 * mu1 / 4.0 + 1j * dec.w - veff))
@@ -382,8 +382,8 @@ def check_identities(
 
 
 def _window_past(matrix, k: int, cutoff) -> np.ndarray:
-    """The lowest k levels, lex-ordered, with k doubled until the top one's
-    real part exceeds cutoff(window) or k = n."""
+    """The lowest k levels as a set, lex-ordered, with k doubled until the
+    top one's real part exceeds cutoff(window) or k = n."""
     k = min(k, matrix.n)
     while True:
         window = eig_lowest(matrix, k)
@@ -417,26 +417,23 @@ def convergence_sweep(
     """Worst matched-level error against a ladder over a grid refinement.
 
     Returns rows suitable for tabulation: grid sizes, spacings of the
-    underlying flat grid, errors, and the fitted decay rate.
+    underlying flat grid, errors, and the fitted decay rate.  Raises
+    InsufficientBoundStatesError, before any grid is built, for an empty
+    ladder or one with more levels than the smallest grid has nodes.
     """
-    if picture not in ("reference", "target"):
-        raise ValueError(f"picture must be 'reference' or 'target', got {picture!r}")
     if oracle is None:
         oracle = analytic_levels(spec.generator)
     oracle = np.asarray(oracle, dtype=complex).ravel()
-    if oracle.size == 0:
-        raise ValueError("need at least one oracle level to sweep against")
     n_list = [int(n) for n in n_list]
+    if oracle.size == 0:
+        raise InsufficientBoundStatesError("the ladder has no level to sweep against")
+    if oracle.size > min(n_list):
+        raise InsufficientBoundStatesError(
+            f"a ladder of {oracle.size} levels needs grids of at least {oracle.size} "
+            f"nodes, got n = {min(n_list)}"
+        )
+    errors = [_ladder_error(oracle, picture_matrix(spec, picture, n)[1]) for n in n_list]
     qa, qb = spec.q_interval
-    errors = []
-    for n in n_list:
-        if picture == "reference":
-            grid = uniform_grid(qa, qb, n, coordinate="q")
-            matrix = build_reference_matrix(spec, grid)
-        else:
-            grid_x, _ = matched_domains(spec, n)
-            matrix = build_target_matrix(spec, grid_x)
-        errors.append(_ladder_error(oracle, matrix))
     h = [(qb - qa) / (n + 1) for n in n_list]
     return {
         "picture": picture,

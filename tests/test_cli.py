@@ -223,8 +223,7 @@ def test_oversized_solve_is_refused_before_any_grid(picture, monkeypatch, capsys
     def refuse(*args, **kwargs):
         raise AssertionError("built a grid or a band")
 
-    for name in ("uniform_grid", "matched_domains", "build_reference_matrix",
-                 "build_target_matrix"):
+    for name in ("uniform_grid", "picture_matrix"):
         monkeypatch.setattr(cli, name, refuse)
     argv = ["solve", "--picture", picture, "--n", str(MAX_DENSE_NODES + 1)]
     assert cli.main(argv) == 2
@@ -269,6 +268,31 @@ def test_sweep_csv_and_rate(tmp_path):
     assert proc.stderr.startswith("rate ")
     rate = float(proc.stderr.split()[1])
     assert 1.5 <= rate <= 2.5
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"generator": {"kind": "scarf2", "v2": 0.3}}, "no level"),
+    ({"oracle_level": list(range(1, 11)), "n_sweep": [8, 16]}, "10 levels"),
+])
+def test_sweep_refuses_a_ladder_it_cannot_sweep(tmp_path, payload, message):
+    # a shallow well has no bound level; ten levels do not fit on 8 nodes
+    proc = run_cli("sweep", "--config", write_config(tmp_path, payload))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: InsufficientBoundStatesError: ")
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_verify_reruns_are_byte_identical_at_a_conjugate_pair(tmp_path):
+    # The bare trigonometric model's isospectral windows cut its conjugate
+    # pair, and ARPACK's order of the pair ends them.
+    config = write_config(tmp_path, {"generator": {"kind": "samsonov_roy"}})
+    reports = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        proc = run_cli("verify", "--which", "all", "--config", config, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_missing_subcommand_is_usage_error():

@@ -20,14 +20,14 @@ from pdm_spectra import (
     TooLargeError,
     brute_oracle_small,
     build_reference_matrix,
-    build_target_matrix,
     delta_of,
     eig,
     eig_lowest,
     eig_tridiagonal,
+    isospectral_sweep,
     match_eigenvalue_sets,
-    matched_domains,
     ordering_preset,
+    picture_matrix,
     uniform_grid,
 )
 from pdm_spectra import eigen
@@ -62,10 +62,7 @@ ACCEPTANCE_SPECS = _acceptance_specs()
 
 
 def _picture_matrix(spec, picture, n):
-    grid_x, grid_q = matched_domains(spec, n)
-    if picture == "reference":
-        return build_reference_matrix(spec, grid_q)
-    return build_target_matrix(spec, grid_x)
+    return picture_matrix(spec, picture, n)[1]
 
 
 @functools.cache
@@ -281,14 +278,14 @@ def test_eig_lowest_matches_dense_on_random_tridiagonals(eig_calls):
                 low = eig_lowest(a, k)
                 tied = abs(dense[k].real - dense[k - 1].real) <= 1e-8
                 cuts["tie" if tied else "clear"] += 1
-                # a tie at the cut goes to eig's sort; a clear cut does not
-                assert bool(eig_calls) == tied
+                # no cut, tied or clear, takes a full solve
+                assert not eig_calls
                 if not tied:
                     assert match_eigenvalue_sets(dense[:k], low)[1].max() <= 1e-10
                     continue
-                # Rounding alone orders the tied levels, in eig's banded sort
-                # as in LAPACK's: each value is a distinct eigenvalue, and
-                # the window holds the lowest k real parts.
+                # Either tied level completes the set: each value is a
+                # distinct eigenvalue, and the window holds the lowest k
+                # real parts.
                 assert match_eigenvalue_sets(low, dense)[1].max() <= 1e-10
                 np.testing.assert_allclose(np.sort(low.real), dense.real[:k], rtol=0, atol=1e-10)
     assert min(cuts.values()) >= 10
@@ -301,10 +298,11 @@ def test_eig_lowest_takes_dense_path_at_small_n(eig_calls):
     np.testing.assert_array_equal(low, eig(a).eigenvalues[:2])
 
 
-def test_eig_lowest_at_a_tie_never_densifies(eig_calls, monkeypatch):
+def test_eig_lowest_at_a_tie_takes_no_full_solve(eig_calls, monkeypatch):
     # Two uncoupled copies of one block tie every level with its twin, so a
-    # window cut after an odd number of levels is tied and goes to eig, which
-    # answers from the bands.
+    # window cut after an odd number of levels is tied.  Either twin
+    # completes the set: ARPACK's window answers, with no full solve and no
+    # dense array.
     a = _random_tridiagonal(np.random.default_rng(5), "doubled", 60)
     dense = eig(a.entries).eigenvalues
 
@@ -315,10 +313,25 @@ def test_eig_lowest_at_a_tie_never_densifies(eig_calls, monkeypatch):
     for k in (1, 3):
         eig_calls.clear()
         low = eig_lowest(a, k)
-        assert len(eig_calls) == 1
+        assert not eig_calls
         assert match_eigenvalue_sets(dense[:k], low)[1].max() <= 1e-10
     with pytest.raises(AssertionError, match="densified"):
         a.entries
+
+
+def test_trigonometric_isospectral_sweep_takes_no_full_solve(eig_calls):
+    # Criterion 3's model splits its n = 4 level into a conjugate pair with
+    # one real part, and the sweep's k + 1 = 3 level windows cut that pair.
+    spec = ACCEPTANCE_SPECS["c3:trig"]
+    assert isospectral_sweep(spec, [200, 400, 800], 2).passed
+    assert not eig_calls
+    matrix = _picture_matrix(spec, "reference", 200)
+    dense = eig(matrix.entries).eigenvalues
+    low = eig_lowest(matrix, 3)
+    assert not eig_calls
+    # one member of the pair completes the set, whichever LAPACK sorts first
+    assert match_eigenvalue_sets(low, dense)[1].max() <= 1e-10
+    np.testing.assert_allclose(np.sort(low.real), dense.real[:3], rtol=0, atol=1e-10)
 
 
 def test_eig_lowest_matches_oracle_on_small_random_tridiagonals(eig_calls):

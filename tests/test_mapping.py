@@ -107,7 +107,7 @@ def test_decomposition_triangle():
         xa, xb = spec.x_interval
         x = np.linspace(xa + 1e-3 * (xb - xa), xb - 1e-3 * (xb - xa), 220)
         dec = potential_decomposition(spec, x)
-        mu, mu1, mu2, _ = spec.profile.eval(x)
+        mu, mu1, mu2 = spec.profile.eval(x)
         total = dec.vtilde + mu * mu2 / 2.0 + mu1 * mu1 / 4.0 + 1j * dec.w
         assert np.max(np.abs(total - target_potential(spec, x))) <= 1e-12
 

@@ -111,12 +111,11 @@ def test_map_roundtrip(delta):
 
 
 def test_profile_values_spot():
-    # u = 4 at delta = 1: mu = 2, mu' = 1/4, mu'' = -1/32, M = 1/4
+    # u = 4 at delta = 1: mu = 2, mu' = 1/4, mu'' = -1/32
     vals = MassProfile(1.0, 0.0, 1.0).eval(4.0)
     assert vals.mu == pytest.approx(2.0, rel=1e-15)
     assert vals.mu_prime == pytest.approx(0.25, rel=1e-15)
     assert vals.mu_second == pytest.approx(-1.0 / 32.0, rel=1e-15)
-    assert vals.mass == pytest.approx(0.25, rel=1e-15)
 
 
 def test_mass_derivatives_spot():
@@ -241,7 +240,7 @@ def test_constant_mass_is_identity():
     cm = ConstantMass()
     x = np.linspace(-5.0, 5.0, 7)
     vals = cm.eval(x)
-    assert np.all(vals.mu == 1.0) and np.all(vals.mass == 1.0)
+    assert np.all(vals.mu == 1.0)
     assert np.all(vals.mu_prime == 0.0) and np.all(vals.mu_second == 0.0)
     np.testing.assert_array_equal(cm.q_from_x(x), x)
     np.testing.assert_array_equal(cm.x_from_q(x), x)

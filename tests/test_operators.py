@@ -209,7 +209,7 @@ def _target_action_error(spec, n):
     m = build_target_matrix(spec, gx).entries
     psi, d1, d2 = _poly_bump(gx.a, gx.b)
     xs = gx.nodes
-    mu, mu1, mu2, _ = spec.profile.eval(xs)
+    mu, mu1, mu2 = spec.profile.eval(xs)
     exact = (
         -(mu**2) * d2(xs)
         - 2.0 * mu * mu1 * d1(xs)

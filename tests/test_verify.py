@@ -314,7 +314,7 @@ def test_convergence_sweep():
     assert 1.5 <= result["rate"] <= 2.5
     with pytest.raises(ValueError):
         convergence_sweep(spec, [60, 120], picture="mass")
-    with pytest.raises(ValueError):
+    with pytest.raises(InsufficientBoundStatesError):
         convergence_sweep(spec, [60, 120], oracle=[])
 
 
