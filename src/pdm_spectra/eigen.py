@@ -11,10 +11,13 @@ takes LAPACK's general complex solver on the dense `entries` and records
 why in `Spectrum.fallback`.  A plain array goes to LAPACK.
 
 `eig_lowest` returns only the lowest few eigenvalues of an OperatorMatrix,
-as a set, working on its three bands by shift-invert Arnoldi (ARPACK,
-through scipy) with a proof that the window it returns is complete, and
-hands the matrix to `eig` where it cannot give that proof.  Every
-verification check on an operator goes through it.
+as a set, with a proof that the window it returns is complete, and hands
+the matrix to `eig` where it cannot give that proof.  It runs shift-invert
+Arnoldi (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998) on the
+three bands with numpy alone: one Krylov process per block between exact
+zero couplings, each applying (A - sigma I)^-1 by substitution written as
+chunked prefix products.  Every verification check on an operator goes
+through it.
 
 `brute_oracle_small` shares no code path with LAPACK: it builds the
 characteristic polynomial by the Faddeev-LeVerrier recursion and finds all
@@ -24,6 +27,7 @@ solvers can be checked against something that cannot fail the same way.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -54,6 +58,17 @@ _MARGIN_RTOL = 1e-10
 # its pair sum, so that no n x n temporary is held whole.
 _MAX_SWEEPS = 200
 _PAIR_BLOCK = 1 << 16
+# eig_lowest's shift-invert Arnoldi: entries per chunk of the prefix-product
+# substitution, short enough that no chunk's running product of the ratios
+# |coupling / pivot| underflows; the least number of Krylov steps between two
+# Ritz checks, each a dense eigensolve of the projected matrix; the least
+# basis size at which a process restarts; and the least number of values a
+# process converges.
+_CHUNK = 32
+_CHECK_EVERY = 8
+_KRYLOV_MIN = 64
+_MIN_WANTED = 8
+_EPS = float(np.finfo(float).eps)
 
 
 def _lex_order(values: np.ndarray) -> np.ndarray:
@@ -149,14 +164,25 @@ def eig_lowest(matrix: OperatorMatrix, k: int) -> np.ndarray:
     below every real part; they form a disk of radius R about sigma.  Every
     eigenvalue has |Im| <= B, so one outside the disk has real part at least
     sigma + sqrt(R^2 - B^2), the reach.  The window is accepted when its
-    k-th value lies below the reach; otherwise m doubles.  An ARPACK
-    failure, or m reaching n - 2, hands the matrix to `eig`, which solves it
-    on its bands (densifying only where those sweeps fail).
+    k-th value lies below the reach; otherwise m doubles.  m starts at
+    k + 1, raised to _MIN_WANTED, so that windows of fewer levels of one
+    matrix come from the same Ritz values, bit for bit.
+
+    The matrix is split at its exact zero couplings (lower * upper == 0),
+    and each block runs its own Arnoldi process (see _ShiftInvertArnoldi)
+    from its slice of one seeded start vector, asked for min(m, block size)
+    values: a single Krylov space sees a doubled eigenvalue only once, while
+    an unreduced tridiagonal has no eigenvalue of geometric multiplicity
+    above one.  The reach is then the least over the blocks.  A breakdown,
+    a substitution that leaves the float range, or k + 1 reaching n - 2
+    hands the matrix to `eig`, which solves it on its bands (densifying
+    only where those sweeps fail).
 
     The bounds come from Bendixson's theorem and Gershgorin's discs applied
-    to the diagonally similar matrix whose off-diagonal pairs both equal
+    to the diagonally similar matrix S whose off-diagonal pairs both equal
     sqrt(lower * upper), so the non-symmetric stencils of the mass picture
-    do not inflate them.
+    do not inflate them.  The same bound makes the real part of S - sigma I
+    positive definite, so no pivot of the factorization vanishes.
     """
     n = matrix.n
     if not 1 <= k <= n:
@@ -166,24 +192,184 @@ def eig_lowest(matrix: OperatorMatrix, k: int) -> np.ndarray:
     sigma = floor - max(im_bound, margin)
     m = k + 1
     if m < n - 2:
-        from scipy.sparse.linalg import ArpackError, eigs
-
-        sparse = matrix.sparse()
         start = np.random.default_rng(0).standard_normal(n).astype(complex)
-        while m < n - 2:
-            try:
-                vals = eigs(sparse, k=m, sigma=sigma, v0=start, return_eigenvectors=False)
-            except ArpackError:
-                break
-            vals = vals[_lex_order(vals)]
-            radius = float(np.max(np.abs(vals - sigma)))
-            reach = sigma + math.sqrt(max(radius**2 - im_bound**2, 0.0))
-            if reach - vals[k - 1].real > margin:
-                vals = vals[:k]
-                vals.setflags(write=False)
-                return vals
-            m *= 2
+        cuts = np.flatnonzero(matrix.lower * matrix.upper == 0) + 1
+        # a substitution that leaves the float range is caught by its result
+        with (np.errstate(divide="ignore", over="ignore", invalid="ignore"),
+              contextlib.suppress(NoConvergenceError)):
+            blocks = [_ShiftInvertArnoldi(matrix.lower[a:b - 1], matrix.diag[a:b],
+                                          matrix.upper[a:b - 1], sigma, start[a:b])
+                      for a, b in zip(np.r_[0, cuts], np.r_[cuts, n])]
+            while m < n - 2:
+                m = max(m, _MIN_WANTED)
+                vals, reach = [], math.inf
+                for block in blocks:
+                    found = block.nearest(m)
+                    vals.append(found)
+                    if found.size < block.size:
+                        radius = float(np.max(np.abs(found - sigma)))
+                        reach = min(reach, sigma + math.sqrt(max(radius**2 - im_bound**2, 0.0)))
+                vals = np.concatenate(vals)
+                vals = vals[_lex_order(vals)]
+                if reach - vals[k - 1].real > margin:
+                    vals = vals[:k]
+                    vals.setflags(write=False)
+                    return vals
+                m *= 2
     return eig(matrix).eigenvalues[:k]
+
+
+class _Recurrence:
+    """y_i = a_i y_{i-1} + b_i from y_{-1} = 0, for fixed a and any b.
+
+    Chunked prefix products: within each chunk of _CHUNK entries,
+    y = P (c + cumsum(b / P)), where P is the running product of a from the
+    chunk's start and c the last y of the chunk before.  The carries c obey
+    the same recurrence over the chunks, c_{j+1} = E_j (c_j + s_j), with E_j
+    the whole product of chunk j and s_j its last cumulative sum; they are
+    one product with the lower triangular matrix of partial products of E.
+    P and that matrix depend on a alone and are formed once.  Raises
+    NoConvergenceError where any of them leaves the float range.
+    """
+
+    def __init__(self, a: np.ndarray):
+        self.n = a.size
+        padded = np.ones(-(-self.n // _CHUNK) * _CHUNK, dtype=complex)
+        padded[:self.n] = a
+        self.prod = np.cumprod(padded.reshape(-1, _CHUNK), axis=1)
+        self.inv = 1.0 / self.prod
+        chunks = self.prod.shape[0]
+        self.carry = np.zeros((chunks, chunks), dtype=complex)
+        for j in range(chunks - 1):
+            self.carry[j + 1:, j] = np.cumprod(self.prod[j:-1, -1])
+        if not all(np.isfinite(x).all() for x in (self.prod, self.inv, self.carry)):
+            raise NoConvergenceError("a substitution chunk left the float range")
+        self.buffer = np.zeros(self.prod.shape, dtype=complex)
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        self.buffer.ravel()[:self.n] = b
+        sums = np.cumsum(self.buffer * self.inv, axis=1)
+        sums += (self.carry @ sums[:, -1])[:, None]
+        sums *= self.prod
+        return sums.ravel()[:self.n]
+
+
+class _ShiftInvertArnoldi:
+    """Arnoldi on (A - sigma I)^-1 for one unreduced tridiagonal block.
+
+    A - sigma I = LU without pivoting, with pivots
+    r_i = (d_i - sigma) - l_{i-1} u_{i-1} / r_{i-1}; the forward recurrence
+    y_i = b_i - (l_{i-1} / r_{i-1}) y_{i-1} and the back recurrence
+    x_i = y_i / r_i - (u_i / r_i) x_{i+1}, run on reversed arrays, apply the
+    inverse.  The Krylov basis is orthogonalized twice by classical
+    Gram-Schmidt and kept across calls to `nearest`, so it grows across
+    doublings of m.  Past max(_KRYLOV_MIN, 2m + _CHECK_EVERY) vectors it
+    restarts on the span of its leading Ritz vectors (Morgan, Math. Comp. 65
+    (1996) 1213-1230), which bounds the memory and the Ritz checks of the
+    deep wells' wide windows.  After a restart the projected matrix is no
+    longer Hessenberg: its last row carries the residual's coefficients.
+    """
+
+    def __init__(self, lower, diag, upper, sigma: float, start: np.ndarray):
+        self.size = diag.size
+        shifted = (diag - sigma).tolist()
+        pivots = [shifted[0]]
+        for d, c in zip(shifted[1:], (lower * upper).tolist()):
+            pivots.append(d - c / pivots[-1])
+        self.pivots = np.array(pivots)
+        self.forward = _Recurrence(np.r_[1.0, -lower / self.pivots[:-1]])
+        self.back = _Recurrence(np.r_[1.0, (-upper / self.pivots[:-1])[::-1]])
+        self.sigma = sigma
+        self.basis = np.empty((min(self.size, 2 * _CHECK_EVERY) + 1, self.size), dtype=complex)
+        self.basis[0] = start / np.linalg.norm(start)
+        self.projected = np.zeros((self.basis.shape[0], self.basis.shape[0] - 1), dtype=complex)
+        self.dim = 0
+        self.next_check = 0
+
+    def _apply(self, v: np.ndarray) -> np.ndarray:
+        return self.back((self.forward(v) / self.pivots)[::-1])[::-1]
+
+    def _step(self) -> None:
+        j = self.dim
+        if j + 1 == self.basis.shape[0]:
+            rows = min(self.size, 2 * j) + 1
+            basis = np.empty((rows, self.size), dtype=complex)
+            basis[:j + 1] = self.basis
+            projected = np.zeros((rows, rows - 1), dtype=complex)
+            projected[:j + 1, :j] = self.projected
+            self.basis, self.projected = basis, projected
+        v = self.basis[:j + 1]
+        w = self._apply(self.basis[j])
+        h = (v @ w.conj()).conj()
+        w -= h @ v
+        again = (v @ w.conj()).conj()
+        w -= again @ v
+        h += again
+        beta = float(np.linalg.norm(w))
+        self.projected[:j + 1, j] = h
+        self.projected[j + 1, j] = beta
+        self.dim = j + 1
+        if not math.isfinite(beta):
+            raise NoConvergenceError("the substitution left the float range")
+        if self.dim < self.size:
+            if not beta > _EPS * float(np.linalg.norm(h)):
+                raise NoConvergenceError(f"the Krylov space broke down at dimension {self.dim}")
+            self.basis[j + 1] = w / beta
+
+    def _restart(self, vectors: np.ndarray, keep: np.ndarray) -> bool:
+        """Shrink the Krylov decomposition to the span of the kept Ritz
+        vectors; False, and no change, where that span is not invariant to
+        sqrt(eps)."""
+        d = self.dim
+        q = np.linalg.qr(vectors[:, keep])[0]
+        g = self.projected[:d, :d]
+        projected = q.conj().T @ g @ q
+        if np.linalg.norm(g @ q - q @ projected) > math.sqrt(_EPS) * np.linalg.norm(g):
+            return False
+        kept = keep.size
+        self.basis[:kept] = q.T @ self.basis[:d]
+        self.basis[kept] = self.basis[d]
+        row = self.projected[d, :d] @ q
+        self.projected[:] = 0.0
+        self.projected[:kept, :kept] = projected
+        self.projected[kept, :kept] = row
+        self.dim = kept
+        return True
+
+    def nearest(self, m: int) -> np.ndarray:
+        """The min(m, size) eigenvalues nearest sigma, once every Ritz value
+        among them has a residual estimate of at most eps |theta|.
+
+        A Ritz check is a dense eigensolve of the projected matrix, so it
+        runs only from m + 2 _CHECK_EVERY vectors on, and then where the
+        residual decay between the last two checks predicts convergence.
+        """
+        m = min(m, self.size)
+        limit = max(_KRYLOV_MIN, 2 * m + _CHECK_EVERY)
+        last = None  # (dimension, worst residual in units of eps |theta|)
+        while True:
+            full = self.dim == self.size
+            if full or self.dim >= min(max(m + 2 * _CHECK_EVERY, self.next_check), limit):
+                theta, vectors = np.linalg.eig(self.projected[:self.dim, :self.dim])
+                order = np.argsort(-np.abs(theta), kind="stable")
+                top = order[:m]
+                residual = np.abs(self.projected[self.dim, :self.dim] @ vectors[:, top])
+                worst = float(np.max(residual / (_EPS * np.abs(theta[top]))))
+                if full or worst <= 1.0:
+                    return self.sigma + 1.0 / theta[top]
+                # The next check comes where the decay since the last one
+                # reaches eps, but no more than a quarter further out.
+                ahead = max(_CHECK_EVERY, self.dim // 4)
+                if last is not None and worst < last[1]:
+                    rate = math.log(last[1] / worst) / (self.dim - last[0])
+                    ahead = min(ahead, max(2, math.ceil(math.log(worst) / rate)))
+                last = (self.dim, worst)
+                if self.dim >= limit:
+                    last = None
+                    if not self._restart(vectors, order[:(m + self.dim) // 2]):
+                        limit *= 2
+                self.next_check = self.dim + ahead
+            self._step()
 
 
 def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:

@@ -184,15 +184,6 @@ class OperatorMatrix:
         m[i[1:], i[:-1]] = self.lower
         return m
 
-    def sparse(self):
-        """The matrix in scipy's compressed sparse column format."""
-        # scipy is imported here, not at module level: its import costs more
-        # than a small solve, and only the low-window solver and the
-        # intertwining residual need it.
-        from scipy.sparse import diags
-
-        return diags([self.lower, self.diag, self.upper], [-1, 0, 1], format="csc")
-
 
 def _check_inside_q_window(spec: ModelSpec, grid: Grid) -> None:
     qa, qb = spec.q_interval

@@ -242,8 +242,7 @@ def _loads_scipy(code):
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is imported by the low-window solver on first use only, so the
-    # package import stays cheap.
+    # the package runs on numpy alone
     assert not _loads_scipy("import pdm_spectra")
 
 
@@ -253,6 +252,25 @@ def test_solve_leaves_scipy_unloaded(tmp_path):
     assert not _loads_scipy(
         "from pdm_spectra import cli\n"
         f"assert cli.main(['solve', '--picture', 'both', '--n', '60', '--out', {str(out)!r}]) == 0"
+    )
+    assert out.exists()
+
+
+@pytest.mark.parametrize("command, payload", [
+    (["verify", "--which", "all"], {}),
+    (["verify", "--which", "all"], {"generator": {"kind": "samsonov_roy"}}),
+    (["sweep"], {}),
+    (["map"], {}),
+], ids=["verify-default", "verify-samsonov_roy", "sweep", "map"])
+def test_checks_leave_scipy_unloaded(tmp_path, command, payload):
+    # the low windows and the intertwining residual work on the bands with
+    # numpy alone
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    argv = [*command, "--config", config, "--out", str(out)]
+    assert not _loads_scipy(
+        "from pdm_spectra import cli\n"
+        f"assert cli.main({argv!r}) == 0"
     )
     assert out.exists()
 
@@ -284,7 +302,7 @@ def test_sweep_refuses_a_ladder_it_cannot_sweep(tmp_path, payload, message):
 
 def test_verify_reruns_are_byte_identical_at_a_conjugate_pair(tmp_path):
     # The bare trigonometric model's isospectral windows cut its conjugate
-    # pair, and ARPACK's order of the pair ends them.
+    # pair, and the Arnoldi order of the pair ends them.
     config = write_config(tmp_path, {"generator": {"kind": "samsonov_roy"}})
     reports = []
     for name in ("a.json", "b.json"):

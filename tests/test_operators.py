@@ -92,13 +92,11 @@ def test_operator_matrix_guards():
         m.diag[0] = 0.0  # the bands are read-only
 
 
-def test_operator_matrix_dense_and_sparse_forms():
+def test_operator_matrix_dense_form():
     m = OperatorMatrix([1.0, 2.0j], [3.0, 4.0, 5.0], [6.0, 7.0])
     expected = np.array([[3.0, 6.0, 0.0], [1.0, 4.0, 7.0], [0.0, 2.0j, 5.0]])
     np.testing.assert_array_equal(m.entries, expected)
     assert m.entries is not m.entries  # built on each access, never cached
-    assert m.sparse().format == "csc"
-    np.testing.assert_array_equal(m.sparse().toarray(), expected)
 
 
 def test_reference_matrix_free_box_exact():

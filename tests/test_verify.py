@@ -133,7 +133,7 @@ def test_check_intertwining():
     assert report.passed
     assert report.details["strictly_decreasing"]
     assert report.details["rate"] >= 0.9
-    # the sparse products sum in another order than dense ones would
+    # the banded products sum in another order than dense ones would
     for n, residual in zip(report.details["n"], report.details["residual"]):
         grid = uniform_grid(*spec.x_interval, n, coordinate="x")
         ham = build_target_matrix(spec, grid).entries
