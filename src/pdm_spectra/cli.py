@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .config import (
@@ -197,19 +198,13 @@ def cmd_verify(args) -> int:
                     check=name, passed=True,
                     details={"note": f"skipped: {exc}"},
                 ))
-        combined = VerificationReport(
-            check="all",
-            passed=all(r.passed for r in reports),
-            details={"reports": [r.to_dict() for r in reports]},
-        )
-        for report in reports:
-            print(_summary_line(report))
-        if args.out:
-            combined.save(args.out)
-        return 0 if combined.passed else 1
-
-    report = _run_check(args.which, cfg, seed)
-    print(_summary_line(report))
+        report = VerificationReport(check="all", passed=all(r.passed for r in reports),
+                                    details={"reports": [r.to_dict() for r in reports]})
+    else:
+        report = _run_check(args.which, cfg, seed)
+        reports = [report]
+    for each in reports:
+        print(_summary_line(each))
     if args.out:
         report.save(args.out)
     return 0 if report.passed else 1
@@ -283,6 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = os.path.dirname(os.path.abspath(args.out or "."))
+    if not os.path.isdir(out):
+        print(f"error: --out {args.out}: no such directory {out}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except ConfigError as exc:

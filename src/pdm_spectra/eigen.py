@@ -155,7 +155,7 @@ def _bounds(matrix: OperatorMatrix):
     return root, float(np.min(diag.real - rows)), float(np.max(diag.real + rows)), height
 
 
-def eig_lowest(matrix: OperatorMatrix, k: int) -> np.ndarray:
+def eig_lowest(matrix: OperatorMatrix, k: int, past=None) -> np.ndarray:
     """Lowest k eigenvalues of a tridiagonal matrix, as a set, lex-ordered.
 
     Agrees with eig(matrix).eigenvalues[:k] as a set; where two levels tie
@@ -168,15 +168,20 @@ def eig_lowest(matrix: OperatorMatrix, k: int) -> np.ndarray:
     k + 1, raised to _MIN_WANTED, so that windows of fewer levels of one
     matrix come from the same Ritz values, bit for bit.
 
+    Given a stopping rule `past` (window -> real), k is clamped to n and
+    doubles, at most to n, until the window's top real part exceeds
+    past(window); m stays at least k + 1 and the same Arnoldi processes grow
+    on, so each block is factored once however far the window reaches.
+
     The matrix is split at its exact zero couplings (lower * upper == 0),
     and each block runs its own Arnoldi process (see _ShiftInvertArnoldi)
     from its slice of one seeded start vector, asked for min(m, block size)
     values: a single Krylov space sees a doubled eigenvalue only once, while
     an unreduced tridiagonal has no eigenvalue of geometric multiplicity
     above one.  The reach is then the least over the blocks.  A breakdown,
-    a substitution that leaves the float range, or k + 1 reaching n - 2
-    hands the matrix to `eig`, which solves it on its bands (densifying
-    only where those sweeps fail).
+    a substitution that leaves the float range, or m reaching n - 2 hands
+    the matrix to `eig`, which solves it on its bands (densifying only where
+    those sweeps fail); the stopping rule then picks from that spectrum.
 
     The bounds come from Bendixson's theorem and Gershgorin's discs applied
     to the diagonally similar matrix S whose off-diagonal pairs both equal
@@ -185,6 +190,7 @@ def eig_lowest(matrix: OperatorMatrix, k: int) -> np.ndarray:
     positive definite, so no pivot of the factorization vanishes.
     """
     n = matrix.n
+    k = k if past is None else min(k, n)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     root, floor, _, im_bound = _bounds(matrix)
@@ -211,12 +217,19 @@ def eig_lowest(matrix: OperatorMatrix, k: int) -> np.ndarray:
                         reach = min(reach, sigma + math.sqrt(max(radius**2 - im_bound**2, 0.0)))
                 vals = np.concatenate(vals)
                 vals = vals[_lex_order(vals)]
-                if reach - vals[k - 1].real > margin:
+                if not reach - vals[k - 1].real > margin:
+                    m *= 2
+                elif past is None or vals[k - 1].real > past(vals[:k]):
                     vals = vals[:k]
                     vals.setflags(write=False)
                     return vals
-                m *= 2
-    return eig(matrix).eigenvalues[:k]
+                else:
+                    k = min(2 * k, n)
+                    m = max(m, k + 1)
+    full = eig(matrix).eigenvalues
+    while past is not None and k < n and not full[k - 1].real > past(full[:k]):
+        k = min(2 * k, n)
+    return full[:k]
 
 
 class _Recurrence:

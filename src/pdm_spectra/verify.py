@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InsufficientBoundStatesError, UnsupportedGeneratorError
+from .errors import InsufficientBoundStatesError, UnsupportedGeneratorError, UnsupportedKindError
 from .eigen import brute_oracle_small, eig, eig_lowest, eig_tridiagonal, match_eigenvalue_sets
 from .mapping import (
     closed_form_target,
@@ -50,7 +50,6 @@ from .operators import (
     picture_matrix,
     uniform_grid,
 )
-from .errors import UnsupportedKindError
 
 __all__ = [
     "SAMSONOV_ROY_MISSING_LEVEL",
@@ -276,15 +275,15 @@ def check_analytic(
     """Numerically bound flat-picture levels against the closed-form ladder.
 
     The bound candidates are the eigenvalues with |Im| <= im_tol below a
-    real cutoff, and bound_count counts them; only the levels up to the
-    cutoff are solved.  For the sech model the cutoff is the continuum
-    threshold (box modes of the truncated continuum sit above it); for the
-    trigonometric model max(ladder) + tol, above which no level can pass
-    the match.  Matching uses complex modulus: near a spectral defect the
-    discretization splits a real level into a conjugate pair with O(h)
-    imaginary parts, so the default im_tol for the trigonometric model is
-    tol itself, while the sech model (whose levels stay cleanly real) uses
-    1e-6.
+    real cutoff, and bound_count counts them; eig_lowest's window grows, one
+    Krylov space, until its top level passes the cutoff.  For the sech model
+    the cutoff is the continuum threshold (box modes of the truncated
+    continuum sit above it); for the trigonometric model max(ladder) + tol,
+    above which no level can pass the match.  Matching uses complex modulus:
+    near a spectral defect the discretization splits a real level into a
+    conjugate pair with O(h) imaginary parts, so the default im_tol for the
+    trigonometric model is tol itself, while the sech model (whose levels
+    stay cleanly real) uses 1e-6.
 
     For the trigonometric model the report additionally confirms that no
     eigenvalue comes within SAMSONOV_ROY_MISSING_WINDOW of the absent n = 2
@@ -311,8 +310,8 @@ def check_analytic(
         # cutoff - missing level (5.27 at tol = 2e-2), itself >= the window.
         cutoff = max(float(oracle.max()) + tol,
                      SAMSONOV_ROY_MISSING_LEVEL + SAMSONOV_ROY_MISSING_WINDOW)
-    eigenvalues = _window_past(picture_matrix(spec, "reference", n)[1], oracle.size + 1,
-                               lambda window: cutoff)
+    eigenvalues = eig_lowest(picture_matrix(spec, "reference", n)[1], oracle.size + 1,
+                             lambda window: cutoff)
     bound = (np.abs(eigenvalues.imag) <= im_tol) & (eigenvalues.real < cutoff)
     candidates = eigenvalues[bound]
     details["bound_count"] = int(candidates.size)
@@ -398,31 +397,19 @@ def check_identities(
     )
 
 
-def _window_past(matrix, k: int, cutoff) -> np.ndarray:
-    """The lowest k levels as a set, lex-ordered, with k doubled until the
-    top one's real part exceeds cutoff(window) or k = n."""
-    k = min(k, matrix.n)
-    while True:
-        window = eig_lowest(matrix, k)
-        if k == matrix.n or window[-1].real > cutoff(window):
-            return window
-        k = min(2 * k, matrix.n)
-
-
 def _ladder_error(oracle: np.ndarray, matrix) -> float:
     """Worst matched gap of a ladder against the matrix's lowest levels.
 
-    The window grows until its top real part exceeds max(oracle.real) plus
-    the worst gap: every level left out is then farther from each ladder
-    value than any gap picked, so the greedy match over the whole spectrum
-    would pick the same levels.
+    The low window of eig_lowest grows until its top real part exceeds
+    max(oracle.real) plus the worst gap in that window: every level left
+    out is then farther from each ladder value than any gap picked, so the
+    greedy match over the whole spectrum would pick the same levels.
     """
-    top = float(oracle.real.max())
-
     def worst(window):
         return float(match_eigenvalue_sets(oracle, window)[1].max())
 
-    return worst(_window_past(matrix, oracle.size + 1, lambda window: top + worst(window)))
+    top = float(oracle.real.max())
+    return worst(eig_lowest(matrix, oracle.size + 1, lambda window: top + worst(window)))
 
 
 def convergence_sweep(

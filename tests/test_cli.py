@@ -300,6 +300,53 @@ def test_sweep_refuses_a_ladder_it_cannot_sweep(tmp_path, payload, message):
     assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_sweep_with_as_many_ladder_levels_as_nodes(tmp_path):
+    # Eight levels and windows of nine: on 8 nodes the window is clamped to
+    # the whole spectrum; on 16 the Arnoldi window of nine falls short, and
+    # its doubling to all 16 levels hands the matrix to eig.
+    payload = {"oracle_level": [1, 2, 3, 4, 5, 6, 7, 8], "n_sweep": [8, 16]}
+    proc = run_cli("sweep", "--config", write_config(tmp_path, payload))
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in proc.stdout.splitlines()]
+    assert rows[0] == ["n", "h", "error"]
+    assert [row[:2] for row in rows[1:]] == [["8", "1.7777777777777777"],
+                                             ["16", "0.94117647058823528"]]
+    assert [float(row[2]) for row in rows[1:]] == pytest.approx(
+        [10.558589970063311, 5.124803981957375], rel=1e-12)
+    assert proc.stderr == "rate 1.137\n"
+
+
+def test_analytic_check_on_a_grid_smaller_than_its_window(tmp_path):
+    # four nodes hold none of the trigonometric ladder's levels below its
+    # cutoff: the window of five is clamped to the whole spectrum
+    config = write_config(tmp_path, {"generator": {"kind": "samsonov_roy"}, "n": 4})
+    proc = run_cli("verify", "--which", "analytic", "--config", config)
+    assert proc.returncode == 1
+    assert proc.stdout == ("analytic: FAIL (bound_count=0, note=fewer numerically "
+                           "bound levels than the ladder predicts)\n")
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["orderings"], ["map"], ["solve", "--n", "10"], ["verify", "--which", "identities"],
+    ["sweep"], ["defaults"],
+], ids=lambda command: command[0])
+def test_out_in_a_missing_directory_is_refused_before_any_work(command, tmp_path,
+                                                               monkeypatch, capsys):
+    # exit 2, not the failed-check exit 1, and before the command builds anything
+    def refuse(args):
+        raise AssertionError("ran the command")
+
+    for name in ("orderings", "map", "solve", "verify", "sweep", "defaults"):
+        monkeypatch.setattr(cli, f"cmd_{name}", refuse)
+    out = tmp_path / "missing" / "x.out"
+    assert cli.main([*command, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out {out}: no such directory {out.parent}\n"
+    assert not out.parent.exists()
+
+
 def test_verify_reruns_are_byte_identical_at_a_conjugate_pair(tmp_path):
     # The bare trigonometric model's isospectral windows cut its conjugate
     # pair, and the Arnoldi order of the pair ends them.

@@ -439,6 +439,32 @@ def test_eig_lowest_rejects_bad_input():
         eig_lowest(identity, 7)
 
 
+def test_eig_lowest_stopping_rule_picks_from_the_full_spectrum(eig_calls):
+    # At n = 4 every window goes to eig, and the stopping rule then picks from
+    # its spectrum: k doubles until the top level passes the rule or k = n.
+    a = _tridiagonal([4.0, 1.0, 3.0, 2.0], [0.5] * 3, [0.25] * 3)
+    full = eig(a).eigenvalues
+    sizes = []
+
+    def past(cut):
+        def rule(window):
+            sizes.append(window.size)
+            return cut
+        return rule
+
+    between = 0.5 * (full[0].real + full[1].real)
+    np.testing.assert_array_equal(eig_lowest(a, 1, past(between)), full[:2])
+    assert sizes == [1, 2]
+    sizes.clear()
+    np.testing.assert_array_equal(eig_lowest(a, 1, past(np.inf)), full)
+    assert sizes == [1, 2]
+    # with a stopping rule, a request beyond n is clamped to all n levels
+    sizes.clear()
+    np.testing.assert_array_equal(eig_lowest(a, 9, past(np.inf)), full)
+    assert sizes == []
+    assert len(eig_calls) == 3
+
+
 @pytest.mark.parametrize("picture", ["reference", "target"])
 @pytest.mark.parametrize("label", sorted(ACCEPTANCE_SPECS))
 def test_eig_tridiagonal_matches_dense_on_acceptance_specs(label, picture):

@@ -40,7 +40,7 @@ from pdm_spectra import (
     scarf2_levels,
     uniform_grid,
 )
-from pdm_spectra import cli, verify
+from pdm_spectra import cli, eigen, verify
 from pdm_spectra.verify import SAMSONOV_ROY_MISSING_WINDOW, atomic_write_text
 
 ZK = ordering_preset("ZhuKroemer")
@@ -201,18 +201,20 @@ def test_check_analytic_agrees_with_dense_eig(label, monkeypatch):
         "default": (build_spec(config_from_dict({})), 400, {"tol": 2e-2}),
     }[label]
     cutoffs = []
-    window_past = verify._window_past
 
-    def recording(matrix, k, cutoff):
-        window = window_past(matrix, k, cutoff)
-        cutoffs.append(cutoff(window))
-        return window
+    def recording(matrix, k, past):
+        def rule(window):
+            cutoffs.append(past(window))
+            return cutoffs[-1]
 
-    monkeypatch.setattr(verify, "_window_past", recording)
+        return eig_lowest(matrix, k, rule)
+
+    monkeypatch.setattr(verify, "eig_lowest", recording)
     report = check_analytic(spec, n, **kwargs)
     details = report.details
     cutoff = _analytic_cutoff(details)
-    assert cutoffs == [cutoff]
+    # the stopping rule is the cutoff, whichever window it is asked about
+    assert cutoffs and set(cutoffs) == {cutoff}
     # the same report, from every level of the same matrix
     full = eig(build_reference_matrix(spec, uniform_grid(*spec.q_interval, n,
                                                          coordinate="q")).entries).eigenvalues
@@ -235,7 +237,21 @@ def test_check_analytic_agrees_with_dense_eig(label, monkeypatch):
                                atol=1e-7 if label == "c3" else 1e-10)
 
 
-def test_window_past_doubles_until_it_passes_the_cutoff(monkeypatch):
+@pytest.fixture
+def arnoldi_builds(monkeypatch):
+    """Records the block size of each Arnoldi process eig_lowest builds."""
+    builds = []
+
+    class Counting(eigen._ShiftInvertArnoldi):
+        def __init__(self, lower, diag, *args):
+            builds.append(diag.size)
+            super().__init__(lower, diag, *args)
+
+    monkeypatch.setattr(eigen, "_ShiftInvertArnoldi", Counting)
+    return builds
+
+
+def test_eig_lowest_doubles_its_window_until_it_passes_the_cutoff(arnoldi_builds):
     # Criterion 3's ladder tops out at 75/16 = 4.6875, and its fifth level
     # sits just below the cutoff 4.7075, so the first window of five falls short.
     matrix = build_reference_matrix(C3_SPEC, uniform_grid(*C3_SPEC.q_interval, 600,
@@ -243,18 +259,54 @@ def test_window_past_doubles_until_it_passes_the_cutoff(monkeypatch):
     cutoff = 75.0 / 16.0 + 2e-2
     sizes = []
 
-    def counting(matrix, k):
-        sizes.append(k)
-        return eig_lowest(matrix, k)
+    def past(window):
+        sizes.append(window.size)
+        return cutoff
 
-    monkeypatch.setattr(verify, "eig_lowest", counting)
-    window = verify._window_past(matrix, 5, lambda window: cutoff)
+    window = eig_lowest(matrix, 5, past)
     assert sizes == [5, 10]
+    # the window of ten grows the same Krylov space as the window of five
+    assert arnoldi_builds == [600]
     assert window[-1].real > cutoff
     full = eig(matrix.entries).eigenvalues
     below = full[full.real <= cutoff]
     assert np.count_nonzero(window.real <= cutoff) == below.size == 5
     _assert_sets_close(below, window[window.real <= cutoff], 1e-10)
+
+
+DEEP_WELL = build_spec(config_from_dict(
+    {"generator": {"kind": "scarf2", "v2": 20}, "q_interval": [-20, 20]}))
+
+
+@pytest.mark.parametrize("picture", ["reference", "target"])
+def test_deep_well_sweep_factors_each_grid_once(picture, arnoldi_builds, monkeypatch):
+    # The 20-level Scarf II ladder sits below the continuum's box modes, and
+    # each window must reach past the ladder by its worst gap: 21, 42 and
+    # then 84 levels of one Krylov space per grid.
+    windows = []
+
+    def recording(matrix, k, past):
+        window = eig_lowest(matrix, k, past)
+        windows.append((matrix, window, past(window)))
+        return window
+
+    monkeypatch.setattr(verify, "eig_lowest", recording)
+    convergence_sweep(DEEP_WELL, [200, 400, 800], picture=picture)
+    assert arnoldi_builds == [200, 400, 800]
+    assert [window.size for _, window, _ in windows] == [84, 84, 84]
+    for matrix, window, cutoff in windows:
+        assert window[-1].real > cutoff
+        full = eig(matrix.entries).eigenvalues
+        below = full[full.real <= cutoff]
+        got = window[window.real <= cutoff]
+        assert got.size == below.size
+        gaps = match_eigenvalue_sets(below, got)[1]
+        # The ladder's range, and the whole reference picture, to 1e-10.  The
+        # target picture's box modes above 0 are ill-conditioned on its
+        # unsymmetrized bands: there the Arnoldi values drift by up to 1.6e-6
+        # at n = 800 (Newton on det(A - zI) sides with dense eig).
+        assert gaps[below.real < 0].max() <= 1e-10
+        assert gaps.max() <= (1e-10 if picture == "reference" else 1e-5)
 
 
 def test_check_analytic_sech_model():
