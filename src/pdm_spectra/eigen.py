@@ -173,21 +173,21 @@ def eig_lowest(matrix: OperatorMatrix, k: int, past=None) -> np.ndarray:
     past(window); m stays at least k + 1 and the same Arnoldi processes grow
     on, so each block is factored once however far the window reaches.
 
-    The matrix is split at its exact zero couplings (lower * upper == 0),
-    and each block runs its own Arnoldi process (see _ShiftInvertArnoldi)
-    from its slice of one seeded start vector, asked for min(m, block size)
-    values: a single Krylov space sees a doubled eigenvalue only once, while
-    an unreduced tridiagonal has no eigenvalue of geometric multiplicity
-    above one.  The reach is then the least over the blocks.  A breakdown,
-    a substitution that leaves the float range, or m reaching n - 2 hands
-    the matrix to `eig`, which solves it on its bands (densifying only where
-    those sweeps fail); the stopping rule then picks from that spectrum.
-
-    The bounds come from Bendixson's theorem and Gershgorin's discs applied
-    to the diagonally similar matrix S whose off-diagonal pairs both equal
-    sqrt(lower * upper), so the non-symmetric stencils of the mass picture
-    do not inflate them.  The same bound makes the real part of S - sigma I
-    positive definite, so no pivot of the factorization vanishes.
+    The Arnoldi processes run on the diagonally similar complex-symmetric
+    S with off-diagonals s = lower * sqrt(upper / lower) (principal root;
+    s = lower where lower == upper, s = 0 where lower * upper == 0).
+    Bendixson's and Gershgorin's bounds on S do not grow with the
+    non-symmetric stencils of the mass picture, and make S - sigma I
+    diagonally dominant with a positive definite real part: no pivot r
+    vanishes, and every substitution ratio |s / r| is below 1.  S is split
+    at its zero couplings into blocks, one Arnoldi process each (see
+    _ShiftInvertArnoldi) from a slice of one seeded start vector, asked for
+    min(m, block size) values: one Krylov space sees a doubled eigenvalue
+    once, but an unreduced block has none, so the reach is the least over
+    the blocks.  A breakdown, a substitution that leaves the float range,
+    or m reaching n - 2 hands the matrix to `eig` (on its bands, densifying
+    only where those sweeps fail); the stopping rule then picks from that
+    spectrum.
     """
     n = matrix.n
     k = k if past is None else min(k, n)
@@ -200,11 +200,13 @@ def eig_lowest(matrix: OperatorMatrix, k: int, past=None) -> np.ndarray:
     if m < n - 2:
         start = np.random.default_rng(0).standard_normal(n).astype(complex)
         cuts = np.flatnonzero(matrix.lower * matrix.upper == 0) + 1
-        # a substitution that leaves the float range is caught by its result
+        # a substitution that leaves the float range is caught by its result;
+        # no block reads the couplings at the cuts, where s may divide by 0
         with (np.errstate(divide="ignore", over="ignore", invalid="ignore"),
               contextlib.suppress(NoConvergenceError)):
-            blocks = [_ShiftInvertArnoldi(matrix.lower[a:b - 1], matrix.diag[a:b],
-                                          matrix.upper[a:b - 1], sigma, start[a:b])
+            lower, upper = matrix.lower, matrix.upper
+            coupling = np.where(lower == upper, lower, lower * np.sqrt(upper / lower))
+            blocks = [_ShiftInvertArnoldi(coupling[a:b - 1], matrix.diag[a:b], sigma, start[a:b])
                       for a, b in zip(np.r_[0, cuts], np.r_[cuts, n])]
             while m < n - 2:
                 m = max(m, _MIN_WANTED)
@@ -268,30 +270,32 @@ class _Recurrence:
 
 
 class _ShiftInvertArnoldi:
-    """Arnoldi on (A - sigma I)^-1 for one unreduced tridiagonal block.
+    """Arnoldi on (S - sigma I)^-1 for one unreduced block of S (see eig_lowest).
 
-    A - sigma I = LU without pivoting, with pivots
-    r_i = (d_i - sigma) - l_{i-1} u_{i-1} / r_{i-1}; the forward recurrence
-    y_i = b_i - (l_{i-1} / r_{i-1}) y_{i-1} and the back recurrence
-    x_i = y_i / r_i - (u_i / r_i) x_{i+1}, run on reversed arrays, apply the
-    inverse.  The Krylov basis is orthogonalized twice by classical
-    Gram-Schmidt and kept across calls to `nearest`, so it grows across
-    doublings of m.  Past max(_KRYLOV_MIN, 2m + _CHECK_EVERY) vectors it
-    restarts on the span of its leading Ritz vectors (Morgan, Math. Comp. 65
-    (1996) 1213-1230), which bounds the memory and the Ritz checks of the
-    deep wells' wide windows.  After a restart the projected matrix is no
-    longer Hessenberg: its last row carries the residual's coefficients.
+    S - sigma I = LU without pivoting, with pivots
+    r_i = (d_i - sigma) - s_{i-1}^2 / r_{i-1}; the forward recurrence
+    y_i = b_i - (s_{i-1} / r_{i-1}) y_{i-1} and the back recurrence
+    x_i = y_i / r_i - (s_i / r_i) x_{i+1}, run on reversed arrays, share
+    one ratio array and apply the inverse.  The Krylov basis is
+    orthogonalized twice by classical Gram-Schmidt and kept across calls to
+    `nearest`, so it grows across doublings of m.  Past
+    max(_KRYLOV_MIN, 2m + _CHECK_EVERY) vectors it restarts on the span of
+    its leading Ritz vectors (Morgan, Math. Comp. 65 (1996) 1213-1230),
+    which bounds the memory and the Ritz checks of the deep wells' wide
+    windows.  After a restart the projected matrix is no longer Hessenberg:
+    its last row carries the residual's coefficients.
     """
 
-    def __init__(self, lower, diag, upper, sigma: float, start: np.ndarray):
+    def __init__(self, coupling, diag, sigma: float, start: np.ndarray):
         self.size = diag.size
         shifted = (diag - sigma).tolist()
         pivots = [shifted[0]]
-        for d, c in zip(shifted[1:], (lower * upper).tolist()):
+        for d, c in zip(shifted[1:], (coupling * coupling).tolist()):
             pivots.append(d - c / pivots[-1])
         self.pivots = np.array(pivots)
-        self.forward = _Recurrence(np.r_[1.0, -lower / self.pivots[:-1]])
-        self.back = _Recurrence(np.r_[1.0, (-upper / self.pivots[:-1])[::-1]])
+        ratios = -coupling / self.pivots[:-1]
+        self.forward = _Recurrence(np.r_[1.0, ratios])
+        self.back = _Recurrence(np.r_[1.0, ratios[::-1]])
         self.sigma = sigma
         self.basis = np.empty((min(self.size, 2 * _CHECK_EVERY) + 1, self.size), dtype=complex)
         self.basis[0] = start / np.linalg.norm(start)

@@ -44,9 +44,7 @@ from .model import ModelSpec, SamsonovRoy, ScarfII
 from .operators import (
     OperatorMatrix,
     build_eta_matrix,
-    build_reference_matrix,
     build_target_matrix,
-    matched_domains,
     picture_matrix,
     uniform_grid,
 )
@@ -164,17 +162,15 @@ def fit_decay_rate(h_values, errors) -> float:
 
 
 def _iso_gaps(spec: ModelSpec, n: int, k: int) -> np.ndarray:
+    """Matched gaps of the k lowest reference-picture levels against the
+    target picture's whole spectrum, on n-node grids (see _ladder_gaps)."""
     if k > n // 4:
         raise InsufficientBoundStatesError(
             f"requested {k} shared levels from {n}-node grids; only the lowest "
             f"quarter of the truncated spectrum is comparable"
         )
-    grid_x, grid_q = matched_domains(spec, n)
-    # One spare level among the target candidates: a conjugate pair cut at k
-    # keeps both members there, whichever one rounding sorted first.
-    vals_x = eig_lowest(build_target_matrix(spec, grid_x), k + 1)
-    vals_q = eig_lowest(build_reference_matrix(spec, grid_q), k)
-    return match_eigenvalue_sets(vals_q, vals_x)[1]
+    reference = eig_lowest(picture_matrix(spec, "reference", n)[1], k)
+    return _ladder_gaps(reference, picture_matrix(spec, "target", n)[1])
 
 
 def isospectral_sweep(
@@ -184,7 +180,8 @@ def isospectral_sweep(
     tol: float = 5e-2,
     min_rate: float = 1.0,
 ) -> VerificationReport:
-    """Isospectral gap over a grid refinement; gap small and shrinking."""
+    """Worst matched gap of _iso_gaps over a grid refinement; the last gap
+    must be at most tol, and the gaps must shrink at least at min_rate."""
     n_list = [int(n) for n in n_list]
     qa, qb = spec.q_interval
     worst = [float(_iso_gaps(spec, n, k).max()) for n in n_list]
@@ -397,19 +394,17 @@ def check_identities(
     )
 
 
-def _ladder_error(oracle: np.ndarray, matrix) -> float:
-    """Worst matched gap of a ladder against the matrix's lowest levels.
+def _ladder_gaps(levels: np.ndarray, matrix) -> np.ndarray:
+    """Each level's gap in the greedy match (match_eigenvalue_sets) against
+    the matrix's whole spectrum, in level order.  The low window grows until
+    its top real part exceeds max(levels.real) plus its worst gap: every
+    level left out is then farther from each of `levels` than any gap
+    picked, so the match over the whole spectrum picks the same levels."""
+    def gaps(window):
+        return match_eigenvalue_sets(levels, window)[1]
 
-    The low window of eig_lowest grows until its top real part exceeds
-    max(oracle.real) plus the worst gap in that window: every level left
-    out is then farther from each ladder value than any gap picked, so the
-    greedy match over the whole spectrum would pick the same levels.
-    """
-    def worst(window):
-        return float(match_eigenvalue_sets(oracle, window)[1].max())
-
-    top = float(oracle.real.max())
-    return worst(eig_lowest(matrix, oracle.size + 1, lambda window: top + worst(window)))
+    top = float(levels.real.max())
+    return gaps(eig_lowest(matrix, levels.size + 1, lambda window: top + gaps(window).max()))
 
 
 def convergence_sweep(
@@ -436,7 +431,8 @@ def convergence_sweep(
             f"a ladder of {oracle.size} levels needs grids of at least {oracle.size} "
             f"nodes, got n = {min(n_list)}"
         )
-    errors = [_ladder_error(oracle, picture_matrix(spec, picture, n)[1]) for n in n_list]
+    errors = [float(_ladder_gaps(oracle, picture_matrix(spec, picture, n)[1]).max())
+              for n in n_list]
     qa, qb = spec.q_interval
     h = [(qb - qa) / (n + 1) for n in n_list]
     return {

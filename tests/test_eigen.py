@@ -318,10 +318,17 @@ def test_eig_lowest_takes_dense_path_at_small_n(eig_calls):
 
 
 def test_eig_lowest_hands_an_overflowing_substitution_to_eig(eig_calls):
-    # lower / upper = 100 on every coupling: the substitution ratios grow
-    # tenfold a step, and their products leave the float range
+    # lower / upper = 100 on every coupling: the symmetric form's couplings
+    # are all 1, so the substitution stays in range and no full solve runs
     n = 400
-    a = _tridiagonal(np.linspace(0.0, 1.0, n), np.full(n - 1, 10.0), np.full(n - 1, 0.1))
+    diag = np.linspace(0.0, 1.0, n)
+    a = _tridiagonal(diag, np.full(n - 1, 10.0), np.full(n - 1, 0.1))
+    low = eig_lowest(a, 2)
+    assert not eig_calls
+    assert match_eigenvalue_sets(low, eig(a).eigenvalues[:2])[1].max() <= 1e-10
+    # couplings of 1e-12 make every substitution ratio about 1e-10, whose
+    # products over a chunk underflow, and their inverses overflow
+    a = _tridiagonal(diag, np.full(n - 1, 1e-12), np.full(n - 1, 1e-12))
     low = eig_lowest(a, 2)
     assert len(eig_calls) == 1
     np.testing.assert_array_equal(low, eig(a).eigenvalues[:2])
@@ -425,8 +432,10 @@ def test_chunked_substitution_matches_the_sequential_one():
         _, floor, _, im_bound = eigen._bounds(matrix)
         shift = floor - im_bound - 1.0
         b = rng.standard_normal(matrix.n) + 1j * rng.standard_normal(matrix.n)
-        solver = eigen._ShiftInvertArnoldi(matrix.lower, matrix.diag, matrix.upper, shift, b)
-        reference = _substitute(matrix, shift, b)
+        # the symmetric form that eig_lowest's Arnoldi processes run on
+        coupling = matrix.lower * np.sqrt(matrix.upper / matrix.lower)
+        solver = eigen._ShiftInvertArnoldi(coupling, matrix.diag, shift, b)
+        reference = _substitute(OperatorMatrix(coupling, matrix.diag, coupling), shift, b)
         error = np.linalg.norm(solver._apply(b) - reference) / np.linalg.norm(reference)
         assert error <= 1e-14, matrix.n
 

@@ -36,6 +36,7 @@ from pdm_spectra import (
     fit_decay_rate,
     isospectral_sweep,
     ordering_preset,
+    picture_matrix,
     samsonov_roy_levels,
     scarf2_levels,
     uniform_grid,
@@ -243,9 +244,9 @@ def arnoldi_builds(monkeypatch):
     builds = []
 
     class Counting(eigen._ShiftInvertArnoldi):
-        def __init__(self, lower, diag, *args):
+        def __init__(self, coupling, diag, *args):
             builds.append(diag.size)
-            super().__init__(lower, diag, *args)
+            super().__init__(coupling, diag, *args)
 
     monkeypatch.setattr(eigen, "_ShiftInvertArnoldi", Counting)
     return builds
@@ -276,6 +277,56 @@ def test_eig_lowest_doubles_its_window_until_it_passes_the_cutoff(arnoldi_builds
 
 DEEP_WELL = build_spec(config_from_dict(
     {"generator": {"kind": "scarf2", "v2": 20}, "q_interval": [-20, 20]}))
+WIDE_WINDOW = build_spec(config_from_dict({"q_interval": [-20, 20]}))
+
+
+def _symmetric_form(matrix):
+    """The diagonally similar matrix whose off-diagonals both equal
+    lower * sqrt(upper / lower)."""
+    coupling = matrix.lower * np.sqrt(matrix.upper / matrix.lower)
+    return OperatorMatrix(coupling, matrix.diag, coupling)
+
+
+@pytest.mark.parametrize("spec, n, k", [(WIDE_WINDOW, 80, 20), (WIDE_WINDOW, 120, 30),
+                                        (WIDE_WINDOW, 160, 40), (DEEP_WELL, 40, 10)])
+def test_iso_gaps_match_against_the_whole_target_spectrum(spec, n, k):
+    # All but two of the reference levels here are box modes, and their
+    # greedy matches in the target picture reach past its lowest k + 1
+    # levels: a target window of k + 1 levels is off by up to 1.9 here.
+    reference = eig_lowest(picture_matrix(spec, "reference", n)[1], k)
+    target = eig(picture_matrix(spec, "target", n)[1]).eigenvalues
+    expected = match_eigenvalue_sets(reference, target)[1]
+    np.testing.assert_allclose(verify._iso_gaps(spec, n, k), expected, rtol=0, atol=1e-10)
+
+
+def test_ladder_gaps_match_against_the_whole_spectrum(monkeypatch):
+    # Seeded random tridiagonals and level sets: the grown window picks
+    # what the greedy match over the full spectrum picks, whether the
+    # Arnoldi window answers or the window reaches far enough up to hand
+    # the matrix to eig.
+    full_solves = []
+
+    def counting_eig(matrix):
+        full_solves.append(matrix.n)
+        return eig(matrix)
+
+    monkeypatch.setattr(eigen, "eig", counting_eig)
+    rng = np.random.default_rng(13)
+
+    def cnormal(size):
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    draws = 200
+    for _ in range(draws):
+        n = int(rng.integers(20, 61))
+        diag = np.sort(rng.uniform(0.0, n / 4, n)) + cnormal(n)
+        matrix = OperatorMatrix(cnormal(n - 1), diag, cnormal(n - 1))
+        size = int(rng.integers(1, 9))
+        levels = rng.uniform(0.0, n / 16, size) + 1j * rng.standard_normal(size)
+        expected = match_eigenvalue_sets(levels, eig(matrix.entries).eigenvalues)[1]
+        np.testing.assert_allclose(verify._ladder_gaps(levels, matrix), expected,
+                                   rtol=0, atol=1e-10)
+    assert 20 <= len(full_solves) <= draws - 20
 
 
 @pytest.mark.parametrize("picture", ["reference", "target"])
@@ -296,17 +347,14 @@ def test_deep_well_sweep_factors_each_grid_once(picture, arnoldi_builds, monkeyp
     assert [window.size for _, window, _ in windows] == [84, 84, 84]
     for matrix, window, cutoff in windows:
         assert window[-1].real > cutoff
-        full = eig(matrix.entries).eigenvalues
+        # The target picture's box modes above 0 are ill-conditioned on its
+        # unsymmetrized bands, so dense eig solves the symmetric form that
+        # eig_lowest's Arnoldi processes run on.
+        full = eig(_symmetric_form(matrix).entries).eigenvalues
         below = full[full.real <= cutoff]
         got = window[window.real <= cutoff]
         assert got.size == below.size
-        gaps = match_eigenvalue_sets(below, got)[1]
-        # The ladder's range, and the whole reference picture, to 1e-10.  The
-        # target picture's box modes above 0 are ill-conditioned on its
-        # unsymmetrized bands: there the Arnoldi values drift by up to 1.6e-6
-        # at n = 800 (Newton on det(A - zI) sides with dense eig).
-        assert gaps[below.real < 0].max() <= 1e-10
-        assert gaps.max() <= (1e-10 if picture == "reference" else 1e-5)
+        assert match_eigenvalue_sets(below, got)[1].max() <= 1e-10
 
 
 def test_check_analytic_sech_model():
