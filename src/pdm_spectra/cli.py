@@ -187,7 +187,8 @@ def _summary_line(report: VerificationReport) -> str:
 
 def cmd_verify(args) -> int:
     cfg = _load(args)
-    seed = args.seed if args.seed is not None else cfg.seed
+    # an override passes the config's own check
+    seed = cfg.seed if args.seed is None else config_from_dict({"seed": args.seed}).seed
     if args.which == "all":
         reports = []
         for name in _CHECK_ORDER:

@@ -168,6 +168,7 @@ def config_from_dict(raw: dict) -> RunConfig:
             tol[key] = _as_number(value, f"tolerances.{key}")
 
     seed = _as_int(merged["seed"], "seed")
+    _require(seed >= 0, f"seed must be non-negative, got {seed}")
     return RunConfig(
         generator=generator,
         ordering=ordering,

@@ -14,10 +14,10 @@ why in `Spectrum.fallback`.  A plain array goes to LAPACK.
 as a set, with a proof that the window it returns is complete, and hands
 the matrix to `eig` where it cannot give that proof.  It runs shift-invert
 Arnoldi (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998) on the
-three bands with numpy alone: one Krylov process per block between exact
-zero couplings, each applying (A - sigma I)^-1 by substitution written as
-chunked prefix products.  Every verification check on an operator goes
-through it.
+three bands with numpy alone: one Krylov process per matrix, applying
+(A - sigma I)^-1 by substitution written as chunked prefix products, and
+hands a matrix with a zero coupling to `eig`.  Every verification check on
+an operator goes through it.
 
 `brute_oracle_small` shares no code path with LAPACK: it builds the
 characteristic polynomial by the Faddeev-LeVerrier recursion and finds all
@@ -170,24 +170,22 @@ def eig_lowest(matrix: OperatorMatrix, k: int, past=None) -> np.ndarray:
 
     Given a stopping rule `past` (window -> real), k is clamped to n and
     doubles, at most to n, until the window's top real part exceeds
-    past(window); m stays at least k + 1 and the same Arnoldi processes grow
-    on, so each block is factored once however far the window reaches.
+    past(window); m stays at least k + 1 and the same Arnoldi process grows
+    on, so the matrix is factored once however far the window reaches.
 
-    The Arnoldi processes run on the diagonally similar complex-symmetric
-    S with off-diagonals s = lower * sqrt(upper / lower) (principal root;
-    s = lower where lower == upper, s = 0 where lower * upper == 0).
-    Bendixson's and Gershgorin's bounds on S do not grow with the
-    non-symmetric stencils of the mass picture, and make S - sigma I
-    diagonally dominant with a positive definite real part: no pivot r
-    vanishes, and every substitution ratio |s / r| is below 1.  S is split
-    at its zero couplings into blocks, one Arnoldi process each (see
-    _ShiftInvertArnoldi) from a slice of one seeded start vector, asked for
-    min(m, block size) values: one Krylov space sees a doubled eigenvalue
-    once, but an unreduced block has none, so the reach is the least over
-    the blocks.  A breakdown, a substitution that leaves the float range,
-    or m reaching n - 2 hands the matrix to `eig` (on its bands, densifying
-    only where those sweeps fail); the stopping rule then picks from that
-    spectrum.
+    One Arnoldi process (see _ShiftInvertArnoldi), from one seeded start
+    vector, runs on the diagonally similar complex-symmetric S with
+    off-diagonals s = lower * sqrt(upper / lower) (principal root; s = lower
+    where lower == upper).  Bendixson's and Gershgorin's bounds on S do not
+    grow with the non-symmetric stencils of the mass picture, and make
+    S - sigma I diagonally dominant with a positive definite real part: no
+    pivot r vanishes, and every substitution ratio |s / r| is below 1.  The
+    matrix must be unreduced (lower * upper != 0 throughout): then every
+    eigenvalue has one eigenvector, so a Krylov space, which sees each
+    eigenvalue once, misses no copy of it.  A reducible matrix, a
+    breakdown, a substitution that leaves the float range, or m reaching
+    n - 2 hands the matrix to `eig` (on its bands, densifying only where
+    those sweeps fail); the stopping rule then picks from that spectrum.
     """
     n = matrix.n
     k = k if past is None else min(k, n)
@@ -197,27 +195,19 @@ def eig_lowest(matrix: OperatorMatrix, k: int, past=None) -> np.ndarray:
     margin = _MARGIN_RTOL * max(1.0, float(np.max(np.abs(matrix.diag) + _row_sums(np.abs(root)))))
     sigma = floor - max(im_bound, margin)
     m = k + 1
-    if m < n - 2:
+    if m < n - 2 and np.all(matrix.lower * matrix.upper != 0):
         start = np.random.default_rng(0).standard_normal(n).astype(complex)
-        cuts = np.flatnonzero(matrix.lower * matrix.upper == 0) + 1
-        # a substitution that leaves the float range is caught by its result;
-        # no block reads the couplings at the cuts, where s may divide by 0
+        # a substitution that leaves the float range is caught by its result
         with (np.errstate(divide="ignore", over="ignore", invalid="ignore"),
               contextlib.suppress(NoConvergenceError)):
             lower, upper = matrix.lower, matrix.upper
             coupling = np.where(lower == upper, lower, lower * np.sqrt(upper / lower))
-            blocks = [_ShiftInvertArnoldi(coupling[a:b - 1], matrix.diag[a:b], sigma, start[a:b])
-                      for a, b in zip(np.r_[0, cuts], np.r_[cuts, n])]
+            process = _ShiftInvertArnoldi(coupling, matrix.diag, sigma, start)
             while m < n - 2:
                 m = max(m, _MIN_WANTED)
-                vals, reach = [], math.inf
-                for block in blocks:
-                    found = block.nearest(m)
-                    vals.append(found)
-                    if found.size < block.size:
-                        radius = float(np.max(np.abs(found - sigma)))
-                        reach = min(reach, sigma + math.sqrt(max(radius**2 - im_bound**2, 0.0)))
-                vals = np.concatenate(vals)
+                vals = process.nearest(m)
+                radius = float(np.max(np.abs(vals - sigma)))
+                reach = sigma + math.sqrt(max(radius**2 - im_bound**2, 0.0))
                 vals = vals[_lex_order(vals)]
                 if not reach - vals[k - 1].real > margin:
                     m *= 2
@@ -270,7 +260,7 @@ class _Recurrence:
 
 
 class _ShiftInvertArnoldi:
-    """Arnoldi on (S - sigma I)^-1 for one unreduced block of S (see eig_lowest).
+    """Arnoldi on (S - sigma I)^-1 for an unreduced S (see eig_lowest).
 
     S - sigma I = LU without pivoting, with pivots
     r_i = (d_i - sigma) - s_{i-1}^2 / r_{i-1}; the forward recurrence
@@ -354,14 +344,13 @@ class _ShiftInvertArnoldi:
         return True
 
     def nearest(self, m: int) -> np.ndarray:
-        """The min(m, size) eigenvalues nearest sigma, once every Ritz value
-        among them has a residual estimate of at most eps |theta|.
+        """The m eigenvalues nearest sigma, once every Ritz value among them
+        has a residual estimate of at most eps |theta|.
 
         A Ritz check is a dense eigensolve of the projected matrix, so it
         runs only from m + 2 _CHECK_EVERY vectors on, and then where the
         residual decay between the last two checks predicts convergence.
         """
-        m = min(m, self.size)
         limit = max(_KRYLOV_MIN, 2 * m + _CHECK_EVERY)
         last = None  # (dimension, worst residual in units of eps |theta|)
         while True:

@@ -130,11 +130,15 @@ class VerificationReport:
         atomic_write_text(path, self.to_json())
 
 
+def _scarf2_count(v2) -> int:
+    """The number of integers n >= 0 with n < |v2| - 1/2."""
+    return max(0, math.ceil(abs(float(v2)) - 0.5))
+
+
 def scarf2_levels(v2) -> np.ndarray:
     """Bound levels -(|v2| - n - 1/2)^2 for integer n with n < |v2| - 1/2."""
     depth = abs(float(v2))
-    count = max(0, math.ceil(depth - 0.5))
-    return np.array([-((depth - n - 0.5) ** 2) for n in range(count)])
+    return np.array([-((depth - n - 0.5) ** 2) for n in range(_scarf2_count(v2))])
 
 
 def samsonov_roy_levels() -> np.ndarray:
@@ -150,6 +154,25 @@ def analytic_levels(generator) -> np.ndarray:
     raise UnsupportedGeneratorError(
         f"no closed-form level ladder for {type(generator).__name__}"
     )
+
+
+def _require_ladder_fits(size: int, n: int) -> None:
+    """InsufficientBoundStatesError where a ladder of `size` levels has more
+    levels than the smallest grid, of n nodes, has nodes."""
+    if size > n:
+        raise InsufficientBoundStatesError(
+            f"a ladder of {size:.6g} levels needs grids of at least {size:.6g} nodes, got n = {n}"
+        )
+
+
+def _ladder(generator, n: int) -> np.ndarray:
+    """analytic_levels(generator), refused (see _require_ladder_fits) before
+    any level is listed where it has more levels than n."""
+    if isinstance(generator, ScarfII):
+        _require_ladder_fits(_scarf2_count(generator.v2), n)
+    levels = analytic_levels(generator)
+    _require_ladder_fits(levels.size, n)
+    return levels
 
 
 def fit_decay_rate(h_values, errors) -> float:
@@ -284,10 +307,11 @@ def check_analytic(
 
     For the trigonometric model the report additionally confirms that no
     eigenvalue comes within SAMSONOV_ROY_MISSING_WINDOW of the absent n = 2
-    level.
+    level.  Raises InsufficientBoundStatesError, before any grid is built,
+    for a ladder with more levels than n.
     """
     gen = spec.generator
-    oracle = analytic_levels(gen)
+    oracle = _ladder(gen, n)
     sech = isinstance(gen, ScarfII)
     if im_tol is None:
         im_tol = 1e-6 if sech else tol
@@ -420,17 +444,13 @@ def convergence_sweep(
     InsufficientBoundStatesError, before any grid is built, for an empty
     ladder or one with more levels than the smallest grid has nodes.
     """
-    if oracle is None:
-        oracle = analytic_levels(spec.generator)
-    oracle = np.asarray(oracle, dtype=complex).ravel()
     n_list = [int(n) for n in n_list]
+    if oracle is None:
+        oracle = _ladder(spec.generator, min(n_list))
+    oracle = np.asarray(oracle, dtype=complex).ravel()
     if oracle.size == 0:
         raise InsufficientBoundStatesError("the ladder has no level to sweep against")
-    if oracle.size > min(n_list):
-        raise InsufficientBoundStatesError(
-            f"a ladder of {oracle.size} levels needs grids of at least {oracle.size} "
-            f"nodes, got n = {min(n_list)}"
-        )
+    _require_ladder_fits(oracle.size, min(n_list))
     errors = [float(_ladder_gaps(oracle, picture_matrix(spec, picture, n)[1]).max())
               for n in n_list]
     qa, qb = spec.q_interval

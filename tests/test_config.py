@@ -46,6 +46,10 @@ BAD_MODEL_FIELDS = [
 ]
 
 
+WIDE_FLAT = {"q_interval": [-1e300, 1e300], "profile": "constant",
+             "generator": {"kind": "constant", "value": 0}}
+
+
 @pytest.mark.parametrize("raw, argv, message", [
     ({"q_interval": [-8, float("inf")]}, ["solve"], "q_interval[1] must be finite"),
     ({"q_interval": [-8, float("inf")]}, ["solve", "--picture", "both"],
@@ -57,7 +61,23 @@ BAD_MODEL_FIELDS = [
     ({"tolerances": {"solver": None}}, ["verify", "--which", "solver"],
      "tolerances.solver must be a number"),
 ] + [(raw, ["verify", "--which", which], message)
-     for raw, message in BAD_MODEL_FIELDS for which in ("solver", "intertwining")])
+     for raw, message in BAD_MODEL_FIELDS for which in ("solver", "intertwining")] + [
+    ({"seed": -3}, ["verify", "--which", "solver"], "seed must be non-negative, got -3"),
+    ({}, ["verify", "--which", "solver", "--seed", "-1"], "seed must be non-negative, got -1"),
+    # h^2 underflows to 0: 1/h^2 is not a finite float
+    ({"q_interval": [0, 1e-300]}, ["solve"], "BadIntervalError: grid spacing h = 2.49e-303"),
+    ({"q_interval": [0, 1e-300]}, ["verify", "--which", "isospectral"],
+     "BadIntervalError: grid spacing h = 4.98e-303"),
+    # The constant model maps q to itself and has no cosh to overflow, so
+    # h^2 is the first number out of range, in both builders.
+    (WIDE_FLAT, ["solve"], "BadIntervalError: grid spacing h = 4.99e+297"),
+    (WIDE_FLAT, ["solve", "--picture", "target"], "BadIntervalError: grid spacing h = 4.99e+297"),
+    # a ladder of 1e200 levels is refused before a level is listed
+    ({"generator": {"kind": "scarf2", "v2": 1e200}}, ["sweep"],
+     "InsufficientBoundStatesError: a ladder of 1e+200 levels"),
+    ({"generator": {"kind": "scarf2", "v2": 1e200}}, ["verify", "--which", "analytic"],
+     "InsufficientBoundStatesError: a ladder of 1e+200 levels"),
+])
 def test_bad_numbers_exit_two_before_running(raw, argv, message, tmp_path, capsys):
     # json writes NaN and Infinity, and reads them back, as the CLI does
     path = tmp_path / "config.json"

@@ -223,11 +223,14 @@ def test_trace_error_scale_invariance():
 
 @pytest.mark.parametrize("picture", ["reference", "target"])
 @pytest.mark.parametrize("label", sorted(ACCEPTANCE_SPECS))
-def test_eig_lowest_matches_dense_on_acceptance_specs(label, picture):
+def test_eig_lowest_matches_dense_on_acceptance_specs(label, picture, eig_calls):
     # criterion 3's model has a conjugate pair at levels 3-4 (see below)
     k = 2 if label == "c3:trig" else 4
     matrix = _picture_matrix(ACCEPTANCE_SPECS[label], picture, 300)
     assert _window_gap(matrix, k, _dense(label, picture, 300).eigenvalues) <= 1e-10
+    # none of these operators has a zero coupling, so none goes to the full
+    # solve
+    assert not eig_calls
 
 
 @pytest.mark.parametrize("picture", ["reference", "target"])
@@ -297,8 +300,9 @@ def test_eig_lowest_matches_dense_on_random_tridiagonals(eig_calls):
                 low = eig_lowest(a, k)
                 tied = abs(dense[k].real - dense[k - 1].real) <= 1e-8
                 cuts["tie" if tied else "clear"] += 1
-                # no cut, tied or clear, takes a full solve
-                assert not eig_calls
+                # no cut of an unreduced matrix, tied or clear, takes a full
+                # solve; a reducible one takes exactly one
+                assert len(eig_calls) == (kind == "doubled")
                 if not tied:
                     assert match_eigenvalue_sets(dense[:k], low)[1].max() <= 1e-10
                     continue
@@ -335,24 +339,58 @@ def test_eig_lowest_hands_an_overflowing_substitution_to_eig(eig_calls):
 
 
 def test_eig_lowest_at_a_tie_takes_no_full_solve(eig_calls, monkeypatch):
-    # Two uncoupled copies of one block tie every level with its twin, so a
-    # window cut after an odd number of levels is tied.  Either twin
-    # completes the set: the Arnoldi window answers, with no full solve and
-    # no dense array.
-    a = _random_tridiagonal(np.random.default_rng(5), "doubled", 60)
+    # A real non-symmetric tridiagonal has conjugate pairs, whose members
+    # share one real part; this one has pairs at levels 3-4 and 7-8, so the
+    # windows of 3 and 7 levels are cut at a tie.  Either member completes
+    # the set: the Arnoldi window answers, with no full solve and no dense
+    # array.
+    a = _random_tridiagonal(np.random.default_rng(5), "real", 60)
     dense = eig(a.entries).eigenvalues
 
     def refuse(matrix):
         raise AssertionError(f"densified a {matrix.n}-node operator")
 
     monkeypatch.setattr(OperatorMatrix, "entries", property(refuse))
-    for k in (1, 3):
+    for k in (3, 7):
+        assert abs(dense[k].real - dense[k - 1].real) <= 1e-8
         eig_calls.clear()
         low = eig_lowest(a, k)
         assert not eig_calls
-        assert match_eigenvalue_sets(dense[:k], low)[1].max() <= 1e-10
+        assert match_eigenvalue_sets(low, dense)[1].max() <= 1e-10
+        np.testing.assert_allclose(np.sort(low.real), dense.real[:k], rtol=0, atol=1e-10)
     with pytest.raises(AssertionError, match="densified"):
         a.entries
+
+
+def test_eig_lowest_hands_a_reducible_matrix_to_eig(eig_calls, monkeypatch):
+    # A zero coupling splits the matrix.  Two uncoupled copies of one block
+    # double every eigenvalue, which one Krylov space sees only once; with
+    # lower = 0 and upper != 0 at one place the matrix is block triangular
+    # and has no symmetric form.  Two different uncoupled blocks have neither
+    # defect, but the rule is one: each goes to the full solve, and no
+    # Arnoldi process is built for it.
+    unreduced = _random_tridiagonal(np.random.default_rng(6), "complex", 60)
+
+    def cut(lower_scale, upper_scale):
+        lower, upper = unreduced.lower.copy(), unreduced.upper.copy()
+        lower[29] *= lower_scale
+        upper[29] *= upper_scale
+        return OperatorMatrix(lower, unreduced.diag, upper)
+
+    reducible = [_random_tridiagonal(np.random.default_rng(5), "doubled", 60),
+                 cut(0.0, 1.0), cut(0.0, 0.0)]
+
+    def refuse(*args):
+        raise AssertionError("built an Arnoldi process")
+
+    monkeypatch.setattr(eigen, "_ShiftInvertArnoldi", refuse)
+    for a in reducible:
+        dense = eig(a.entries).eigenvalues
+        for k in (1, 4):
+            eig_calls.clear()
+            low = eig_lowest(a, k)
+            assert len(eig_calls) == 1
+            assert match_eigenvalue_sets(dense[:k], low)[1].max() <= 1e-10
 
 
 def test_trigonometric_isospectral_sweep_takes_no_full_solve(eig_calls):

@@ -240,7 +240,7 @@ def test_check_analytic_agrees_with_dense_eig(label, monkeypatch):
 
 @pytest.fixture
 def arnoldi_builds(monkeypatch):
-    """Records the block size of each Arnoldi process eig_lowest builds."""
+    """Records the matrix size of each Arnoldi process eig_lowest builds."""
     builds = []
 
     class Counting(eigen._ShiftInvertArnoldi):
@@ -373,6 +373,17 @@ def test_check_analytic_empty_ladder_passes_with_note():
     assert report.passed
     assert report.details["note"] == "no bound levels to compare"
     assert report.details["bound_count"] == 0
+
+
+def test_check_analytic_refuses_a_ladder_longer_than_the_grid(monkeypatch):
+    # 20 Scarf II levels do not fit on 10 nodes: refused before a grid is built
+    def refuse(*args):
+        raise AssertionError("built a grid")
+
+    monkeypatch.setattr(verify, "picture_matrix", refuse)
+    spec = ModelSpec.from_ordering(ScarfII(20.0), ZK, q_interval=(-20.0, 20.0))
+    with pytest.raises(InsufficientBoundStatesError, match="a ladder of 20 levels"):
+        check_analytic(spec, 10)
 
 
 def test_check_analytic_trigonometric_model():
