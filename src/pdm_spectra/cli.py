@@ -38,6 +38,7 @@ from .model import ORDERING_PRESETS, delta_of
 from .operators import MAX_DENSE_NODES, picture_matrix, uniform_grid
 from .verify import (
     VerificationReport,
+    _jsonable,
     atomic_write_text,
     check_analytic,
     check_identities,
@@ -119,16 +120,14 @@ def _solve_payload(spec, picture: str, n: int) -> dict:
     if spectrum.fallback:
         print(f"note: {picture} picture: {spectrum.fallback}; taking the dense eig",
               file=sys.stderr)
-    return {
+    return _jsonable({
         "picture": picture,
         "n": n,
         "grid": {"kind": grid.kind, "a": grid.a, "b": grid.b},
-        "eigenvalues": [
-            {"re": float(v.real), "im": float(v.imag)} for v in spectrum.eigenvalues
-        ],
+        "eigenvalues": spectrum.eigenvalues,
         "matrix_norm": spectrum.matrix_norm,
         "trace_error": spectrum.trace_error,
-    }
+    })
 
 
 def cmd_solve(args) -> int:

@@ -248,6 +248,7 @@ def _parse_ordering(blob) -> AmbiguityOrdering:
 
     def frac(key):
         value = blob[key]
+        _require(not isinstance(value, bool), f"ordering.{key} must be a number, got {value!r}")
         try:
             return Fraction(str(value)) if isinstance(value, float) else Fraction(value)
         except (ValueError, ZeroDivisionError, TypeError) as exc:

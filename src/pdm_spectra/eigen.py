@@ -391,7 +391,8 @@ def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
     is at most 4 eps max(|z|, 1e-3 ||A||_F), or stops shrinking at most
     max(1e-8 |z|, 8 eps ||A||_F), the continuant's rounding level near 0.
     Raises TooLargeError for n > MAX_DENSE_NODES, NoConvergenceError on a
-    non-finite entry or when roots still move at the _MAX_SWEEPS limit.
+    non-finite Frobenius norm (a non-finite entry, or finite entries whose
+    norm overflows) or when roots still move at the _MAX_SWEEPS limit.
     """
     n = matrix.n
     if n > MAX_DENSE_NODES:
@@ -399,7 +400,7 @@ def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
     lower, diag, upper = matrix.lower, matrix.diag, matrix.upper
     norm = float(np.linalg.norm(np.concatenate((lower, diag, upper))))
     if not math.isfinite(norm):
-        raise NoConvergenceError("the bands hold a non-finite entry")
+        raise NoConvergenceError("the bands' Frobenius norm is not a finite float")
     if norm == 0.0:
         return Spectrum(np.zeros(n, dtype=complex))
     _, lo, hi, height = _bounds(matrix)
@@ -505,11 +506,11 @@ def brute_oracle_small(matrix) -> np.ndarray:
     refused (TooLargeError); conditioning of the coefficient route degrades
     quickly and the point is verification, not production solving.
     """
-    a = _entries(matrix)
-    n = a.shape[0]
+    # an OperatorMatrix is sized before it is densified
+    n = matrix.n if isinstance(matrix, OperatorMatrix) else _entries(matrix).shape[0]
     if n > _ORACLE_MAX_SIZE:
         raise TooLargeError(f"oracle accepts matrices up to size {_ORACLE_MAX_SIZE}, got {n}")
-    roots = _durand_kerner(_char_poly_coeffs(a))
+    roots = _durand_kerner(_char_poly_coeffs(_entries(matrix)))
     return roots[_lex_order(roots)]
 
 

@@ -68,13 +68,13 @@ def closed_form_target(spec: ModelSpec, x):
 
     For ScarfII the potential is expressed through f = sign * exp(q(x)):
 
-        -4 v2^2 f^2/(f^2+1)^2 - sign * 2i v2 f (f^2-1)/(f^2+1)^2,
+        alpha0 - 4 v2^2 f^2/(f^2+1)^2 - sign * 2i v2 f (f^2-1)/(f^2+1)^2,
 
     and for SamsonovRoy through g = cos(q(x)) and its x-derivative:
 
-        -6 / (g - 2i mu g')^2 - 25/16.
+        alpha0 - 6 / (g - 2i mu g')^2 - 25/16.
 
-    Both assume alpha0 = 0; other generator kinds raise UnsupportedKindError.
+    Other generator kinds raise UnsupportedKindError.
     """
     gen = spec.generator
     q = spec.profile.q_from_x(x)
@@ -82,12 +82,13 @@ def closed_form_target(spec: ModelSpec, x):
         f = gen.sign * np.exp(q)
         f2 = f * f
         den = (f2 + 1.0) ** 2
-        return -4.0 * gen.v2**2 * f2 / den - gen.sign * 2j * gen.v2 * f * (f2 - 1.0) / den
+        return (spec.alpha0 - 4.0 * gen.v2**2 * f2 / den
+                - gen.sign * 2j * gen.v2 * f * (f2 - 1.0) / den)
     if isinstance(gen, SamsonovRoy):
         mu = spec.profile.eval(x).mu
         g = np.cos(q)
         g_prime = -np.sin(q) / mu  # dg/dx through the chain rule
-        return -6.0 / (g - 2j * mu * g_prime) ** 2 - 25.0 / 16.0
+        return spec.alpha0 - 6.0 / (g - 2j * mu * g_prime) ** 2 - 25.0 / 16.0
     raise UnsupportedKindError(f"no closed-form target potential for {gen}")
 
 

@@ -256,12 +256,15 @@ class ScarfII(Generator):
     def __post_init__(self) -> None:
         if self.v2 == 0.0:
             raise ValueError("v2 must be nonzero")
+        if not np.isfinite(float(self.v2) * float(self.v2)):
+            raise ValueError(f"v2 = {self.v2:g} has no finite square v2^2")
         if self.sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
 
     def __call__(self, q):
         q = np.asarray(q, dtype=float)
-        sech = 1.0 / np.cosh(q)
+        with np.errstate(over="ignore"):  # sech = 1/inf = 0 is exact
+            sech = 1.0 / np.cosh(q)
         return -self.v2 * sech, self.v2 * sech * np.tanh(q)
 
     def __str__(self) -> str:
@@ -313,8 +316,8 @@ class Constant(Generator):
 class ModelSpec:
     """One solvable model: generator, ordering, profile, shift and q-window.
 
-    The q-interval must map into the profile's domain; this is checked at
-    construction.
+    The q-interval's image under the change of variables must be a finite
+    window inside the profile's domain; this is checked at construction.
     """
 
     generator: Generator
@@ -328,8 +331,17 @@ class ModelSpec:
         if not qa < qb:
             raise BadIntervalError(f"q interval must satisfy qa < qb, got ({qa}, {qb})")
         object.__setattr__(self, "q_interval", (float(qa), float(qb)))
-        # Raises OutOfRangeError/OutOfDomainError when the window is invalid.
-        self.profile.x_from_q(np.array(self.q_interval))
+        # Raises OutOfRangeError for a q the map does not attain.
+        with np.errstate(over="ignore"):
+            x = self.profile.x_from_q(np.array(self.q_interval))
+        inside = np.all(np.isfinite(x))
+        if inside and isinstance(self.profile, MassProfile):
+            inside = np.all(self.profile.c1 * x + self.profile.c2 > 0.0)
+        if not inside:
+            raise OutOfRangeError(
+                f"q interval ({qa}, {qb}) maps to x = ({x[0]:.6g}, {x[1]:.6g}), "
+                "not a finite window inside the profile domain"
+            )
 
     @classmethod
     def from_ordering(

@@ -103,7 +103,8 @@ def uniform_grid(a: float, b: float, n: int, coordinate: str = "q") -> Grid:
     """Uniform interior grid on (a, b) with n nodes.
 
     `coordinate` tags the axis ("q" flat picture, "x" mass picture) so the
-    matrix builders can reject grids from the wrong picture.
+    matrix builders can reject grids from the wrong picture.  The spacing h
+    must have a finite 1/h^2, the one spacing rule of every stencil.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise BadIntervalError(f"need finite endpoints, got ({a}, {b})")
@@ -113,9 +114,12 @@ def uniform_grid(a: float, b: float, n: int, coordinate: str = "q") -> Grid:
         raise TooFewNodesError(f"need at least 3 interior nodes, got {n}")
     if coordinate not in ("q", "x"):
         raise ValueError(f"coordinate must be 'q' or 'x', got {coordinate!r}")
+    a, b = float(a), float(b)
     h = (b - a) / (n + 1)
+    if not (0.0 < h * h < math.inf and 1.0 / (h * h) < math.inf):
+        raise BadIntervalError(f"grid spacing h = {h:.3g} on ({a}, {b}) has no finite 1/h^2")
     nodes = a + h * np.arange(1, n + 1)
-    return Grid(kind=f"uniform_{coordinate}", a=float(a), b=float(b), nodes=nodes)
+    return Grid(kind=f"uniform_{coordinate}", a=a, b=b, nodes=nodes)
 
 
 def q_induced_grid(profile: MassLike, q_grid: Grid) -> Grid:
@@ -195,32 +199,16 @@ def _check_inside_q_window(spec: ModelSpec, grid: Grid) -> None:
         )
 
 
-def _spacing_squared(grid: Grid) -> float:
-    """h^2 of a uniform grid, refused with BadIntervalError where 1/h^2 is
-    not a finite float (h^2 underflows or overflows)."""
-    h = grid.h
-    try:
-        inverse = 1.0 / h**2
-    except (OverflowError, ZeroDivisionError):
-        inverse = math.inf
-    if not inverse < math.inf:
-        raise BadIntervalError(
-            f"grid spacing h = {h:.3g} on ({grid.a}, {grid.b}) has no finite 1/h^2"
-        )
-    return h**2
-
-
 def build_reference_matrix(spec: ModelSpec, grid: Grid) -> OperatorMatrix:
     """Flat-picture Hamiltonian -d^2/dq^2 + V_eff(q) on a uniform q grid.
 
     The kinetic stencil is (-1, 2, -1)/h^2; the potential sits on the
-    diagonal.  The grid must lie inside the model's q-window, and 1/h^2
-    must be a finite float (see _spacing_squared).
+    diagonal.  The grid must lie inside the model's q-window.
     """
     if grid.kind != "uniform_q":
         raise ValueError(f"reference assembly needs a uniform_q grid, got {grid.kind}")
     _check_inside_q_window(spec, grid)
-    h2 = _spacing_squared(grid)
+    h2 = grid.h**2
     off = np.full(grid.n - 1, -1.0 / h2)
     diag = 2.0 / h2 + reference_potential(spec.generator, spec.alpha0, grid.nodes)
     return OperatorMatrix(off, diag, off)
@@ -253,15 +241,12 @@ def build_target_matrix(spec: ModelSpec, grid: Grid) -> OperatorMatrix:
         -mu^2 d^2/dx^2 - 2 mu mu' d/dx - (mu')^2/4 - mu mu''/2 + V_eff(x),
 
     whose second-order part equals -d/dx (mu^2 d/dx).  Uniform grids use the
-    divergence form with mu^2 sampled at cell midpoints (exactly symmetric),
-    and need a finite 1/h^2 (see _spacing_squared); induced grids use
-    3-point stencils on the mapped spacings.
+    divergence form with mu^2 sampled at cell midpoints (exactly symmetric);
+    induced grids use 3-point stencils on the mapped spacings.
     """
     if grid.kind not in ("uniform_x", "q_induced_x"):
         raise ValueError(f"target assembly needs an x grid, got {grid.kind}")
     _guard_mass_nodes(spec.profile, grid)
-    if grid.kind == "uniform_x":
-        h2 = _spacing_squared(grid)
     n = grid.n
     x = grid.nodes
     mu, mu1, mu2 = spec.profile.eval(x)
@@ -271,8 +256,8 @@ def build_target_matrix(spec: ModelSpec, grid: Grid) -> OperatorMatrix:
         h = grid.h
         midpoints = grid.a + h * (np.arange(n + 1) + 0.5)
         w = spec.profile.eval(midpoints).mu ** 2
-        off = -w[1:-1] / h2
-        return OperatorMatrix(off, (w[:-1] + w[1:]) / h2 + diag_pot, off)
+        off = -w[1:-1] / h**2
+        return OperatorMatrix(off, (w[:-1] + w[1:]) / h**2 + diag_pot, off)
     pts = grid.points
     hm = x - pts[:-2]
     hp = pts[2:] - x

@@ -292,7 +292,7 @@ def check_analytic(
     tol: float = 2e-2,
     im_tol: float | None = None,
 ) -> VerificationReport:
-    """Numerically bound flat-picture levels against the closed-form ladder.
+    """Numerically bound flat-picture levels against the closed-form ladder + alpha0.
 
     The bound candidates are the eigenvalues with |Im| <= im_tol below a
     real cutoff, and bound_count counts them; eig_lowest's window grows, one
@@ -311,7 +311,8 @@ def check_analytic(
     for a ladder with more levels than n.
     """
     gen = spec.generator
-    oracle = _ladder(gen, n)
+    oracle = _ladder(gen, n) + spec.alpha0
+    missing = SAMSONOV_ROY_MISSING_LEVEL + spec.alpha0
     sech = isinstance(gen, ScarfII)
     if im_tol is None:
         im_tol = 1e-6 if sech else tol
@@ -329,8 +330,7 @@ def check_analytic(
     else:
         # The clearance over the window is exact whenever it is below
         # cutoff - missing level (5.27 at tol = 2e-2), itself >= the window.
-        cutoff = max(float(oracle.max()) + tol,
-                     SAMSONOV_ROY_MISSING_LEVEL + SAMSONOV_ROY_MISSING_WINDOW)
+        cutoff = max(float(oracle.max()) + tol, missing + SAMSONOV_ROY_MISSING_WINDOW)
     eigenvalues = eig_lowest(picture_matrix(spec, "reference", n)[1], oracle.size + 1,
                              lambda window: cutoff)
     bound = (np.abs(eigenvalues.imag) <= im_tol) & (eigenvalues.real < cutoff)
@@ -354,8 +354,8 @@ def check_analytic(
     if sech:
         passed = passed and candidates.size == oracle.size
     if isinstance(gen, SamsonovRoy):
-        clearance = float(np.min(np.abs(eigenvalues - SAMSONOV_ROY_MISSING_LEVEL)))
-        details["missing_level"] = SAMSONOV_ROY_MISSING_LEVEL
+        clearance = float(np.min(np.abs(eigenvalues - missing)))
+        details["missing_level"] = missing
         details["missing_level_clearance"] = clearance
         details["missing_window"] = SAMSONOV_ROY_MISSING_WINDOW
         passed = passed and clearance >= SAMSONOV_ROY_MISSING_WINDOW
@@ -439,6 +439,7 @@ def convergence_sweep(
 ) -> dict:
     """Worst matched-level error against a ladder over a grid refinement.
 
+    The ladder is `oracle` as given, else the closed form plus alpha0.
     Returns rows suitable for tabulation: grid sizes, spacings of the
     underlying flat grid, errors, and the fitted decay rate.  Raises
     InsufficientBoundStatesError, before any grid is built, for an empty
@@ -446,7 +447,7 @@ def convergence_sweep(
     """
     n_list = [int(n) for n in n_list]
     if oracle is None:
-        oracle = _ladder(spec.generator, min(n_list))
+        oracle = _ladder(spec.generator, min(n_list)) + spec.alpha0
     oracle = np.asarray(oracle, dtype=complex).ravel()
     if oracle.size == 0:
         raise InsufficientBoundStatesError("the ladder has no level to sweep against")

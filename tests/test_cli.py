@@ -91,6 +91,21 @@ def test_solve_writes_json(tmp_path):
     assert {"re", "im"} == set(payload["eigenvalues"][0])
 
 
+def test_solve_writes_strict_json_where_the_norm_overflows(tmp_path):
+    # Every band entry is finite; only their Frobenius norm overflows.
+    out = tmp_path / "solve.json"
+    proc = run_cli("solve", "--n", "20", "--out", str(out), "--config",
+                   write_config(tmp_path, {"generator": {"kind": "scarf2", "v2": 1e100}}))
+    assert proc.returncode == 0, proc.stderr
+    assert "Frobenius norm is not a finite float" in proc.stderr
+
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    payload = json.loads(out.read_text(), parse_constant=refuse)
+    assert payload["matrix_norm"] is None
+
+
 def test_solve_reruns_are_byte_identical(tmp_path):
     # large enough that roots freeze over many sweeps
     first = tmp_path / "a.json"

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from pdm_spectra import ConfigError, SamsonovRoy, cli, config_from_dict
+from pdm_spectra import ConfigError, SamsonovRoy, cli, config_from_dict, ordering_preset
 
 
 @pytest.mark.parametrize("raw", [
@@ -48,6 +48,8 @@ BAD_MODEL_FIELDS = [
 
 WIDE_FLAT = {"q_interval": [-1e300, 1e300], "profile": "constant",
              "generator": {"kind": "constant", "value": 0}}
+TINY = {"q_interval": [0, 1e-300]}
+DEEP = {"generator": {"kind": "scarf2", "v2": 1e200}}
 
 
 @pytest.mark.parametrize("raw, argv, message", [
@@ -65,18 +67,26 @@ WIDE_FLAT = {"q_interval": [-1e300, 1e300], "profile": "constant",
     ({"seed": -3}, ["verify", "--which", "solver"], "seed must be non-negative, got -3"),
     ({}, ["verify", "--which", "solver", "--seed", "-1"], "seed must be non-negative, got -1"),
     # h^2 underflows to 0: 1/h^2 is not a finite float
-    ({"q_interval": [0, 1e-300]}, ["solve"], "BadIntervalError: grid spacing h = 2.49e-303"),
-    ({"q_interval": [0, 1e-300]}, ["verify", "--which", "isospectral"],
-     "BadIntervalError: grid spacing h = 4.98e-303"),
+    (TINY, ["solve"], "BadIntervalError: grid spacing h = 2.49e-303"),
+    (TINY, ["verify", "--which", "isospectral"], "BadIntervalError: grid spacing h = 4.98e-303"),
     # The constant model maps q to itself and has no cosh to overflow, so
-    # h^2 is the first number out of range, in both builders.
+    # h^2 is the first number out of range, in both pictures.
     (WIDE_FLAT, ["solve"], "BadIntervalError: grid spacing h = 4.99e+297"),
     (WIDE_FLAT, ["solve", "--picture", "target"], "BadIntervalError: grid spacing h = 4.99e+297"),
-    # a ladder of 1e200 levels is refused before a level is listed
-    ({"generator": {"kind": "scarf2", "v2": 1e200}}, ["sweep"],
-     "InsufficientBoundStatesError: a ladder of 1e+200 levels"),
-    ({"generator": {"kind": "scarf2", "v2": 1e200}}, ["verify", "--which", "analytic"],
-     "InsufficientBoundStatesError: a ladder of 1e+200 levels"),
+    # a ladder of 1e100 levels is refused before a level is listed
+    ({"generator": {"kind": "scarf2", "v2": 1e100}}, ["sweep"],
+     "InsufficientBoundStatesError: a ladder of 1e+100 levels"),
+    ({"generator": {"kind": "scarf2", "v2": 1e100}}, ["verify", "--which", "analytic"],
+     "InsufficientBoundStatesError: a ladder of 1e+100 levels"),
+    # the induced x-grid is built only from a checked flat grid
+    (TINY, ["solve", "--picture", "target"], "BadIntervalError: grid spacing h = 2.49e-303"),
+    (TINY, ["map"], "BadIntervalError: grid spacing h = 2.49e-303"),
+] + [(DEEP, argv, "bad generator: v2 = 1e+200 has no finite square v2^2")
+     for argv in (["solve"], ["verify", "--which", "identities"],
+                  ["verify", "--which", "intertwining"])] + [
+    # x = exp(q) overflows on this window, which is refused before any warning
+    ({"q_interval": [-1e300, 1e300]}, [command], "OutOfRangeError: q interval (-1e+300, 1e+300)")
+    for command in ("map", "solve")
 ])
 def test_bad_numbers_exit_two_before_running(raw, argv, message, tmp_path, capsys):
     # json writes NaN and Infinity, and reads them back, as the CLI does
@@ -86,6 +96,38 @@ def test_bad_numbers_exit_two_before_running(raw, argv, message, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["solve", "--n", "50"], ["map"]])
+def test_a_window_where_cosh_overflows_runs_without_a_warning(argv, tmp_path, capsys):
+    # sech = 1/cosh(1000) = 0 is exact; the suite turns a RuntimeWarning into an error
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"ordering": "GoraWilliams", "q_interval": [0.5, 1000],
+                                "intertwine_q_interval": [0.5, 4]}))
+    assert cli.main([*argv, "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_an_ordering_object_is_parsed_like_its_preset():
+    custom = config_from_dict({"ordering": {"alpha": -0.5, "beta": 0, "gamma": -0.5}})
+    preset = config_from_dict({"ordering": "ZhuKroemer"})
+    zk = ordering_preset("ZhuKroemer")
+    assert (custom.ordering.alpha, custom.ordering.beta, custom.ordering.gamma) == (
+        zk.alpha, zk.beta, zk.gamma)
+    assert custom.profile == preset.profile
+
+
+@pytest.mark.parametrize("ordering, message", [
+    ({"alpha": -0.5, "beta": 0}, "custom ordering needs alpha, beta, and gamma"),
+    ({"alpha": -0.5, "beta": 0, "gamma": -0.5, "delta": 0}, "unknown ordering fields: delta"),
+    ({"alpha": "x", "beta": 0, "gamma": -2}, "ordering.alpha is not a rational number: 'x'"),
+    ({"alpha": True, "beta": 0, "gamma": -2}, "ordering.alpha must be a number, got True"),
+    ({"alpha": 0, "beta": 0, "gamma": 0}, "bad ordering: ordering exponents must sum to -1"),
+])
+def test_a_bad_ordering_object_is_refused(ordering, message):
+    with pytest.raises(ConfigError, match=message.replace("(", r"\(")):
+        config_from_dict({"ordering": ordering})
 
 
 def test_window_outside_the_map_waits_for_the_command_that_needs_it(tmp_path, capsys):

@@ -292,6 +292,22 @@ def test_spec_interval_validation():
         ModelSpec(ScarfII(2.0), zk, ConstantMass(), q_interval=(1.0, -1.0))
 
 
+@pytest.mark.parametrize("q_interval", [
+    (-1e300, 1e300),  # exp(q) overflows: x = inf
+    (-1000.0, 0.0),  # exp(q) underflows to 0: x = 0 is the singular point
+])
+def test_spec_rejects_a_window_without_a_finite_image_in_the_domain(q_interval):
+    # without a numpy overflow warning, which the suite turns into an error
+    with pytest.raises(OutOfRangeError, match="not a finite window inside the profile domain"):
+        ModelSpec.from_ordering(ScarfII(2.0), ordering_preset("ZhuKroemer"), q_interval)
+
+
+def test_scarf2_depth_needs_a_finite_square():
+    with pytest.raises(ValueError, match="v2 = -1e\\+200 has no finite square"):
+        ScarfII(-1e200)
+    assert ScarfII(1e100)(np.array([0.0, 1000.0]))[0].tolist() == [-1e100, -0.0]
+
+
 def test_spec_rejects_window_outside_map_image():
     # delta = 1 reaches only q > 0, so a window crossing 0 cannot be mapped
     with pytest.raises(OutOfRangeError):

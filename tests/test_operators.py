@@ -55,6 +55,15 @@ def test_uniform_grid_refuses_non_finite_endpoints(a, b):
         uniform_grid(a, b, 5)
 
 
+# h^2 underflows to 0; h^2 is subnormal and 1/h^2 overflows; h^2 overflows
+@pytest.mark.parametrize("a, b", [(0.0, 1e-300), (0.0, 1.8e-154), (-1e300, 1e300)])
+@pytest.mark.parametrize("coordinate", ["q", "x"])
+def test_uniform_grid_refuses_a_spacing_without_a_finite_inverse_square(a, b, coordinate):
+    with pytest.raises(BadIntervalError, match=r"grid spacing h = .* has no finite 1/h\^2"):
+        uniform_grid(a, b, 5, coordinate=coordinate)
+    assert uniform_grid(0.0, 1.8e-153, 5).h ** -2 < np.inf  # the nearest scale that passes
+
+
 def test_q_induced_grid_maps_nodes():
     spec = ModelSpec.from_ordering(ScarfII(2.0), ZK, q_interval=(-1.0, 1.0))
     gq = uniform_grid(-1.0, 1.0, 7)

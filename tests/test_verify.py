@@ -22,9 +22,11 @@ from pdm_spectra import (
     SAMSONOV_ROY_MISSING_LEVEL,
     SamsonovRoy,
     ScarfII,
+    TooLargeError,
     UnsupportedGeneratorError,
     VerificationReport,
     analytic_levels,
+    brute_oracle_small,
     build_spec,
     check_analytic,
     check_identities,
@@ -151,6 +153,28 @@ def refuse_dense(monkeypatch):
         raise AssertionError(f"densified a {matrix.n}-node operator")
 
     monkeypatch.setattr(OperatorMatrix, "entries", property(refuse))
+
+
+def test_oracle_sizes_an_operator_before_densifying(refuse_dense):
+    with pytest.raises(TooLargeError, match="oracle accepts matrices up to size 8, got 9"):
+        brute_oracle_small(OperatorMatrix(np.ones(8), np.ones(9), np.ones(8)))
+
+
+@pytest.mark.parametrize("generator", [{"kind": "scarf2", "v2": 2.5}, {"kind": "samsonov_roy"}])
+def test_alpha0_shifts_the_ladders_and_closed_forms(generator):
+    cfg = config_from_dict({"generator": generator})
+    tol = cfg.tolerances
+    gaps = []
+    for alpha0 in (0.0, 1.0):
+        spec = build_spec(config_from_dict({"generator": generator, "alpha0": alpha0}))
+        report = check_analytic(spec, cfg.n, tol=tol["analytic"], im_tol=tol["im"])
+        assert report.passed, report.details
+        assert check_identities(spec, tol=tol["identities"]).passed
+        gaps.append(report.details["max_gap"])
+        sweep = convergence_sweep(spec, [100, 200])
+        assert sweep["levels"] == [complex(v + alpha0) for v in analytic_levels(spec.generator)]
+        assert sweep["error"][-1] < sweep["error"][0]
+    assert gaps[1] == pytest.approx(gaps[0], abs=1e-9)
 
 
 def test_banded_checks_never_densify(refuse_dense):
