@@ -21,8 +21,10 @@ an operator goes through it.
 
 `brute_oracle_small` shares no code path with LAPACK: it builds the
 characteristic polynomial by the Faddeev-LeVerrier recursion and finds all
-roots simultaneously with Durand-Kerner iteration.  It exists so the main
-solvers can be checked against something that cannot fail the same way.
+roots simultaneously with Durand-Kerner iteration, so that the main solvers
+can be checked against something that cannot fail the same way.  Its batch
+form `_oracle` solves each size as one stacked batch, with the same sweeps
+and bits per matrix as a solve alone.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ __all__ = [
 ]
 
 _ORACLE_MAX_SIZE = 8
-# brute_oracle_small's Durand-Kerner iteration: relative step tolerance and
+# _oracle's Durand-Kerner iteration: relative step tolerance and
 # sweep limit.
 _ORACLE_TOL = 1e-12
 _ORACLE_MAX_ITER = 600
@@ -83,6 +85,16 @@ def _entries(matrix) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"need a square matrix, got shape {arr.shape}")
     return arr
+
+
+def _frobenius(values: np.ndarray) -> float:
+    """||values||_F, rescaled by max |entry| only where the plain one overflows."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(values))
+        if norm == math.inf and np.isfinite(values).all():
+            scale = float(np.max(np.abs(values)))
+            norm = scale * float(np.linalg.norm(values / scale))
+    return norm
 
 
 @dataclass(frozen=True)
@@ -126,7 +138,7 @@ def eig(matrix) -> Spectrum:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"dense eigensolve failed: {exc}") from exc
-    return _spectrum(vals, complex(np.trace(a)), float(np.linalg.norm(a)), fallback)
+    return _spectrum(vals, complex(np.trace(a)), _frobenius(a), fallback)
 
 
 def _spectrum(vals: np.ndarray, trace: complex, norm: float, fallback: str = "") -> Spectrum:
@@ -398,7 +410,7 @@ def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
     if n > MAX_DENSE_NODES:
         raise TooLargeError(f"full spectra are limited to {MAX_DENSE_NODES} nodes, got {n}")
     lower, diag, upper = matrix.lower, matrix.diag, matrix.upper
-    norm = float(np.linalg.norm(np.concatenate((lower, diag, upper))))
+    norm = _frobenius(np.concatenate((lower, diag, upper)))
     if not math.isfinite(norm):
         raise NoConvergenceError("the bands' Frobenius norm is not a finite float")
     if norm == 0.0:
@@ -452,66 +464,64 @@ def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
     )
 
 
-def _char_poly_coeffs(a: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial coefficients, highest degree first.
+def _oracle(matrices) -> list[np.ndarray]:
+    """Eigenvalues of small matrices without LAPACK, each lex-ordered.
 
-    Faddeev-LeVerrier: M_1 = A, c_1 = -tr M_1;
-    M_k = A (M_{k-1} + c_{k-1} I), c_k = -tr(M_k)/k.
+    One stack per size: Faddeev-LeVerrier (M_1 = A, c_k = -tr(M_k)/k,
+    M_{k+1} = A (M_k + c_k I)) gives the characteristic polynomials, and
+    Durand-Kerner, with Horner from zero, moves all their roots at once.  A
+    matrix leaves the stack when its own step test passes, so it runs the
+    sweeps, and gives the bits, that it would alone.
     """
-    n = a.shape[0]
-    coeffs = np.empty(n + 1, dtype=complex)
-    coeffs[0] = 1.0
-    m = a.copy()
-    for k in range(1, n + 1):
-        c = -np.trace(m) / k
-        coeffs[k] = c
-        if k < n:
-            m = a @ (m + c * np.eye(n))
-    return coeffs
-
-
-def _durand_kerner(coeffs: np.ndarray) -> np.ndarray:
-    """All roots of a monic polynomial by simultaneous iteration."""
-    n = coeffs.size - 1
-    if n == 0:
-        return np.empty(0, dtype=complex)
-    # Cauchy-type inclusion radius; the offset angle keeps the start
-    # configuration away from real-axis symmetries.
-    r0 = 1.0 + float(np.max(np.abs(coeffs[1:])))
-    z = r0 * np.exp(2j * np.pi * np.arange(n) / n + 0.4j)
-    for _ in range(_ORACLE_MAX_ITER):
-        p = np.polyval(coeffs, z)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        small = np.abs(diff) < 1e-14
-        if small.any():
-            diff[small] = 1e-12 * (1.0 + 1j)
-        denom = diff.prod(axis=1)
-        step = p / denom
-        z = z - step
-        if np.max(np.abs(step)) < _ORACLE_TOL * max(1.0, float(np.max(np.abs(z)))):
-            break
-    else:
-        raise NoConvergenceError(
-            f"root iteration did not settle within {_ORACLE_MAX_ITER} sweeps"
-        )
-    return z
+    sizes = [m.n if isinstance(m, OperatorMatrix) else _entries(m).shape[0] for m in matrices]
+    for n in sizes:
+        if n > _ORACLE_MAX_SIZE:
+            raise TooLargeError(f"oracle accepts matrices up to size {_ORACLE_MAX_SIZE}, got {n}")
+    out = [np.empty(0, dtype=complex)] * len(sizes)
+    for n in set(sizes) - {0}:
+        where = [i for i, size in enumerate(sizes) if size == n]
+        a = np.stack([_entries(matrices[i]) for i in where])
+        coeffs = np.ones((len(where), n + 1), dtype=complex)
+        m = a
+        for k in range(1, n + 1):
+            coeffs[:, k] = c = -np.trace(m, axis1=1, axis2=2) / k
+            if k < n:
+                m = a @ (m + c[:, None, None] * np.eye(n))
+        # Cauchy-type inclusion radius; the offset angle keeps the start
+        # configuration away from real-axis symmetries.
+        r0 = 1.0 + np.abs(coeffs[:, 1:]).max(axis=1)
+        z = r0[:, None] * np.exp(2j * np.pi * np.arange(n) / n + 0.4j)
+        active = np.arange(len(where))
+        for _ in range(_ORACLE_MAX_ITER):
+            za = z[active]
+            p = np.zeros_like(za)
+            for c in coeffs[active].T:
+                p = p * za + c[:, None]
+            diff = za[:, :, None] - za[:, None, :]
+            diff[:, range(n), range(n)] = 1.0
+            diff[np.abs(diff) < 1e-14] = 1e-12 * (1.0 + 1j)
+            step = p / diff.prod(axis=2)
+            z[active] = za = za - step
+            done = np.abs(step).max(1) < _ORACLE_TOL * np.maximum(1.0, np.abs(za).max(1))
+            active = active[~done]
+            if not active.size:
+                break
+        else:
+            raise NoConvergenceError(
+                f"root iteration did not settle within {_ORACLE_MAX_ITER} sweeps")
+        for i, roots in zip(where, z):
+            out[i] = roots[_lex_order(roots)]
+    return out
 
 
 def brute_oracle_small(matrix) -> np.ndarray:
-    """Eigenvalues of a small matrix without LAPACK, lex-ordered.
-
-    Independent route for cross-checking `eig`: characteristic polynomial
-    via Faddeev-LeVerrier, roots via Durand-Kerner.  Sizes above 8 are
-    refused (TooLargeError); conditioning of the coefficient route degrades
-    quickly and the point is verification, not production solving.
+    """Eigenvalues of a small matrix without LAPACK, lex-ordered: the batch
+    of one of `_oracle`, an independent route for cross-checking `eig`.
+    Sizes above 8 are refused (TooLargeError), an OperatorMatrix before it
+    is densified; the coefficient route's conditioning degrades quickly, and
+    the point is verification, not production solving.
     """
-    # an OperatorMatrix is sized before it is densified
-    n = matrix.n if isinstance(matrix, OperatorMatrix) else _entries(matrix).shape[0]
-    if n > _ORACLE_MAX_SIZE:
-        raise TooLargeError(f"oracle accepts matrices up to size {_ORACLE_MAX_SIZE}, got {n}")
-    roots = _durand_kerner(_char_poly_coeffs(_entries(matrix)))
-    return roots[_lex_order(roots)]
+    return _oracle([matrix])[0]
 
 
 def match_eigenvalue_sets(targets: np.ndarray, candidates: np.ndarray):

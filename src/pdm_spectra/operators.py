@@ -24,7 +24,6 @@ making eta exactly Hermitian.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +98,14 @@ class Grid:
         return np.concatenate(([self.a], self.nodes, [self.b]))
 
 
+def _no_finite_inverse_square(h) -> np.ndarray:
+    """Where a spacing h breaks the one spacing rule of every stencil:
+    0 < h^2 < inf with a finite 1/h^2."""
+    with np.errstate(over="ignore", divide="ignore"):
+        h2 = np.square(h)
+        return ~((0.0 < h2) & (h2 < np.inf) & (1.0 / h2 < np.inf))
+
+
 def uniform_grid(a: float, b: float, n: int, coordinate: str = "q") -> Grid:
     """Uniform interior grid on (a, b) with n nodes.
 
@@ -116,7 +123,7 @@ def uniform_grid(a: float, b: float, n: int, coordinate: str = "q") -> Grid:
         raise ValueError(f"coordinate must be 'q' or 'x', got {coordinate!r}")
     a, b = float(a), float(b)
     h = (b - a) / (n + 1)
-    if not (0.0 < h * h < math.inf and 1.0 / (h * h) < math.inf):
+    if _no_finite_inverse_square(h):
         raise BadIntervalError(f"grid spacing h = {h:.3g} on ({a}, {b}) has no finite 1/h^2")
     nodes = a + h * np.arange(1, n + 1)
     return Grid(kind=f"uniform_{coordinate}", a=a, b=b, nodes=nodes)
@@ -127,6 +134,8 @@ def q_induced_grid(profile: MassLike, q_grid: Grid) -> Grid:
 
     For ConstantMass the map is the identity and the result is tagged
     uniform_x, so downstream assembly collapses to the flat-picture stencils.
+    Otherwise every mapped spacing must keep the spacing rule of
+    `uniform_grid`; BadIntervalError where one does not.
     """
     if q_grid.kind != "uniform_q":
         raise ValueError(f"expected a uniform_q grid, got {q_grid.kind}")
@@ -135,6 +144,11 @@ def q_induced_grid(profile: MassLike, q_grid: Grid) -> Grid:
     xa = float(profile.x_from_q(q_grid.a))
     xb = float(profile.x_from_q(q_grid.b))
     nodes = profile.x_from_q(q_grid.nodes)
+    h = np.diff(np.concatenate(([xa], nodes, [xb])))
+    bad = np.flatnonzero(_no_finite_inverse_square(h))
+    if bad.size:
+        raise BadIntervalError(f"mapped grid spacing h = {h[bad[0]]:.3g} on ({xa:.6g}, {xb:.6g}) "
+                               f"has no finite 1/h^2")
     return Grid(kind="q_induced_x", a=xa, b=xb, nodes=nodes)
 
 

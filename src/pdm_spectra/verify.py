@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InsufficientBoundStatesError, UnsupportedGeneratorError, UnsupportedKindError
-from .eigen import brute_oracle_small, eig, eig_lowest, eig_tridiagonal, match_eigenvalue_sets
+from .eigen import _oracle, eig, eig_lowest, eig_tridiagonal, match_eigenvalue_sets
 from .mapping import (
     closed_form_target,
     potential_decomposition,
@@ -471,9 +471,9 @@ def _against_oracle(solve, matrices):
     whether re-solving the first three gives the same bits."""
     worst_gap = worst_trace = 0.0
     first = []
-    for matrix in matrices:
+    for matrix, oracle in zip(matrices, _oracle(matrices)):
         spectrum = solve(matrix)
-        _, gaps = match_eigenvalue_sets(brute_oracle_small(matrix), spectrum.eigenvalues)
+        _, gaps = match_eigenvalue_sets(oracle, spectrum.eigenvalues)
         worst_gap = max(worst_gap, float(gaps.max()))
         worst_trace = max(worst_trace, float(spectrum.trace_error))
         if len(first) < 3:

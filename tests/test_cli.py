@@ -92,10 +92,11 @@ def test_solve_writes_json(tmp_path):
 
 
 def test_solve_writes_strict_json_where_the_norm_overflows(tmp_path):
-    # Every band entry is finite; only their Frobenius norm overflows.
+    # Every band entry is finite; only their Frobenius norm overflows, even
+    # when rescaled (v2^2 = 1.69e308).
     out = tmp_path / "solve.json"
     proc = run_cli("solve", "--n", "20", "--out", str(out), "--config",
-                   write_config(tmp_path, {"generator": {"kind": "scarf2", "v2": 1e100}}))
+                   write_config(tmp_path, {"generator": {"kind": "scarf2", "v2": 1.3e154}}))
     assert proc.returncode == 0, proc.stderr
     assert "Frobenius norm is not a finite float" in proc.stderr
 
@@ -104,6 +105,15 @@ def test_solve_writes_strict_json_where_the_norm_overflows(tmp_path):
 
     payload = json.loads(out.read_text(), parse_constant=refuse)
     assert payload["matrix_norm"] is None
+
+
+def test_solve_rescales_a_norm_whose_sum_of_squares_overflows(tmp_path, capsys):
+    # The suite turns the RuntimeWarning of an overflowing norm into an error.
+    out = tmp_path / "solve.json"
+    config = write_config(tmp_path, {"generator": {"kind": "scarf2", "v2": 1e100}})
+    assert cli.main(["solve", "--n", "20", "--out", str(out), "--config", config]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["matrix_norm"] == pytest.approx(1.3214144502304866e200)
 
 
 def test_solve_reruns_are_byte_identical(tmp_path):

@@ -87,6 +87,11 @@ DEEP = {"generator": {"kind": "scarf2", "v2": 1e200}}
     # x = exp(q) overflows on this window, which is refused before any warning
     ({"q_interval": [-1e300, 1e300]}, [command], "OutOfRangeError: q interval (-1e+300, 1e+300)")
     for command in ("map", "solve")
+] + [
+    # x = exp(q) is finite here, but the mapped spacings square to 0
+    ({"q_interval": [-740, -700]}, argv, f"BadIntervalError: mapped grid spacing h = {h}")
+    for argv, h in ((["solve", "--picture", "target"], "4.45e-323"),
+                    (["verify", "--which", "isospectral"], "8.89e-323"))
 ])
 def test_bad_numbers_exit_two_before_running(raw, argv, message, tmp_path, capsys):
     # json writes NaN and Infinity, and reads them back, as the CLI does

@@ -26,13 +26,14 @@ from pdm_spectra import (
     eig,
     eig_lowest,
     eig_tridiagonal,
+    eigensolver_validation,
     isospectral_sweep,
     match_eigenvalue_sets,
     ordering_preset,
     picture_matrix,
     uniform_grid,
 )
-from pdm_spectra import eigen
+from pdm_spectra import eigen, verify
 
 BDD = ordering_preset("BenDanielDuke")
 ZK = ordering_preset("ZhuKroemer")
@@ -131,6 +132,26 @@ def test_eig_accepts_operator_matrix_and_array():
                                                                 dense.trace_error)
 
 
+def test_a_norm_whose_sum_of_squares_overflows_is_rescaled():
+    # Finite bands whose plain sum of squares overflows, as in a deep Scarf
+    # II well: no warning (the suite makes one an error), and a finite norm
+    # on both paths of eig.
+    matrix = OperatorMatrix(np.ones(3), 1e200 * np.arange(1.0, 5.0), -np.ones(3))
+    banded, dense = eig(matrix), eig(matrix.entries)
+    assert banded.fallback == ""
+    for spectrum in (banded, dense):
+        assert spectrum.matrix_norm == pytest.approx(1e200 * np.sqrt(30.0), rel=1e-15)
+        np.testing.assert_allclose(spectrum.eigenvalues, 1e200 * np.arange(1.0, 5.0), rtol=1e-15)
+    # any other norm keeps numpy's bits, a non-finite entry included
+    rng = np.random.default_rng(3)
+    for values in (rng.standard_normal(9) + 1j * rng.standard_normal(9),
+                   np.array([1e150, 1e154]), np.array([np.inf, 1.0]), np.array([np.nan, 1e200])):
+        with np.errstate(over="ignore"):
+            plain = float(np.linalg.norm(values))
+        assert eigen._frobenius(values) == plain or np.isnan(plain)
+    assert np.isnan(eigen._frobenius(np.array([np.nan, 1e200])))
+
+
 def test_eig_rejects_nonsquare():
     with pytest.raises(ValueError):
         eig(np.zeros((2, 3)))
@@ -177,6 +198,145 @@ def test_oracle_defective_matrix():
 def test_oracle_size_cap():
     with pytest.raises(TooLargeError):
         brute_oracle_small(np.eye(9))
+
+
+def test_oracle_of_an_empty_matrix_is_empty():
+    assert brute_oracle_small(np.empty((0, 0))).shape == (0,)
+    batch = eigen._oracle([np.diag([3.0, 1.0]), np.empty((0, 0)), 2.0 * np.eye(1)])
+    assert [roots.size for roots in batch] == [2, 0, 1]
+    np.testing.assert_allclose(np.concatenate(batch), [1.0, 3.0, 2.0], atol=1e-12)
+
+
+def test_oracle_names_the_sweep_limit_on_a_defective_triple_root():
+    # A defective triple root keeps its iterates moving at eps^(1/3): alone
+    # or among matrices that settle, the batch refuses with the limit.
+    rng = np.random.default_rng(5)
+    settled = [rng.standard_normal((size, size)) for size in (3, 2, 3)]
+    for batch in ([np.eye(3)], [settled[0], np.eye(3), *settled[1:]]):
+        with pytest.raises(NoConvergenceError,
+                           match="root iteration did not settle within 600 sweeps"):
+            eigen._oracle(batch)
+
+
+# The oracle as it solved one matrix at a time before it was batched, kept
+# as the reference that eigen._oracle must reproduce bit for bit.
+def _char_poly_coeffs(a):
+    n = a.shape[0]
+    coeffs = np.empty(n + 1, dtype=complex)
+    coeffs[0] = 1.0
+    m = a.copy()
+    for k in range(1, n + 1):
+        c = -np.trace(m) / k
+        coeffs[k] = c
+        if k < n:
+            m = a @ (m + c * np.eye(n))
+    return coeffs
+
+
+def _durand_kerner(coeffs):
+    n = coeffs.size - 1
+    r0 = 1.0 + float(np.max(np.abs(coeffs[1:])))
+    z = r0 * np.exp(2j * np.pi * np.arange(n) / n + 0.4j)
+    for _ in range(600):
+        p = np.polyval(coeffs, z)
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, 1.0)
+        small = np.abs(diff) < 1e-14
+        if small.any():
+            diff[small] = 1e-12 * (1.0 + 1j)
+        step = p / diff.prod(axis=1)
+        z = z - step
+        if np.max(np.abs(step)) < 1e-12 * max(1.0, float(np.max(np.abs(z)))):
+            return z
+    raise NoConvergenceError("root iteration did not settle within 600 sweeps")
+
+
+def _oracle_alone(matrix):
+    a = matrix.entries if isinstance(matrix, OperatorMatrix) else np.asarray(matrix, dtype=complex)
+    roots = _durand_kerner(_char_poly_coeffs(a))
+    return roots[np.lexsort((roots.imag, roots.real))]
+
+
+def _assert_same_bits(batch, references):
+    assert len(batch) == len(references)
+    for roots, reference in zip(batch, references):
+        assert roots.dtype == reference.dtype and roots.tobytes() == reference.tobytes()
+
+
+def test_oracle_reproduces_the_one_at_a_time_bits_on_criterion_7(monkeypatch):
+    batches = []
+
+    def record(matrices):
+        batches.append(matrices)
+        return eigen._oracle(matrices)
+
+    monkeypatch.setattr(verify, "_oracle", record)
+    assert eigensolver_validation().passed
+    assert [len(batch) for batch in batches] == [100, 7]
+    assert isinstance(batches[1][0], OperatorMatrix)
+    references = [[_oracle_alone(m) for m in batch] for batch in batches]
+    for batch, reference in zip(batches, references):
+        _assert_same_bits(eigen._oracle(batch), reference)
+    # reversed, regrouped across the two halves, and in batches of seven
+    both, reference = batches[0] + batches[1], references[0] + references[1]
+    _assert_same_bits(eigen._oracle(both[::-1]), reference[::-1])
+    for i in range(0, len(both), 7):
+        _assert_same_bits(eigen._oracle(both[i:i + 7]), reference[i:i + 7])
+
+
+_oracle_entry = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0, 1j, -1j, 0.5]),
+    st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False,
+                       allow_subnormal=False))
+
+
+@st.composite
+def _oracle_input(draw):
+    """A dense array or an OperatorMatrix of size 1..8."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        bands = [draw(st.lists(_oracle_entry, min_size=size, max_size=size))
+                 for size in (n - 1, n, n - 1)]
+        return OperatorMatrix(*(np.array(band, dtype=complex) for band in bands))
+    entries = draw(st.lists(_oracle_entry, min_size=n * n, max_size=n * n))
+    return np.array(entries, dtype=complex).reshape(n, n)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(_oracle_input(), min_size=1, max_size=10), st.randoms(use_true_random=False))
+def test_oracle_reproduces_the_one_at_a_time_bits_in_any_batch(matrices, random):
+    # Sweeps that settle only to eps^(1/m) at a defective root may not settle
+    # at all; such a member makes the whole batch refuse.
+    references = []
+    for matrix in matrices:
+        try:
+            references.append(_oracle_alone(matrix))
+        except NoConvergenceError:
+            with pytest.raises(NoConvergenceError, match="within 600 sweeps"):
+                eigen._oracle(matrices)
+            return
+    _assert_same_bits(eigen._oracle(matrices), references)
+    order = list(range(len(matrices)))
+    random.shuffle(order)
+    cut = random.randint(0, len(order))
+    for group in (order, order[:cut], order[cut:]):
+        _assert_same_bits(eigen._oracle([matrices[i] for i in group]),
+                          [references[i] for i in group])
+
+
+def test_oracle_makes_no_lapack_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called LAPACK")
+
+    for name in ("eig", "eigvals", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    companion = np.array([[6.0, -11.0, 6.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    tridiagonal = OperatorMatrix(np.ones(2), np.array([1.0, 2.0, 3.0]), np.zeros(2))
+    roots = eigen._oracle([companion, tridiagonal])
+    for vals in roots:
+        np.testing.assert_allclose(vals, [1.0, 2.0, 3.0], atol=1e-10)
+    with pytest.raises(AssertionError, match="called LAPACK"):
+        eig(companion)
 
 
 def test_match_eigenvalue_sets_assignment():

@@ -75,6 +75,17 @@ def test_q_induced_grid_maps_nodes():
         q_induced_grid(spec.profile, gx)  # needs a uniform_q input
 
 
+def test_matched_domains_refuse_mapped_spacings_without_a_finite_inverse_square():
+    # x = e^q maps this window to (4e-322, 1e-304), whose spacings square
+    # to 0; refused before any band is built, with no warning.
+    spec = ModelSpec.from_ordering(ScarfII(2.5), ZK, q_interval=(-740.0, -700.0))
+    with pytest.raises(BadIntervalError,
+                       match=r"mapped grid spacing h = 4.99e-322 .* has no finite 1/h\^2"):
+        matched_domains(spec, 50)
+    wide = ModelSpec.from_ordering(ScarfII(2.5), ZK, q_interval=(-300.0, -250.0))
+    assert matched_domains(wide, 50)[0].n == 50
+
+
 def test_q_induced_grid_constant_mass_collapses_to_uniform():
     gq = uniform_grid(-2.0, 2.0, 9)
     gx = q_induced_grid(ConstantMass(), gq)
