@@ -35,7 +35,7 @@ from .errors import ConfigError, PdmSpectraError, TooLargeError, UnsupportedGene
 from .eigen import eig
 from .mapping import potential_decomposition, target_potential
 from .model import ORDERING_PRESETS, delta_of
-from .operators import MAX_DENSE_NODES, picture_matrix, uniform_grid
+from .operators import MAX_DENSE_NODES, matched_domains, picture_matrix
 from .verify import (
     VerificationReport,
     _jsonable,
@@ -97,11 +97,9 @@ def cmd_orderings(args) -> int:
 def cmd_map(args) -> int:
     cfg = _load(args)
     spec = build_spec(cfg)
-    qa, qb = spec.q_interval
     n = args.n if args.n is not None else cfg.n
-    grid_q = uniform_grid(qa, qb, n, coordinate="q")
-    q = grid_q.nodes
-    x = spec.profile.x_from_q(q)
+    grid_x, grid_q = matched_domains(spec, n)
+    q, x = grid_q.nodes, grid_x.nodes
     mu = spec.profile.eval(x).mu
     veff = target_potential(spec, x)
     dec = potential_decomposition(spec, x)

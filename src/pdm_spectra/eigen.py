@@ -159,12 +159,16 @@ def _row_sums(couplings: np.ndarray) -> np.ndarray:
 
 def _bounds(matrix: OperatorMatrix):
     """sqrt(lower * upper) and the bounds lo <= Re <= hi, |Im| <= B it gives
-    on every eigenvalue (see eig_lowest)."""
+    on every eigenvalue (see eig_lowest); NoConvergenceError where one is not finite."""
     diag = matrix.diag
-    root = np.sqrt(matrix.lower * matrix.upper)
-    rows = _row_sums(np.abs(root.real))
-    height = float(np.max(np.abs(diag.imag) + _row_sums(np.abs(root.imag))))
-    return root, float(np.min(diag.real - rows)), float(np.max(diag.real + rows)), height
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = np.sqrt(matrix.lower * matrix.upper)
+        rows = _row_sums(np.abs(root.real))
+        height = float(np.max(np.abs(diag.imag) + _row_sums(np.abs(root.imag))))
+        lo, hi = float(np.min(diag.real - rows)), float(np.max(diag.real + rows))
+    if not all(map(math.isfinite, (lo, hi, height))):
+        raise NoConvergenceError("the eigenvalue bounds of the bands are not finite floats")
+    return root, lo, hi, height
 
 
 def eig_lowest(matrix: OperatorMatrix, k: int, past=None) -> np.ndarray:
@@ -194,27 +198,28 @@ def eig_lowest(matrix: OperatorMatrix, k: int, past=None) -> np.ndarray:
     pivot r vanishes, and every substitution ratio |s / r| is below 1.  The
     matrix must be unreduced (lower * upper != 0 throughout): then every
     eigenvalue has one eigenvector, so a Krylov space, which sees each
-    eigenvalue once, misses no copy of it.  A reducible matrix, a
-    breakdown, a substitution that leaves the float range, or m reaching
-    n - 2 hands the matrix to `eig` (on its bands, densifying only where
-    those sweeps fail); the stopping rule then picks from that spectrum.
+    eigenvalue once, misses no copy of it.  Whatever the process cannot
+    prove goes to `eig` (on its bands, densifying only where those sweeps
+    fail), and the stopping rule then picks from that spectrum: a reducible
+    matrix, bounds that are not finite, a substitution that leaves the
+    float range, a breakdown, a refused restart, or m reaching n - 2.
     """
     n = matrix.n
     k = k if past is None else min(k, n)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
-    root, floor, _, im_bound = _bounds(matrix)
-    margin = _MARGIN_RTOL * max(1.0, float(np.max(np.abs(matrix.diag) + _row_sums(np.abs(root)))))
-    sigma = floor - max(im_bound, margin)
     m = k + 1
-    if m < n - 2 and np.all(matrix.lower * matrix.upper != 0):
-        start = np.random.default_rng(0).standard_normal(n).astype(complex)
-        # a substitution that leaves the float range is caught by its result
-        with (np.errstate(divide="ignore", over="ignore", invalid="ignore"),
-              contextlib.suppress(NoConvergenceError)):
-            lower, upper = matrix.lower, matrix.upper
+    # a step the process cannot prove raises NoConvergenceError: on to eig
+    with (np.errstate(divide="ignore", over="ignore", invalid="ignore"),
+          contextlib.suppress(NoConvergenceError)):
+        lower, diag, upper = matrix.lower, matrix.diag, matrix.upper
+        if m < n - 2 and np.all(lower * upper != 0):
+            root, floor, _, im_bound = _bounds(matrix)
+            margin = _MARGIN_RTOL * max(1.0, float(np.max(np.abs(diag) + _row_sums(np.abs(root)))))
+            sigma = floor - max(im_bound, margin)
+            start = np.random.default_rng(0).standard_normal(n).astype(complex)
             coupling = np.where(lower == upper, lower, lower * np.sqrt(upper / lower))
-            process = _ShiftInvertArnoldi(coupling, matrix.diag, sigma, start)
+            process = _ShiftInvertArnoldi(coupling, diag, sigma, start)
             while m < n - 2:
                 m = max(m, _MIN_WANTED)
                 vals = process.nearest(m)
@@ -284,8 +289,9 @@ class _ShiftInvertArnoldi:
     max(_KRYLOV_MIN, 2m + _CHECK_EVERY) vectors it restarts on the span of
     its leading Ritz vectors (Morgan, Math. Comp. 65 (1996) 1213-1230),
     which bounds the memory and the Ritz checks of the deep wells' wide
-    windows.  After a restart the projected matrix is no longer Hessenberg:
-    its last row carries the residual's coefficients.
+    windows; a span that is not invariant ends the process instead.  After
+    a restart the projected matrix is no longer Hessenberg: its last row
+    carries the residual's coefficients.
     """
 
     def __init__(self, coupling, diag, sigma: float, start: np.ndarray):
@@ -335,16 +341,16 @@ class _ShiftInvertArnoldi:
                 raise NoConvergenceError(f"the Krylov space broke down at dimension {self.dim}")
             self.basis[j + 1] = w / beta
 
-    def _restart(self, vectors: np.ndarray, keep: np.ndarray) -> bool:
+    def _restart(self, vectors: np.ndarray, keep: np.ndarray) -> None:
         """Shrink the Krylov decomposition to the span of the kept Ritz
-        vectors; False, and no change, where that span is not invariant to
+        vectors; NoConvergenceError where that span is not invariant to
         sqrt(eps)."""
         d = self.dim
         q = np.linalg.qr(vectors[:, keep])[0]
         g = self.projected[:d, :d]
         projected = q.conj().T @ g @ q
         if np.linalg.norm(g @ q - q @ projected) > math.sqrt(_EPS) * np.linalg.norm(g):
-            return False
+            raise NoConvergenceError(f"the kept Ritz span at dimension {d} is not invariant")
         kept = keep.size
         self.basis[:kept] = q.T @ self.basis[:d]
         self.basis[kept] = self.basis[d]
@@ -353,7 +359,6 @@ class _ShiftInvertArnoldi:
         self.projected[:kept, :kept] = projected
         self.projected[kept, :kept] = row
         self.dim = kept
-        return True
 
     def nearest(self, m: int) -> np.ndarray:
         """The m eigenvalues nearest sigma, once every Ritz value among them
@@ -362,6 +367,8 @@ class _ShiftInvertArnoldi:
         A Ritz check is a dense eigensolve of the projected matrix, so it
         runs only from m + 2 _CHECK_EVERY vectors on, and then where the
         residual decay between the last two checks predicts convergence.
+        At limit = max(_KRYLOV_MIN, 2m + _CHECK_EVERY) vectors, fixed for the
+        call, the basis restarts; a refused restart raises NoConvergenceError.
         """
         limit = max(_KRYLOV_MIN, 2 * m + _CHECK_EVERY)
         last = None  # (dimension, worst residual in units of eps |theta|)
@@ -384,8 +391,7 @@ class _ShiftInvertArnoldi:
                 last = (self.dim, worst)
                 if self.dim >= limit:
                     last = None
-                    if not self._restart(vectors, order[:(m + self.dim) // 2]):
-                        limit *= 2
+                    self._restart(vectors, order[:(m + self.dim) // 2])
                 self.next_check = self.dim + ahead
             self._step()
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InsufficientBoundStatesError, UnsupportedGeneratorError, UnsupportedKindError
-from .eigen import _oracle, eig, eig_lowest, eig_tridiagonal, match_eigenvalue_sets
+from .eigen import _frobenius, _oracle, eig, eig_lowest, eig_tridiagonal, match_eigenvalue_sets
 from .mapping import (
     closed_form_target,
     potential_decomposition,
@@ -241,10 +241,6 @@ def _product_bands(x: OperatorMatrix, y: OperatorMatrix) -> list:
             x.upper[:-1] * y.upper[1:]]
 
 
-def _frobenius(bands) -> float:
-    return float(np.linalg.norm(np.concatenate(bands)))
-
-
 def check_intertwining(
     spec: ModelSpec,
     n_list,
@@ -266,8 +262,8 @@ def check_intertwining(
         eta = build_eta_matrix(spec, grid)
         adjoint = OperatorMatrix(ham.upper.conj(), ham.diag.conj(), ham.lower.conj())
         mismatch = [a - b for a, b in zip(_product_bands(eta, ham), _product_bands(adjoint, eta))]
-        residuals.append(_frobenius(mismatch) / (_frobenius([eta.lower, eta.diag, eta.upper])
-                                                 * _frobenius([ham.lower, ham.diag, ham.upper])))
+        norms = [_frobenius(np.concatenate((m.lower, m.diag, m.upper))) for m in (eta, ham)]
+        residuals.append(_frobenius(np.concatenate(mismatch)) / (norms[0] * norms[1]))
     h = [(xb - xa) / (n + 1) for n in n_list]
     decreasing = all(residuals[i + 1] < residuals[i] for i in range(len(residuals) - 1))
     rate = fit_decay_rate(h, residuals)

@@ -248,7 +248,7 @@ def test_oversized_solve_is_refused_before_any_grid(picture, monkeypatch, capsys
     def refuse(*args, **kwargs):
         raise AssertionError("built a grid or a band")
 
-    for name in ("uniform_grid", "picture_matrix"):
+    for name in ("matched_domains", "picture_matrix"):
         monkeypatch.setattr(cli, name, refuse)
     argv = ["solve", "--picture", picture, "--n", str(MAX_DENSE_NODES + 1)]
     assert cli.main(argv) == 2

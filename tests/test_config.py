@@ -26,6 +26,13 @@ def test_non_finite_numbers_are_refused(raw):
         config_from_dict(raw)
 
 
+def test_oracle_level_is_a_number_or_a_non_empty_list():
+    assert config_from_dict({"oracle_level": 2}).oracle_level == [2.0]
+    assert config_from_dict({"oracle_level": [1, 2.5]}).oracle_level == [1.0, 2.5]
+    with pytest.raises(ConfigError, match="oracle_level list must not be empty"):
+        config_from_dict({"oracle_level": []})
+
+
 @pytest.mark.parametrize("key", ["isospectral", "iso_rate", "analytic", "intertwine_rate",
                                  "identities", "solver", "trace"])
 def test_only_the_im_tolerance_may_be_null(key):
@@ -91,7 +98,8 @@ DEEP = {"generator": {"kind": "scarf2", "v2": 1e200}}
     # x = exp(q) is finite here, but the mapped spacings square to 0
     ({"q_interval": [-740, -700]}, argv, f"BadIntervalError: mapped grid spacing h = {h}")
     for argv, h in ((["solve", "--picture", "target"], "4.45e-323"),
-                    (["verify", "--which", "isospectral"], "8.89e-323"))
+                    (["verify", "--which", "isospectral"], "8.89e-323"),
+                    (["map"], "4.45e-323"))
 ])
 def test_bad_numbers_exit_two_before_running(raw, argv, message, tmp_path, capsys):
     # json writes NaN and Infinity, and reads them back, as the CLI does

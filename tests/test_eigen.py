@@ -436,12 +436,13 @@ def _random_tridiagonal(rng, kind, n):
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """Records each call eig_lowest makes to the full-spectrum `eig`."""
+    """Records the spectrum of each call eig_lowest makes to the
+    full-spectrum `eig`."""
     calls = []
 
     def counting_eig(*args, **kwargs):
-        calls.append(1)
-        return eig(*args, **kwargs)
+        calls.append(eig(*args, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(eigen, "eig", counting_eig)
     return calls
@@ -602,6 +603,74 @@ def test_eig_lowest_on_a_deep_wide_well(picture, eig_calls):
         low = eig_lowest(_picture_matrix(DEEP_WELL, picture, 1200), 4)
     assert not eig_calls
     assert low.shape == (4,)
+
+
+def _assert_handed_to_eig(eig_calls, low, k):
+    """One call to `eig`, whose lowest k levels are the window, as a set."""
+    assert len(eig_calls) == 1
+    assert set(low.tolist()) == set(eig_calls[0].eigenvalues[:k].tolist())
+
+
+def test_eig_lowest_hands_a_refused_restart_to_eig(eig_calls, monkeypatch):
+    # The deep well's window of 40 levels restarts its Krylov basis 11 times,
+    # each on the span of the kept Ritz vectors.  A basis of that span
+    # perturbed by 1e-3 is not invariant to sqrt(eps): the first restart is
+    # refused, and the matrix goes to eig instead of growing its basis on.
+    matrix = _picture_matrix(DEEP_WELL, "reference", 400)
+    qr, rng = np.linalg.qr, np.random.default_rng(0)
+
+    def perturbed_qr(a):
+        q = qr(a)[0]
+        return qr(q + 1e-3 * rng.standard_normal(q.shape))
+
+    restarts = []
+    restart = eigen._ShiftInvertArnoldi._restart
+
+    def counting_restart(self, *args):
+        restarts.append(self.dim)
+        return restart(self, *args)
+
+    monkeypatch.setattr(np.linalg, "qr", perturbed_qr)
+    monkeypatch.setattr(eigen._ShiftInvertArnoldi, "_restart", counting_restart)
+    low = eig_lowest(matrix, 40)
+    assert len(restarts) == 1
+    _assert_handed_to_eig(eig_calls, low, 40)
+
+
+@pytest.mark.parametrize("apply, message", [
+    # the start vector spans an invariant space of 2 I, so the second basis
+    # vector is rounding noise
+    (lambda self, v: 2.0 * v, "broke down at dimension 1"),
+    (lambda self, v: np.full_like(v, np.inf), "left the float range"),
+], ids=["breakdown", "non-finite beta"])
+def test_eig_lowest_hands_a_failed_krylov_step_to_eig(apply, message, eig_calls, monkeypatch):
+    n = 60
+    matrix = _tridiagonal(np.arange(float(n)), np.ones(n - 1), np.ones(n - 1))
+    monkeypatch.setattr(eigen._ShiftInvertArnoldi, "_apply", apply)
+    process = eigen._ShiftInvertArnoldi(matrix.lower, matrix.diag, -3.0, np.ones(n, dtype=complex))
+    with np.errstate(all="ignore"), pytest.raises(NoConvergenceError, match=message):
+        process.nearest(8)
+    _assert_handed_to_eig(eig_calls, eig_lowest(matrix, 4), 4)
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_bounds_beyond_the_float_range_hand_off_before_any_sweep(n, eig_calls):
+    # Finite bands whose products lower * upper overflow: the bounds on the
+    # eigenvalues are not finite floats.  eig_tridiagonal refuses before its
+    # first sweep, and eig and eig_lowest give the dense answer, with no
+    # warning (the suite makes one an error).
+    matrix = OperatorMatrix(np.full(n - 1, 1e200), np.full(n, 2e200), np.full(n - 1, -1e200))
+    message = "the eigenvalue bounds of the bands are not finite floats"
+    with pytest.raises(NoConvergenceError, match=message):
+        eig_tridiagonal(matrix)
+    spectrum, dense = eig(matrix), eig(matrix.entries)
+    assert spectrum.fallback == message
+    np.testing.assert_array_equal(spectrum.eigenvalues, dense.eigenvalues)
+    for k in (1, 2):
+        eig_calls.clear()
+        low = eig_lowest(matrix, k)
+        _assert_handed_to_eig(eig_calls, low, k)
+        assert set(low.tolist()) == set(dense.eigenvalues[:k].tolist())
 
 
 def _substitute(matrix, shift, b):

@@ -212,6 +212,14 @@ def test_target_domain_guard():
         build_target_matrix(spec, uniform_grid(0.5, 4.0, 5, coordinate="q"))
 
 
+def test_eta_needs_a_uniform_x_grid():
+    # the intertwiner's Hermitian stencil needs one spacing
+    spec = ModelSpec.from_ordering(ScarfII(2.0), GW, q_interval=(0.5, 4.0))
+    for grid in matched_domains(spec, 5):
+        with pytest.raises(ValueError, match="eta assembly needs a uniform_x grid"):
+            build_eta_matrix(spec, grid)
+
+
 def _poly_bump(a, b):
     """(x-a)^2 (b-x)^2 with derivatives; vanishes to first order at both ends."""
     x = sympy.Symbol("x")

@@ -146,6 +146,18 @@ def test_check_intertwining():
         assert residual == pytest.approx(dense, rel=1e-14, abs=0)
 
 
+def test_check_intertwining_rescales_norms_whose_sum_of_squares_overflows():
+    # Scarf II with v2 = 1e100: every band entry is finite, but the plain
+    # sums of squares of the products overflow.  The norms are rescaled, so
+    # the residuals are finite numbers, with no warning (the suite makes one
+    # an error).
+    spec = ModelSpec.from_ordering(ScarfII(1e100), ZK, q_interval=(-2.0, 2.0))
+    report = check_intertwining(spec, [200, 400, 800])
+    assert all(0.0 < residual < 1e-100 for residual in report.details["residual"])
+    assert report.details["strictly_decreasing"]
+    assert report.details["rate"] == pytest.approx(0.5, abs=0.01)
+
+
 @pytest.fixture
 def refuse_dense(monkeypatch):
     """Makes densifying any OperatorMatrix fail the test."""
