@@ -65,10 +65,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _fmt(value: float) -> str:
-    return "%.17g" % value
-
-
 def cmd_orderings(args) -> int:
     rows = []
     for name, ordering in ORDERING_PRESETS.items():
@@ -103,11 +99,9 @@ def cmd_map(args) -> int:
     mu = spec.profile.eval(x).mu
     veff = target_potential(spec, x)
     dec = potential_decomposition(spec, x)
-    lines = ["q,x,mu,veff_re,veff_im,vtilde,w,v"]
-    for i in range(q.size):
-        lines.append(",".join(_fmt(val) for val in (
-            q[i], x[i], mu[i], veff[i].real, veff[i].imag, dec.vtilde[i], dec.w[i], dec.v[i],
-        )))
+    columns = [c.tolist() for c in (q, x, mu, veff.real, veff.imag, dec.vtilde, dec.w, dec.v)]
+    row = ",".join(["%.17g"] * len(columns))
+    lines = ["q,x,mu,veff_re,veff_im,vtilde,w,v", *(row % values for values in zip(*columns))]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -214,9 +208,8 @@ def cmd_sweep(args) -> int:
     result = convergence_sweep(
         spec, cfg.n_sweep, picture=args.picture, oracle=cfg.oracle_level,
     )
-    lines = ["n,h,error"]
-    for n, h, err in zip(result["n"], result["h"], result["error"]):
-        lines.append(f"{n},{_fmt(h)},{_fmt(err)}")
+    rows = zip(result["n"], result["h"], result["error"])
+    lines = ["n,h,error", *("%d,%.17g,%.17g" % row for row in rows)]
     _emit("\n".join(lines) + "\n", args.out)
     print(f"rate {result['rate']:.3f}", file=sys.stderr)
     return 0

@@ -138,15 +138,26 @@ def eig(matrix) -> Spectrum:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"dense eigensolve failed: {exc}") from exc
-    return _spectrum(vals, complex(np.trace(a)), _frobenius(a), fallback)
+    return _spectrum(vals, np.diagonal(a), _frobenius(a), fallback)
 
 
-def _spectrum(vals: np.ndarray, trace: complex, norm: float, fallback: str = "") -> Spectrum:
-    """Eigenvalues in lex order, with their trace error against `trace`."""
+def _trace_error(vals: np.ndarray, diag: np.ndarray, floor: float) -> float:
+    """|sum(vals) - trace| relative to max(floor, |trace|, sum |vals|)."""
+    trace = complex(np.sum(diag))
+    return abs(vals.sum() - trace) / max(floor, abs(trace), float(np.sum(np.abs(vals))))
+
+
+def _spectrum(vals: np.ndarray, diag: np.ndarray, norm: float, fallback: str = "") -> Spectrum:
+    """Eigenvalues in lex order, with their trace error against sum(diag),
+    rescaled by the largest real or imaginary part only where the plain one
+    overflows (every finite error keeps its bits)."""
     vals = vals[_lex_order(vals)]
-    scale = max(1.0, abs(trace), float(np.sum(np.abs(vals))))
-    return Spectrum(eigenvalues=vals, matrix_norm=norm,
-                    trace_error=abs(vals.sum() - trace) / scale, fallback=fallback)
+    with np.errstate(over="ignore", invalid="ignore"):
+        error = _trace_error(vals, diag, 1.0)
+        if not math.isfinite(error) and np.isfinite(vals).all() and np.isfinite(diag).all():
+            scale = float(np.max(np.abs(np.concatenate((vals, diag)).view(float))))
+            error = _trace_error(vals / scale, diag / scale, 1.0 / scale)
+    return Spectrum(eigenvalues=vals, matrix_norm=norm, trace_error=error, fallback=fallback)
 
 
 def _row_sums(couplings: np.ndarray) -> np.ndarray:
@@ -464,7 +475,7 @@ def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
         last[active] = size
         active = active[~done]
         if not active.size:
-            return _spectrum(z, complex(np.sum(diag)), norm)
+            return _spectrum(z, diag, norm)
     raise NoConvergenceError(
         f"{active.size} of {n} roots still moving at the limit of {_MAX_SWEEPS} Aberth sweeps"
     )

@@ -12,8 +12,11 @@ from pdm_spectra import (
     build_spec,
     build_target_matrix,
     config_from_dict,
+    convergence_sweep,
     eig,
     matched_domains,
+    potential_decomposition,
+    target_potential,
     uniform_grid,
 )
 from pdm_spectra import cli
@@ -99,12 +102,14 @@ def test_solve_writes_strict_json_where_the_norm_overflows(tmp_path):
                    write_config(tmp_path, {"generator": {"kind": "scarf2", "v2": 1.3e154}}))
     assert proc.returncode == 0, proc.stderr
     assert "Frobenius norm is not a finite float" in proc.stderr
+    assert "Warning" not in proc.stderr
 
     def refuse(constant):
         raise ValueError(f"not strict JSON: {constant}")
 
     payload = json.loads(out.read_text(), parse_constant=refuse)
     assert payload["matrix_norm"] is None
+    assert isinstance(payload["trace_error"], float)
 
 
 def test_solve_rescales_a_norm_whose_sum_of_squares_overflows(tmp_path, capsys):
@@ -173,6 +178,53 @@ def test_map_row_count():
     assert lines[0] == "q,x,mu,veff_re,veff_im,vtilde,w,v"
     assert len(lines) == 6
     assert all(len(line.split(",")) == 8 for line in lines[1:])
+
+
+# The writers as they formatted one cell at a time, kept as the reference
+# that the row templates must reproduce byte for byte.
+def _map_one_cell_at_a_time(payload, n):
+    spec = build_spec(config_from_dict(payload))
+    grid_x, grid_q = matched_domains(spec, n)
+    q, x = grid_q.nodes, grid_x.nodes
+    mu = spec.profile.eval(x).mu
+    veff = target_potential(spec, x)
+    dec = potential_decomposition(spec, x)
+    lines = ["q,x,mu,veff_re,veff_im,vtilde,w,v"]
+    for i in range(q.size):
+        lines.append(",".join("%.17g" % c for c in (
+            q[i], x[i], mu[i], veff[i].real, veff[i].imag, dec.vtilde[i], dec.w[i], dec.v[i],
+        )))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    {"generator": {"kind": "samsonov_roy"}},
+    {"profile": "constant"},
+    {"ordering": "GoraWilliams", "q_interval": [0.5, 8.0]},
+], ids=["scarf2", "samsonov_roy", "constant-mass", "half-line"])
+@pytest.mark.parametrize("n", [3, 1001])
+def test_map_rows_match_the_one_cell_at_a_time_bytes(tmp_path, payload, n):
+    out = tmp_path / "map.csv"
+    argv = ["map", "--config", write_config(tmp_path, payload), "--n", str(n), "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert out.read_bytes() == _map_one_cell_at_a_time(payload, n).encode()
+
+
+@pytest.mark.parametrize("payload", [
+    SMALL,
+    {**SMALL, "generator": {"kind": "samsonov_roy"}},
+], ids=["scarf2", "samsonov_roy"])
+def test_sweep_rows_match_the_one_cell_at_a_time_bytes(tmp_path, payload):
+    out = tmp_path / "sweep.csv"
+    config = write_config(tmp_path, payload)
+    assert cli.main(["sweep", "--config", config, "--out", str(out)]) == 0
+    cfg = config_from_dict(payload)
+    result = convergence_sweep(build_spec(cfg), cfg.n_sweep, oracle=cfg.oracle_level)
+    lines = ["n,h,error"]
+    for n, h, err in zip(result["n"], result["h"], result["error"]):
+        lines.append(f"{n},{'%.17g' % h},{'%.17g' % err}")
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_verify_identities():

@@ -152,6 +152,25 @@ def test_a_norm_whose_sum_of_squares_overflows_is_rescaled():
     assert np.isnan(eigen._frobenius(np.array([np.nan, 1e200])))
 
 
+def test_a_trace_error_whose_sums_overflow_is_rescaled():
+    # The trace and sum |lambda| of this diagonal overflow; the error is
+    # taken on the values over their largest part, with no warning (the
+    # suite makes one an error).
+    spectrum = eig(np.diag([1.5e308, 1.5e308, -1e308]))
+    assert spectrum.matrix_norm == np.inf
+    assert spectrum.trace_error == 0.0
+    # any finite error keeps the bits of the plain formula
+    rng = np.random.default_rng(5)
+    for m in (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)),
+              1e150 * rng.standard_normal((5, 5)),
+              OperatorMatrix(np.ones(7), np.arange(8.0), 2j * np.ones(7))):
+        spectrum = eig(m)
+        vals = spectrum.eigenvalues
+        trace = complex(np.trace(eigen._entries(m)))
+        scale = max(1.0, abs(trace), float(np.sum(np.abs(vals))))
+        assert spectrum.trace_error == abs(vals.sum() - trace) / scale
+
+
 def test_eig_rejects_nonsquare():
     with pytest.raises(ValueError):
         eig(np.zeros((2, 3)))
@@ -216,6 +235,24 @@ def test_oracle_names_the_sweep_limit_on_a_defective_triple_root():
         with pytest.raises(NoConvergenceError,
                            match="root iteration did not settle within 600 sweeps"):
             eigen._oracle(batch)
+
+
+def test_oracle_names_its_sweep_limit(monkeypatch):
+    monkeypatch.setattr(eigen, "_ORACLE_MAX_ITER", 1)
+    with pytest.raises(NoConvergenceError, match="did not settle within 1 sweeps"):
+        eigen._oracle([np.diag([3.0, 1.0]), np.empty((0, 0))])
+
+
+def test_oracle_holds_apart_iterates_that_meet_at_a_repeated_root():
+    # The exact double root at 0 halves the distance between its two
+    # iterates every sweep while the rounded pair at 1/2 settles.  Once they
+    # are within 1e-14 the guard puts 1e-12 (1 + i) in place of their
+    # difference, which stops them there; without it they would end less
+    # than 1e-16 apart.
+    roots = brute_oracle_small(np.diag([0.0, 0.0, 0.5, 0.5]))
+    pair = roots[np.argsort(np.abs(roots))[:2]]
+    assert 1e-15 < abs(pair[0] - pair[1]) < 1e-14
+    np.testing.assert_allclose(roots, [0.0, 0.0, 0.5, 0.5], atol=1e-8)
 
 
 # The oracle as it solved one matrix at a time before it was batched, kept

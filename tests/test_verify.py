@@ -44,6 +44,7 @@ from pdm_spectra import (
     uniform_grid,
 )
 from pdm_spectra import cli, eigen, verify
+from pdm_spectra.config import build_intertwine_spec
 from pdm_spectra.verify import SAMSONOV_ROY_MISSING_WINDOW, atomic_write_text
 
 ZK = ordering_preset("ZhuKroemer")
@@ -156,6 +157,33 @@ def test_check_intertwining_rescales_norms_whose_sum_of_squares_overflows():
     assert all(0.0 < residual < 1e-100 for residual in report.details["residual"])
     assert report.details["strictly_decreasing"]
     assert report.details["rate"] == pytest.approx(0.5, abs=0.01)
+
+
+def test_check_intertwining_scales_product_bands_that_would_overflow():
+    # Scarf II with v2 = 1.3e154: the band entries reach v2^2 = 1.69e308, so
+    # their products overflow unless the factors are scaled first.
+    spec = ModelSpec.from_ordering(ScarfII(1.3e154), ZK, q_interval=(-2.0, 2.0))
+    residuals = check_intertwining(spec, [200, 400, 800]).details["residual"]
+    assert all(np.isfinite(residuals)) and min(residuals) > 0.0
+
+
+@pytest.mark.parametrize("payload", [{}, {"generator": {"kind": "samsonov_roy"}}],
+                         ids=["scarf2", "samsonov_roy"])
+def test_check_intertwining_keeps_the_unscaled_bits(payload):
+    # Scaling each factor by a power of two is exact, so the paper specs'
+    # residuals equal those of the unscaled products bit for bit.
+    spec = build_intertwine_spec(config_from_dict(payload))
+    n_list = [200, 400, 800]
+    residuals = []
+    for n in n_list:
+        grid = uniform_grid(*spec.x_interval, n, coordinate="x")
+        ham, eta = build_target_matrix(spec, grid), build_eta_matrix(spec, grid)
+        adjoint = OperatorMatrix(ham.upper.conj(), ham.diag.conj(), ham.lower.conj())
+        mismatch = [a - b for a, b in zip(verify._product_bands(eta, ham),
+                                          verify._product_bands(adjoint, eta))]
+        norms = [np.linalg.norm(np.concatenate((m.lower, m.diag, m.upper))) for m in (eta, ham)]
+        residuals.append(float(np.linalg.norm(np.concatenate(mismatch)) / (norms[0] * norms[1])))
+    assert check_intertwining(spec, n_list).details["residual"] == residuals
 
 
 @pytest.fixture
