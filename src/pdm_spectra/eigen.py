@@ -8,7 +8,11 @@ computes no eigenvectors.  An OperatorMatrix goes to `eig_tridiagonal`,
 which works on its three bands by Ehrlich-Aberth iteration in O(n^2) time
 and O(n) memory with numpy alone; where those sweeps do not converge, `eig`
 takes LAPACK's general complex solver on the dense `entries` and records
-why in `Spectrum.fallback`.  A plain array goes to LAPACK.
+why in `Spectrum.fallback`.  A plain array goes to LAPACK.  Its row loop
+over the ratio continuant runs without a zero-pivot guard: an exact zero
+pivot always makes p'/p non-finite, and the roots where p'/p is not finite
+are redone by the same loop with the guard on, so every root keeps the bits
+of a loop guarded on every row.
 
 `eig_lowest` returns only the lowest few eigenvalues of an OperatorMatrix,
 as a set, with a proof that the window it returns is complete, and hands
@@ -57,9 +61,10 @@ _ORACLE_MAX_ITER = 600
 # real part this far below the reach, so rounding cannot carry either across.
 _MARGIN_RTOL = 1e-10
 # eig_tridiagonal: the sweep limit, and the number of entries in one block of
-# its pair sum, so that no n x n temporary is held whole.
+# its pair sum and of its d_i - z, so that no n x n temporary is held whole
+# (each row's sum, and so every bit, is the same for any block).
 _MAX_SWEEPS = 200
-_PAIR_BLOCK = 1 << 16
+_BLOCK = 1 << 14
 # eig_lowest's shift-invert Arnoldi: entries per chunk of the prefix-product
 # substitution, short enough that no chunk's running product of the ratios
 # |coupling / pivot| underflows; the least number of Krylov steps between two
@@ -443,22 +448,21 @@ def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
          + 1j * max(height, 1e-3 * width) * np.sin(theta) * (-1.0) ** np.arange(n))
     eps = np.finfo(float).eps
     pivot = eps * norm  # stands in for an r_i that is exactly zero
-    d0, rest, couplings = complex(diag[0]), diag[1:].tolist(), (lower * upper).tolist()
-    block = max(1, _PAIR_BLOCK // n)
+    d0, rest = complex(diag[0]), diag[1:]
+    # 0-d arrays, which the ufuncs take faster than Python numbers
+    couplings = [np.array(c) for c in (lower * upper).astype(complex)]
+    block = max(1, _BLOCK // n)
     active = np.arange(n)
     last = np.full(n, np.inf)
     for _ in range(_MAX_SWEEPS):
         za = z[active]
-        r = d0 - za
-        np.copyto(r, pivot, where=r == 0)
-        g = -1.0 / r
-        dlogp = g.copy()
-        for d, c in zip(rest, couplings):
-            t = c / r
-            r = (d - za) - t
-            np.copyto(r, pivot, where=r == 0)
-            g = (t * g - 1.0) / r
-            dlogp += g
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            dlogp = _log_derivative(za, d0, rest, couplings)
+            redo = ~np.isfinite(dlogp)
+            if redo.any():
+                # an exact zero pivot always makes p'/p non-finite, and the
+                # guard changes no root whose p'/p came out finite
+                dlogp[redo] = _log_derivative(za[redo], d0, rest, couplings, pivot)
         pair = np.empty_like(za)
         for i in range(0, za.size, block):
             diff = za[i:i + block, None] - z
@@ -479,6 +483,35 @@ def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
     raise NoConvergenceError(
         f"{active.size} of {n} roots still moving at the limit of {_MAX_SWEEPS} Aberth sweeps"
     )
+
+
+def _log_derivative(za, d0, rest, couplings, pivot=None) -> np.ndarray:
+    """p'/p of det(A - zI) at za by the ratio continuant, from d_0, the array
+    of d_1 ... d_{n-1} and the list of c_i = l_i u_i as 0-d arrays.  A given
+    pivot stands in for an r_i that is exactly zero."""
+    divide, subtract, multiply, add = np.divide, np.subtract, np.multiply, np.add
+    r = d0 - za
+    if pivot is not None:
+        np.copyto(r, pivot, where=r == 0)
+    g = -1.0 / r
+    dlogp = g.copy()
+    t, u, one = np.empty_like(za), np.empty_like(za), np.array(1.0 + 0j)
+    rows = max(1, _BLOCK // za.size)
+    for i in range(0, len(rest), rows):
+        # d_i - z for a block of rows in one call; every ufunc below writes
+        # into a buffer given positionally, which numpy parses faster than out=
+        for dz, c in zip(np.subtract.outer(rest[i:i + rows], za), couplings[i:i + rows]):
+            divide(c, r, t)
+            subtract(dz, t, r)
+            if pivot is not None:
+                np.copyto(r, pivot, where=r == 0)
+            # into u, not in place: numpy's in-place complex multiply of a
+            # single entry rounds differently
+            multiply(t, g, u)
+            subtract(u, one, u)
+            divide(u, r, g)
+            add(dlogp, g, dlogp)
+    return dlogp
 
 
 def _oracle(matrices) -> list[np.ndarray]:

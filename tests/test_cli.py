@@ -164,6 +164,31 @@ def test_solve_takes_dense_eig_where_the_banded_solve_stalls(tmp_path):
         assert payload[picture]["trace_error"] == dense.trace_error
 
 
+@pytest.mark.parametrize("payload, n, notes", [
+    ({}, 150, 0),
+    ({"generator": {"kind": "samsonov_roy"}}, 150, 0),
+    # the target picture's sweeps stall at this size, the reference's do not
+    ({"generator": {"kind": "scarf2", "v2": 20}, "q_interval": [-20, 20]}, 150, 1),
+    ({"generator": {"kind": "morse"}}, 50, 2),
+    ({"profile": "constant"}, 150, 0),
+])
+def test_solve_both_equals_the_single_picture_runs(tmp_path, capsys, payload, n, notes):
+    # Each picture of a solve of both keeps the spectrum and the note: line
+    # it has alone, and the notes come in picture order.
+    config = write_config(tmp_path, payload)
+    runs = {}
+    for picture in ("both", "reference", "target"):
+        out = tmp_path / f"{picture}.json"
+        argv = ["solve", "--picture", picture, "--n", str(n), "--config", config, "--out", str(out)]
+        assert cli.main(argv) == 0
+        runs[picture] = json.loads(out.read_text()), capsys.readouterr().err
+    both, stderr = runs["both"]
+    assert both == {"picture": "both", "reference": runs["reference"][0],
+                    "target": runs["target"][0]}
+    assert stderr == runs["reference"][1] + runs["target"][1]
+    assert stderr.count("note: ") == notes
+
+
 @pytest.mark.parametrize("command", ["solve", "map"])
 def test_zero_nodes_is_refused(command):
     proc = run_cli(command, "--n", "0")

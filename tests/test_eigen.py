@@ -2,6 +2,7 @@
 small-matrix oracle, and eigenvalue set matching."""
 
 import functools
+import math
 import warnings
 from collections import Counter
 
@@ -815,12 +816,14 @@ def _assert_lex_ordered(vals):
     assert np.all((re[1:] > re[:-1]) | ((re[1:] == re[:-1]) & (im[1:] >= im[:-1])))
 
 
-def test_eig_tridiagonal_matches_oracle_on_small_random_tridiagonals():
-    # Zero couplings split the determinant into blocks, and a root that lands
-    # exactly on an isolated diagonal entry makes a pivot r_i exactly zero.
-    # The repeated diagonal entry is kept inside one coupled block, so every
-    # eigenvalue stays simple for the oracle.
+def _small_random_tridiagonals():
+    """400 seeded tridiagonals of sizes 2-8.  Zero couplings split the
+    determinant into blocks, and a root that lands exactly on an isolated
+    diagonal entry makes a pivot r_i exactly zero.  The repeated diagonal
+    entry is kept inside one coupled block, so every eigenvalue stays simple
+    for the oracle."""
     rng = np.random.default_rng(400)
+    matrices = []
     for case in range(400):
         n = 2 + case % 7
         a = _random_tridiagonal(rng, "complex", n)
@@ -832,7 +835,12 @@ def test_eig_tridiagonal_matches_oracle_on_small_random_tridiagonals():
             i = int(rng.integers(n - 1))
             diag[i + 1] = diag[i]
             lower[i], upper[i] = lower[i] or 1.0, upper[i] or 1.0
-        a = _tridiagonal(diag, lower, upper)
+        matrices.append(_tridiagonal(diag, lower, upper))
+    return matrices
+
+
+def test_eig_tridiagonal_matches_oracle_on_small_random_tridiagonals():
+    for a in _small_random_tridiagonals():
         full = eig_tridiagonal(a).eigenvalues
         _assert_lex_ordered(full)
         assert match_eigenvalue_sets(brute_oracle_small(a), full)[1].max() <= 1e-9
@@ -890,3 +898,133 @@ def test_eig_tridiagonal_refuses_oversized_input_before_solving():
 def test_eig_tridiagonal_propagates_failure():
     with pytest.raises(NoConvergenceError):
         eig_tridiagonal(_tridiagonal([np.nan, 1.0], [0.5], [0.5]))
+
+
+# eig_tridiagonal as it was while its row loop guarded every pivot, kept
+# verbatim, with that loop's pair-sum block of 2^16 entries, as the reference
+# that the unguarded loop with its redo must reproduce bit for bit.
+def _guarded_loop(matrix):
+    n = matrix.n
+    if n > MAX_DENSE_NODES:
+        raise TooLargeError(f"full spectra are limited to {MAX_DENSE_NODES} nodes, got {n}")
+    lower, diag, upper = matrix.lower, matrix.diag, matrix.upper
+    norm = eigen._frobenius(np.concatenate((lower, diag, upper)))
+    if not math.isfinite(norm):
+        raise NoConvergenceError("the bands' Frobenius norm is not a finite float")
+    if norm == 0.0:
+        return eigen.Spectrum(np.zeros(n, dtype=complex))
+    _, lo, hi, height = eigen._bounds(matrix)
+    floor = 1e-3 * norm
+    width = max(0.5 * (hi - lo), height, floor)
+    theta = np.pi * (np.arange(n) + 0.25) / n
+    z = (0.5 * (lo + hi) + width * np.cos(theta)
+         + 1j * max(height, 1e-3 * width) * np.sin(theta) * (-1.0) ** np.arange(n))
+    eps = np.finfo(float).eps
+    pivot = eps * norm  # stands in for an r_i that is exactly zero
+    d0, rest, couplings = complex(diag[0]), diag[1:].tolist(), (lower * upper).tolist()
+    block = max(1, (1 << 16) // n)
+    active = np.arange(n)
+    last = np.full(n, np.inf)
+    for _ in range(eigen._MAX_SWEEPS):
+        za = z[active]
+        r = d0 - za
+        np.copyto(r, pivot, where=r == 0)
+        g = -1.0 / r
+        dlogp = g.copy()
+        for d, c in zip(rest, couplings):
+            t = c / r
+            r = (d - za) - t
+            np.copyto(r, pivot, where=r == 0)
+            g = (t * g - 1.0) / r
+            dlogp += g
+        pair = np.empty_like(za)
+        for i in range(0, za.size, block):
+            diff = za[i:i + block, None] - z
+            diff[diff == 0] = np.inf  # the self term, and exact coincidences
+            pair[i:i + block] = (1.0 / diff).sum(axis=1)
+        step = 1.0 / (dlogp - pair)
+        z[active] = za - step
+        size = np.maximum(np.abs(step), 1.0 / np.maximum(np.abs(dlogp), np.finfo(float).tiny))
+        mag = np.abs(za)
+        stalled = (size >= last[active]) & (size <= np.maximum(1e-8 * mag, 8 * eps * norm))
+        done = (size <= 4 * eps * np.maximum(mag, floor)) | stalled
+        last[active] = size
+        active = active[~done]
+        if not active.size:
+            return eigen._spectrum(z, diag, norm)
+    raise NoConvergenceError(
+        f"{active.size} of {n} roots still moving at the limit of {eigen._MAX_SWEEPS} Aberth sweeps"
+    )
+
+
+def _outcome(solve, matrix):
+    try:
+        return solve(matrix)
+    except (NoConvergenceError, TooLargeError) as exc:
+        return exc
+
+
+def _assert_same_outcome(result, reference):
+    """The same error text, or the same Spectrum bit for bit."""
+    if isinstance(reference, Exception):
+        assert type(result) is type(reference) and str(result) == str(reference)
+        return
+    assert isinstance(result, eigen.Spectrum) and result.fallback == ""
+    assert result.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
+    assert result.trace_error == reference.trace_error
+    assert result.matrix_norm == reference.matrix_norm
+
+
+@pytest.mark.parametrize("n", [50, 250, 333, 500])
+def test_eig_tridiagonal_reproduces_the_guarded_loop_bits_on_acceptance_specs(n):
+    for label in sorted(ACCEPTANCE_SPECS):
+        for picture in ("reference", "target"):
+            matrix = _picture_matrix(ACCEPTANCE_SPECS[label], picture, n)
+            _assert_same_outcome(_outcome(eig_tridiagonal, matrix),
+                                 _outcome(_guarded_loop, matrix))
+
+
+def test_eig_tridiagonal_reproduces_the_guarded_loop_bits_at_exact_zero_pivots(monkeypatch):
+    # The row loop runs unguarded; a root whose p'/p is not finite is redone
+    # with the guard on, and some roots of this set are.
+    redone = []
+    log_derivative = eigen._log_derivative
+
+    def spy(za, d0, rest, couplings, pivot=None):
+        if pivot is not None:
+            redone.append(za.size)
+        return log_derivative(za, d0, rest, couplings, pivot)
+
+    monkeypatch.setattr(eigen, "_log_derivative", spy)
+    for matrix in _small_random_tridiagonals():
+        _assert_same_outcome(_outcome(eig_tridiagonal, matrix),
+                             _outcome(_guarded_loop, matrix))
+    assert redone
+
+
+@pytest.mark.parametrize("sweeps", [eigen._MAX_SWEEPS, 12])
+def test_eig_tridiagonal_keeps_the_guarded_loops_errors_and_bits(sweeps, monkeypatch):
+    # Matrices that fail before any sweep and, at a sweep limit of 12, ones
+    # that run out of sweeps next to ones that finish.
+    monkeypatch.setattr(eigen, "_MAX_SWEEPS", sweeps)
+    big = MAX_DENSE_NODES + 1
+    rng = np.random.default_rng(7)
+    matrices = [
+        _picture_matrix(ACCEPTANCE_SPECS["c2:sech"], "reference", 60),
+        _tridiagonal([np.nan, 1.0, 2.0], [0.5, 0.5], [0.5, 0.5]),
+        _random_tridiagonal(rng, "complex", 5),
+        _tridiagonal(np.ones(big), np.ones(big - 1), np.ones(big - 1)),
+        _tridiagonal(np.zeros(4), np.zeros(3), np.zeros(3)),
+        _tridiagonal([3.0], [], []),
+        _picture_matrix(ACCEPTANCE_SPECS["c2:sech"], "target", 60),
+        _random_tridiagonal(rng, "real", 60),
+        _random_tridiagonal(rng, "complex", 5),
+    ]
+    references = [_outcome(_guarded_loop, m) for m in matrices]
+    assert str(references[1]) == "the bands' Frobenius norm is not a finite float"
+    assert str(references[3]) == f"full spectra are limited to {MAX_DENSE_NODES} nodes, got {big}"
+    if sweeps < eigen._MAX_SWEEPS:
+        moving = [r for r in references if "still moving at the limit of 12" in str(r)]
+        assert moving and sum(isinstance(r, eigen.Spectrum) for r in references) > 4
+    for matrix, reference in zip(matrices, references):
+        _assert_same_outcome(_outcome(eig_tridiagonal, matrix), reference)
