@@ -21,7 +21,14 @@ Arnoldi (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998) on the
 three bands with numpy alone: one Krylov process per matrix, applying
 (A - sigma I)^-1 by substitution written as chunked prefix products, and
 hands a matrix with a zero coupling to `eig`.  Every verification check on
-an operator goes through it.
+an operator goes through it.  A process-wide memo, keyed on the exact bytes
+of the three bands, keeps for each of the last _MEMO_SIZE matrices the log
+of its process's `nearest(m)` requests: each m asked and the Ritz values
+returned, or the NoConvergenceError text that ended it.  It keeps no Krylov
+basis.  A repeated matrix is served from its log while its requests follow
+it; the first request off or past the log builds a fresh process, replays
+the logged prefix on it and goes on, so every window, stopping decision and
+hand-off to `eig` has the bits of a call on an empty memo.
 
 `brute_oracle_small` shares no code path with LAPACK: it builds the
 characteristic polynomial by the Faddeev-LeVerrier recursion and finds all
@@ -35,6 +42,8 @@ from __future__ import annotations
 
 import contextlib
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +85,12 @@ _CHECK_EVERY = 8
 _KRYLOV_MIN = 64
 _MIN_WANTED = 8
 _EPS = float(np.finfo(float).eps)
+# eig_lowest's memo: band bytes -> log of (m, Ritz values or error text),
+# least recently used first; the bound holds a reproduction pass's few dozen
+# distinct matrices.
+_MEMO_SIZE = 64
+_MEMO: OrderedDict[tuple[bytes, bytes, bytes], tuple] = OrderedDict()
+_MEMO_LOCK = threading.Lock()
 
 
 def _lex_order(values: np.ndarray) -> np.ndarray:
@@ -128,9 +143,10 @@ def eig(matrix) -> Spectrum:
 
     An OperatorMatrix is solved on its bands by `eig_tridiagonal`.  If that
     raises NoConvergenceError, its dense `entries` go to LAPACK and the
-    banded error text is kept in `fallback`; TooLargeError propagates.  A
-    plain array goes to LAPACK.  Raises NoConvergenceError if the dense QR
-    iteration gives up.
+    banded error text is kept in `fallback`; TooLargeError propagates, and
+    bands with a non-finite entry raise NoConvergenceError before anything
+    dense is built.  A plain array goes to LAPACK.  Raises
+    NoConvergenceError if the dense QR iteration gives up.
     """
     fallback = ""
     if isinstance(matrix, OperatorMatrix):
@@ -138,6 +154,8 @@ def eig(matrix) -> Spectrum:
             return eig_tridiagonal(matrix)
         except NoConvergenceError as exc:
             fallback = str(exc)
+        if not all(np.isfinite(band).all() for band in (matrix.lower, matrix.diag, matrix.upper)):
+            raise NoConvergenceError("a band holds a non-finite entry, so no dense solve is tried")
     a = _entries(matrix)
     try:
         vals = np.linalg.eigvals(a)
@@ -219,6 +237,8 @@ def eig_lowest(matrix: OperatorMatrix, k: int, past=None) -> np.ndarray:
     fail), and the stopping rule then picks from that spectrum: a reducible
     matrix, bounds that are not finite, a substitution that leaves the
     float range, a breakdown, a refused restart, or m reaching n - 2.
+    The process's answers on a matrix seen before come from the memo (see
+    the module docstring), with the same bits.
     """
     n = matrix.n
     k = k if past is None else min(k, n)
@@ -233,9 +253,13 @@ def eig_lowest(matrix: OperatorMatrix, k: int, past=None) -> np.ndarray:
             root, floor, _, im_bound = _bounds(matrix)
             margin = _MARGIN_RTOL * max(1.0, float(np.max(np.abs(diag) + _row_sums(np.abs(root)))))
             sigma = floor - max(im_bound, margin)
-            start = np.random.default_rng(0).standard_normal(n).astype(complex)
-            coupling = np.where(lower == upper, lower, lower * np.sqrt(upper / lower))
-            process = _ShiftInvertArnoldi(coupling, diag, sigma, start)
+
+            def build():
+                start = np.random.default_rng(0).standard_normal(n).astype(complex)
+                coupling = np.where(lower == upper, lower, lower * np.sqrt(upper / lower))
+                return _ShiftInvertArnoldi(coupling, diag, sigma, start)
+
+            process = _Replay(matrix, build)
             while m < n - 2:
                 m = max(m, _MIN_WANTED)
                 vals = process.nearest(m)
@@ -255,6 +279,52 @@ def eig_lowest(matrix: OperatorMatrix, k: int, past=None) -> np.ndarray:
     while past is not None and k < n and not full[k - 1].real > past(full[:k]):
         k = min(2 * k, n)
     return full[:k]
+
+
+class _Replay:
+    """`nearest` of one matrix's Arnoldi process, served from the memo's log
+    while the requests follow it.  The first request off the log or past its
+    end builds the process and replays this call's requests before it, which
+    brings the process to the state it had there; from then on each answer,
+    or the text of the NoConvergenceError that ends the process (building it
+    included), is logged after them, and the memo's log is replaced by this
+    one.  Logs are tuples, never changed once stored, and the memo is read
+    and written under a lock."""
+
+    def __init__(self, matrix: OperatorMatrix, build):
+        self.key = (matrix.lower.tobytes(), matrix.diag.tobytes(), matrix.upper.tobytes())
+        self.build = build
+        with _MEMO_LOCK:
+            self.logged = _MEMO.get(self.key, ())
+            if self.logged:
+                _MEMO.move_to_end(self.key)
+        self.log: list = []
+        self.process = None
+
+    def nearest(self, m: int) -> np.ndarray:
+        i = len(self.log)
+        if self.process is None and i < len(self.logged) and self.logged[i][0] == m:
+            answer = self.logged[i][1]
+            self.log.append((m, answer))
+        else:
+            try:
+                if self.process is None:
+                    self.process = self.build()
+                    for asked, _ in self.log:
+                        self.process.nearest(asked)
+                answer = self.process.nearest(m)
+                answer.setflags(write=False)
+            except NoConvergenceError as exc:
+                answer = str(exc)
+            self.log.append((m, answer))
+            with _MEMO_LOCK:
+                _MEMO[self.key] = tuple(self.log)
+                _MEMO.move_to_end(self.key)
+                if len(_MEMO) > _MEMO_SIZE:
+                    _MEMO.popitem(last=False)
+        if isinstance(answer, str):
+            raise NoConvergenceError(answer)
+        return answer
 
 
 class _Recurrence:

@@ -16,7 +16,8 @@ class OutOfDomainError(PdmSpectraError):
 
 
 class OutOfRangeError(PdmSpectraError):
-    """A coordinate value is not attained by the change of variables."""
+    """A coordinate value is not attained by the change of variables, or a
+    q-window on which the reference potential is not finite."""
 
 
 class BetaMinusOneError(PdmSpectraError):

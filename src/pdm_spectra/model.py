@@ -342,6 +342,16 @@ class ModelSpec:
                 f"q interval ({qa}, {qb}) maps to x = ({x[0]:.6g}, {x[1]:.6g}), "
                 "not a finite window inside the profile domain"
             )
+        # The built-in generators are bounded or monotone in q, so the ends
+        # decide whether alpha0 - F^2 - i F' stays finite on the window.
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, fp = self.generator(np.array(self.q_interval))
+            potential = self.alpha0 - f * f - 1j * fp
+        if not np.all(np.isfinite(potential)):
+            raise OutOfRangeError(
+                f"the reference potential of {self.generator} is not finite "
+                f"on the q interval ({qa}, {qb})"
+            )
 
     @classmethod
     def from_ordering(

@@ -100,6 +100,12 @@ DEEP = {"generator": {"kind": "scarf2", "v2": 1e200}}
     for argv, h in ((["solve", "--picture", "target"], "4.45e-323"),
                     (["verify", "--which", "isospectral"], "8.89e-323"),
                     (["map"], "4.45e-323"))
+] + [
+    # F = exp(-q) squares past the float range here: refused before any
+    # warning, and before the bands are assembled
+    ({"generator": {"kind": "morse"}, "q_interval": [-740, -700]}, argv,
+     "OutOfRangeError: the reference potential of Morse(a=1) is not finite")
+    for argv in (["solve", "--picture", "reference", "--n", "50"], ["map"])
 ])
 def test_bad_numbers_exit_two_before_running(raw, argv, message, tmp_path, capsys):
     # json writes NaN and Infinity, and reads them back, as the CLI does

@@ -3,6 +3,8 @@ small-matrix oracle, and eigenvalue set matching."""
 
 import functools
 import math
+import sys
+import threading
 import warnings
 from collections import Counter
 
@@ -675,6 +677,223 @@ def test_eig_lowest_hands_a_refused_restart_to_eig(eig_calls, monkeypatch):
     _assert_handed_to_eig(eig_calls, low, 40)
 
 
+# ---------------------------------------------------------- eig_lowest's memo
+
+
+def _lowest(matrix, k, spread, eig_calls):
+    """eig_lowest's window as bytes, the window sizes its stopping rule saw
+    and its number of calls to `eig`.  With a spread, the rule asks the
+    window's top real part to pass its bottom one by that much."""
+    sizes, past = [], None
+    if spread is not None:
+        def past(window):
+            sizes.append(window.size)
+            return window[0].real + spread
+    eig_calls.clear()
+    return eig_lowest(matrix, k, past).tobytes(), sizes, len(eig_calls)
+
+
+def _memo_pool():
+    """Matrices for the memo's call histories, with the spread scale of
+    their stopping rules: two that share their diagonal, one small enough
+    that wide windows go to eig, a real one whose conjugate pairs tie at
+    cuts, a mass-picture target, and the deep well, whose wider windows
+    restart their Krylov basis."""
+    rng = np.random.default_rng(31)
+    a = _random_tridiagonal(rng, "complex", 60)
+    small = _random_tridiagonal(rng, "complex", 14)
+    return [(a, 8.0),
+            (OperatorMatrix(1.5 * a.lower, a.diag, a.upper), 8.0),
+            (small, 8.0),
+            (_random_tridiagonal(rng, "real", 50), 6.0),
+            (_picture_matrix(ACCEPTANCE_SPECS["c4:GoraWilliams:sech"], "target", 200), 4.0),
+            (_picture_matrix(DEEP_WELL, "reference", 400), 700.0)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_eig_lowest_memo_replays_the_bits_of_an_empty_memo(seed, arnoldi_builds, eig_calls,
+                                                         monkeypatch):
+    # A random history of interleaved calls, repeats among them, each with
+    # k from 1 to 12, with or without a stopping rule: with the memo kept
+    # across the history, every call gives the window bits, the stopping
+    # rule's windows and the hand-offs to eig of that call on an empty memo.
+    pool, rng = _memo_pool(), np.random.default_rng(seed)
+    history = [(int(rng.integers(len(pool))), int(rng.integers(1, 13)),
+                rng.choice([None, 0.05, 0.5])) for _ in range(28)]
+    history += history[:6]
+    restarts = []
+    restart = eigen._ShiftInvertArnoldi._restart
+
+    def counting_restart(self, *args):
+        restarts.append(self.dim)
+        return restart(self, *args)
+
+    monkeypatch.setattr(eigen._ShiftInvertArnoldi, "_restart", counting_restart)
+
+    def run(i, k, spread):
+        matrix, scale = pool[i]
+        return _lowest(matrix, k, None if spread is None else spread * scale, eig_calls)
+
+    fresh = []
+    for call in history:
+        eigen._MEMO.clear()
+        fresh.append(run(*call))
+    assert restarts and any(handed for _, _, handed in fresh)
+    built_fresh = len(arnoldi_builds)
+    eigen._MEMO.clear()
+    arnoldi_builds.clear()
+    for call, reference in zip(history, fresh):
+        assert run(*call) == reference, call
+    assert len(arnoldi_builds) < built_fresh
+
+
+def test_eig_lowest_memo_gives_the_fresh_bits_under_threads():
+    # Four threads run the same calls, twice each in their own orders,
+    # on two shared matrices; k = 1, 2 and 7 with stopping rules of several
+    # reaches leave each other's logs often, and a short switch interval
+    # makes the threads interleave inside calls.
+    spec = ACCEPTANCE_SPECS["c2:sech"]
+    pool = [_picture_matrix(spec, picture, 120) for picture in ("reference", "target")]
+    calls = [(i, k, spread) for i in range(2) for k in (1, 2, 7) for spread in (None, 2.0, 5.0, 9.0)]
+
+    def window(i, k, spread):
+        past = None if spread is None else (lambda w: w[0].real + spread)
+        return eig_lowest(pool[i], k, past).tobytes()
+
+    fresh = {}
+    for call in calls:
+        eigen._MEMO.clear()
+        fresh[call] = window(*call)
+    eigen._MEMO.clear()
+    results = []
+
+    def worker(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(2):
+            for j in rng.permutation(len(calls)):
+                results.append((calls[j], window(*calls[j])))
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 2 * len(threads) * len(calls)
+    for call, bits in results:
+        assert bits == fresh[call], call
+
+
+def test_a_repeated_eig_lowest_call_builds_no_process(arnoldi_builds):
+    matrix = _picture_matrix(ACCEPTANCE_SPECS["c2:sech"], "reference", 300)
+    fresh = {}
+    for k in (4, 2):
+        eigen._MEMO.clear()
+        fresh[k] = eig_lowest(matrix, k).tobytes()
+    eigen._MEMO.clear()
+    arnoldi_builds.clear()
+    assert eig_lowest(matrix, 4).tobytes() == fresh[4]
+    # the same bands in another OperatorMatrix, and a window of fewer levels
+    # cut from the same 8 Ritz values: served from the log
+    twin = OperatorMatrix(matrix.lower.copy(), matrix.diag.copy(), matrix.upper.copy())
+    assert eig_lowest(twin, 4).tobytes() == fresh[4]
+    assert eig_lowest(matrix, 2).tobytes() == fresh[2]
+    assert arnoldi_builds == [300]
+
+
+def test_a_request_off_or_past_the_log_rebuilds_the_process_once(arnoldi_builds, eig_calls):
+    # k = 7 and k = 1 both ask the process for 8 values first.  Under a
+    # stopping rule that the first windows fall short of, k = 7 asks for 15
+    # next, and k = 1 for 8 again: that request leaves the log.  A rule that
+    # reaches further asks past the log's end.  Either way one new process
+    # replays the logged requests before it, which brings it to the state
+    # the first process had there, and goes on.
+    matrix = _picture_matrix(ACCEPTANCE_SPECS["c2:sech"], "reference", 300)
+    fresh = {}
+    for spread in (5.0, 9.0):
+        eigen._MEMO.clear()
+        fresh[spread] = _lowest(matrix, 1, spread, eig_calls)
+    eigen._MEMO.clear()
+    arnoldi_builds.clear()
+
+    def requests():
+        (log,) = eigen._MEMO.values()
+        return [m for m, _ in log]
+
+    _lowest(matrix, 7, 5.0, eig_calls)
+    assert requests()[:2] == [8, 15]
+    assert _lowest(matrix, 1, 5.0, eig_calls) == fresh[5.0]
+    assert requests() == [8, 8, 8, 9, 17]
+    assert arnoldi_builds == [300, 300]
+    # the new log serves the repeat whole
+    assert _lowest(matrix, 1, 5.0, eig_calls) == fresh[5.0]
+    assert arnoldi_builds == [300, 300]
+    assert _lowest(matrix, 1, 9.0, eig_calls) == fresh[9.0]
+    assert requests() == [8, 8, 8, 9, 17, 33]
+    assert arnoldi_builds == [300, 300, 300]
+
+
+def test_a_logged_failure_hands_off_to_eig_without_a_process(arnoldi_builds, eig_calls,
+                                                              monkeypatch):
+    # The refused restart of test_eig_lowest_hands_a_refused_restart_to_eig:
+    # the repeat raises the logged error, and eig answers, with no process
+    # built and no restart tried.
+    matrix = _picture_matrix(DEEP_WELL, "reference", 400)
+    qr, rng = np.linalg.qr, np.random.default_rng(0)
+
+    def perturbed_qr(a):
+        q = qr(a)[0]
+        return qr(q + 1e-3 * rng.standard_normal(q.shape))
+
+    restarts = []
+    restart = eigen._ShiftInvertArnoldi._restart
+
+    def counting_restart(self, *args):
+        restarts.append(self.dim)
+        return restart(self, *args)
+
+    monkeypatch.setattr(np.linalg, "qr", perturbed_qr)
+    monkeypatch.setattr(eigen._ShiftInvertArnoldi, "_restart", counting_restart)
+    low = eig_lowest(matrix, 40)
+    assert (len(restarts), arnoldi_builds) == (1, [400])
+    eig_calls.clear()
+    again = eig_lowest(matrix, 40)
+    assert (len(restarts), arnoldi_builds) == (1, [400])
+    _assert_handed_to_eig(eig_calls, again, 40)
+    assert again.tobytes() == low.tobytes()
+    # a substitution chunk that leaves the float range fails while the
+    # process is built, and is logged the same way
+    n = 400
+    overflowing = _tridiagonal(np.linspace(0.0, 1.0, n), np.full(n - 1, 1e-12),
+                               np.full(n - 1, 1e-12))
+    for _ in range(2):
+        eig_calls.clear()
+        low = eig_lowest(overflowing, 2)
+        assert arnoldi_builds == [400, 400]
+        _assert_handed_to_eig(eig_calls, low, 2)
+
+
+def test_the_memo_drops_its_least_recently_used_matrix(arnoldi_builds, monkeypatch):
+    monkeypatch.setattr(eigen, "_MEMO_SIZE", 3)
+    rng = np.random.default_rng(9)
+    a, b, c, d = (_random_tridiagonal(rng, "complex", n) for n in (40, 41, 42, 43))
+    # a is used again before d comes in, so b is the least recently used
+    for matrix in (a, b, c, a, d):
+        eig_lowest(matrix, 2)
+    assert arnoldi_builds == [40, 41, 42, 43]
+    assert len(eigen._MEMO) == 3
+    for matrix in (a, c, d):
+        eig_lowest(matrix, 2)
+    assert arnoldi_builds == [40, 41, 42, 43]
+    eig_lowest(b, 2)
+    assert arnoldi_builds == [40, 41, 42, 43, 41]
+
+
 @pytest.mark.parametrize("apply, message", [
     # the start vector spans an invariant space of 2 I, so the second basis
     # vector is rounding noise
@@ -898,6 +1117,23 @@ def test_eig_tridiagonal_refuses_oversized_input_before_solving():
 def test_eig_tridiagonal_propagates_failure():
     with pytest.raises(NoConvergenceError):
         eig_tridiagonal(_tridiagonal([np.nan, 1.0], [0.5], [0.5]))
+
+
+def test_eig_refuses_non_finite_bands_before_densifying(monkeypatch):
+    dense = []
+    entries = eigen._entries
+
+    def counting_entries(matrix):
+        dense.append(matrix)
+        return entries(matrix)
+
+    monkeypatch.setattr(eigen, "_entries", counting_entries)
+    for bad in (_tridiagonal([np.nan, 1.0, 2.0], [0.5, 0.5], [0.5, 0.5]),
+                _tridiagonal([0.0, 1.0, 2.0], [0.5, np.inf], [0.5, 0.5]),
+                _tridiagonal([0.0, 1.0, 2.0], [0.5, 0.5], [-np.inf, 0.5])):
+        with pytest.raises(NoConvergenceError, match="a band holds a non-finite entry"):
+            eig(bad)
+    assert dense == []
 
 
 # eig_tridiagonal as it was while its row loop guarded every pivot, kept

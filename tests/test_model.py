@@ -302,6 +302,17 @@ def test_spec_rejects_a_window_without_a_finite_image_in_the_domain(q_interval):
         ModelSpec.from_ordering(ScarfII(2.0), ordering_preset("ZhuKroemer"), q_interval)
 
 
+@pytest.mark.parametrize("q_interval", [(-740.0, -700.0), (-400.0, 0.0)])
+def test_spec_rejects_a_window_where_the_reference_potential_overflows(q_interval):
+    # F = exp(-q) and F^2 leave the float range at the left end; without a
+    # numpy overflow warning, which the suite turns into an error
+    with pytest.raises(OutOfRangeError, match="reference potential of Morse"):
+        ModelSpec.from_ordering(Morse(), ordering_preset("ZhuKroemer"), q_interval)
+    # exp(350)^2 = 1e304 is still a float
+    spec = ModelSpec.from_ordering(Morse(), ordering_preset("ZhuKroemer"), (-350.0, 0.0))
+    assert spec.q_interval == (-350.0, 0.0)
+
+
 def test_scarf2_depth_needs_a_finite_square():
     with pytest.raises(ValueError, match="v2 = -1e\\+200 has no finite square"):
         ScarfII(-1e200)

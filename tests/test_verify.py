@@ -302,20 +302,6 @@ def test_check_analytic_agrees_with_dense_eig(label, monkeypatch):
                                atol=1e-7 if label == "c3" else 1e-10)
 
 
-@pytest.fixture
-def arnoldi_builds(monkeypatch):
-    """Records the matrix size of each Arnoldi process eig_lowest builds."""
-    builds = []
-
-    class Counting(eigen._ShiftInvertArnoldi):
-        def __init__(self, coupling, diag, *args):
-            builds.append(diag.size)
-            super().__init__(coupling, diag, *args)
-
-    monkeypatch.setattr(eigen, "_ShiftInvertArnoldi", Counting)
-    return builds
-
-
 def test_eig_lowest_doubles_its_window_until_it_passes_the_cutoff(arnoldi_builds):
     # Criterion 3's ladder tops out at 75/16 = 4.6875, and its fifth level
     # sits just below the cutoff 4.7075, so the first window of five falls short.
