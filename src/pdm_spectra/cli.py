@@ -31,7 +31,13 @@ from .config import (
     config_from_dict,
     load_config,
 )
-from .errors import ConfigError, PdmSpectraError, TooLargeError, UnsupportedGeneratorError
+from .errors import (
+    BetaMinusOneError,
+    ConfigError,
+    PdmSpectraError,
+    TooLargeError,
+    UnsupportedGeneratorError,
+)
 from .eigen import eig
 from .mapping import potential_decomposition, target_potential
 from .model import ORDERING_PRESETS, delta_of
@@ -47,7 +53,6 @@ from .verify import (
     eigensolver_validation,
     isospectral_sweep,
 )
-from .errors import BetaMinusOneError
 
 _CHECK_ORDER = ("isospectral", "intertwining", "analytic", "identities", "solver")
 

@@ -34,8 +34,9 @@ hand-off to `eig` has the bits of a call on an empty memo.
 characteristic polynomial by the Faddeev-LeVerrier recursion and finds all
 roots simultaneously with Durand-Kerner iteration, so that the main solvers
 can be checked against something that cannot fail the same way.  Its batch
-form `_oracle` solves each size as one stacked batch, with the same sweeps
-and bits per matrix as a solve alone.
+form `_oracle` moves the roots of matrices of every size in one loop, each
+padded to the largest size, with the same sweeps and bits per matrix as a
+solve alone.
 """
 
 from __future__ import annotations
@@ -587,51 +588,65 @@ def _log_derivative(za, d0, rest, couplings, pivot=None) -> np.ndarray:
 def _oracle(matrices) -> list[np.ndarray]:
     """Eigenvalues of small matrices without LAPACK, each lex-ordered.
 
-    One stack per size: Faddeev-LeVerrier (M_1 = A, c_k = -tr(M_k)/k,
-    M_{k+1} = A (M_k + c_k I)) gives the characteristic polynomials, and
-    Durand-Kerner, with Horner from zero, moves all their roots at once.  A
-    matrix leaves the stack when its own step test passes, so it runs the
+    Faddeev-LeVerrier (M_1 = A, c_k = -tr(M_k)/k, M_{k+1} = A (M_k + c_k I)),
+    one stacked chain per size, gives the characteristic polynomials, and
+    one Durand-Kerner loop, with Horner from zero, moves the roots of every
+    size at once.  Each member is padded to the largest size: its
+    coefficient row is left-padded with zeros, which keep Horner at zero
+    until the leading 1, and its padded roots sit at 0 with step 0 and a
+    Weierstrass factor of exactly 1, multiplied after its real factors.  A
+    matrix leaves the batch when its own step test passes, so it runs the
     sweeps, and gives the bits, that it would alone.
     """
     sizes = [m.n if isinstance(m, OperatorMatrix) else _entries(m).shape[0] for m in matrices]
     for n in sizes:
         if n > _ORACLE_MAX_SIZE:
             raise TooLargeError(f"oracle accepts matrices up to size {_ORACLE_MAX_SIZE}, got {n}")
-    out = [np.empty(0, dtype=complex)] * len(sizes)
+    width = max(sizes, default=0)
+    if not width:
+        return [np.empty(0, dtype=complex) for _ in sizes]
+    degrees = np.array(sizes)
+    coeffs = np.zeros((len(sizes), width + 1), dtype=complex)
+    z = np.zeros((len(sizes), width), dtype=complex)
     for n in set(sizes) - {0}:
-        where = [i for i, size in enumerate(sizes) if size == n]
+        where = np.flatnonzero(degrees == n)
         a = np.stack([_entries(matrices[i]) for i in where])
-        coeffs = np.ones((len(where), n + 1), dtype=complex)
+        chain = np.ones((len(where), n + 1), dtype=complex)
         m = a
         for k in range(1, n + 1):
-            coeffs[:, k] = c = -np.trace(m, axis1=1, axis2=2) / k
+            chain[:, k] = c = -np.trace(m, axis1=1, axis2=2) / k
             if k < n:
                 m = a @ (m + c[:, None, None] * np.eye(n))
+        coeffs[where, width - n:] = chain
         # Cauchy-type inclusion radius; the offset angle keeps the start
         # configuration away from real-axis symmetries.
-        r0 = 1.0 + np.abs(coeffs[:, 1:]).max(axis=1)
-        z = r0[:, None] * np.exp(2j * np.pi * np.arange(n) / n + 0.4j)
-        active = np.arange(len(where))
-        for _ in range(_ORACLE_MAX_ITER):
-            za = z[active]
-            p = np.zeros_like(za)
-            for c in coeffs[active].T:
-                p = p * za + c[:, None]
-            diff = za[:, :, None] - za[:, None, :]
-            diff[:, range(n), range(n)] = 1.0
-            diff[np.abs(diff) < 1e-14] = 1e-12 * (1.0 + 1j)
-            step = p / diff.prod(axis=2)
-            z[active] = za = za - step
-            done = np.abs(step).max(1) < _ORACLE_TOL * np.maximum(1.0, np.abs(za).max(1))
-            active = active[~done]
-            if not active.size:
-                break
-        else:
-            raise NoConvergenceError(
-                f"root iteration did not settle within {_ORACLE_MAX_ITER} sweeps")
-        for i, roots in zip(where, z):
-            out[i] = roots[_lex_order(roots)]
-    return out
+        r0 = 1.0 + np.abs(chain[:, 1:]).max(axis=1)
+        z[where, :n] = r0[:, None] * np.exp(2j * np.pi * np.arange(n) / n + 0.4j)
+    real = np.arange(width) < degrees[:, None]
+    # Weierstrass factors set to exactly 1 over the coincidence guard: the
+    # diagonal's, and in every row each padded root's, after the real ones.
+    unit = np.eye(width, dtype=bool) | ~real[:, None, :]
+    # a matrix of size 0 has no root to move
+    active = np.flatnonzero(degrees)
+    for _ in range(_ORACLE_MAX_ITER):
+        za = z[active]
+        p = np.zeros_like(za)
+        for c in coeffs[active].T[:, :, None]:
+            np.multiply(p, za, out=p)
+            np.add(p, c, out=p)
+        diff = za[:, :, None] - za[:, None, :]
+        diff[np.abs(diff) < 1e-14] = 1e-12 * (1.0 + 1j)
+        diff[unit[active]] = 1.0
+        step = np.divide(p, diff.prod(axis=2), out=np.zeros_like(p), where=real[active])
+        z[active] = za = za - step
+        done = np.abs(step).max(1) < _ORACLE_TOL * np.maximum(1.0, np.abs(za).max(1))
+        active = active[~done]
+        if not active.size:
+            break
+    else:
+        raise NoConvergenceError(
+            f"root iteration did not settle within {_ORACLE_MAX_ITER} sweeps")
+    return [roots[_lex_order(roots[:n])] for roots, n in zip(z, degrees)]
 
 
 def brute_oracle_small(matrix) -> np.ndarray:

@@ -474,12 +474,13 @@ def convergence_sweep(
     }
 
 
-def _against_oracle(solve, matrices):
-    """Worst oracle gap and trace error of `solve` over `matrices`, and
-    whether re-solving the first three gives the same bits."""
+def _against_oracle(solve, matrices, oracles):
+    """Worst gap between `solve`'s eigenvalues and the oracle's roots
+    `oracles`, worst trace error over `matrices`, and whether re-solving the
+    first three gives the same bits."""
     worst_gap = worst_trace = 0.0
     first = []
-    for matrix, oracle in zip(matrices, _oracle(matrices)):
+    for matrix, oracle in zip(matrices, oracles):
         spectrum = solve(matrix)
         _, gaps = match_eigenvalue_sets(oracle, spectrum.eigenvalues)
         worst_gap = max(worst_gap, float(gaps.max()))
@@ -500,10 +501,11 @@ def eigensolver_validation(
 
     Draws `count` dense complex Gaussian matrices of sizes 2..8 for `eig`,
     then one complex Gaussian tridiagonal of each size 2..8 for
-    `eig_tridiagonal`, compares matched eigenvalues with the oracle's,
-    checks the trace identity, and re-solves a few inputs of each to confirm
-    bitwise-identical output.  `worst_gap` and `worst_trace_error` are
-    `eig`'s; the `tridiagonal_` keys are `eig_tridiagonal`'s.
+    `eig_tridiagonal`, compares matched eigenvalues with the oracle's (one
+    batch for all of them), checks the trace identity, and re-solves a few
+    inputs of each to confirm bitwise-identical output.  `worst_gap` and
+    `worst_trace_error` are `eig`'s; the `tridiagonal_` keys are
+    `eig_tridiagonal`'s.
     """
     rng = np.random.default_rng(seed)
     dense = []
@@ -513,8 +515,10 @@ def eigensolver_validation(
     bands = [rng.standard_normal((3, size)) + 1j * rng.standard_normal((3, size))
              for size in range(2, 9)]
     tridiagonal = [OperatorMatrix(b[0, 1:], b[1], b[2, 1:]) for b in bands]
-    worst_gap, worst_trace, dense_replays = _against_oracle(eig, dense)
-    tri_gap, tri_trace, tri_replays = _against_oracle(eig_tridiagonal, tridiagonal)
+    oracles = _oracle(dense + tridiagonal)
+    worst_gap, worst_trace, dense_replays = _against_oracle(eig, dense, oracles[:len(dense)])
+    tri_gap, tri_trace, tri_replays = _against_oracle(
+        eig_tridiagonal, tridiagonal, oracles[len(dense):])
     deterministic = dense_replays and tri_replays
     passed = (max(worst_gap, tri_gap) <= tol and max(worst_trace, tri_trace) <= trace_tol
               and deterministic)

@@ -4,8 +4,20 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from pdm_spectra import ConfigError, SamsonovRoy, cli, config_from_dict, ordering_preset
+from pdm_spectra import (
+    DEFAULTS,
+    ConfigError,
+    SamsonovRoy,
+    cli,
+    config_from_dict,
+    operators,
+    ordering_preset,
+    verify,
+)
+from pdm_spectra.config import DEFAULT_TOLERANCES
 
 
 @pytest.mark.parametrize("raw", [
@@ -173,3 +185,72 @@ def test_trigonometric_generator_defaults_to_one_period(tmp_path, capsys):
     # the printed defaults stay those of the sech model
     assert cli.main(["defaults"]) == 0
     assert json.loads(capsys.readouterr().out)["q_interval"] == [-8.0, 8.0]
+
+
+# Each object of a config that names its fields: the names it knows, a
+# config holding it with what it needs beside the given fields, and its
+# refusal of the sorted unknown names.
+_FIELD_OWNERS = {
+    "top level": (set(DEFAULTS), lambda fields: {"n": 50, **fields},
+                  lambda names: f"unknown config keys: {', '.join(names)}"),
+    "tolerances": (set(DEFAULT_TOLERANCES),
+                   lambda fields: {"tolerances": {"solver": 1e-8, **fields}},
+                   lambda names: f"unknown tolerance keys: {', '.join(names)}"),
+    "scarf2": ({"kind", "v2", "sign"},
+               lambda fields: {"generator": {"kind": "scarf2", "v2": 2.5, **fields}},
+               lambda names: f"unknown scarf2 fields: {', '.join(names)}"),
+    "samsonov_roy": ({"kind"}, lambda fields: {"generator": {"kind": "samsonov_roy", **fields}},
+                     lambda names: f"samsonov_roy takes no fields, got {names}"),
+    "morse": ({"kind", "a"}, lambda fields: {"generator": {"kind": "morse", "a": 1.0, **fields}},
+              lambda names: f"unknown morse fields: {', '.join(names)}"),
+    "constant": ({"kind", "value"},
+                 lambda fields: {"generator": {"kind": "constant", "value": 0.0, **fields}},
+                 lambda names: f"unknown constant generator fields: {', '.join(names)}"),
+    "ordering": ({"alpha", "beta", "gamma", "name"},
+                 lambda fields: {"ordering": {"alpha": -0.5, "beta": 0, "gamma": -0.5, **fields}},
+                 lambda names: f"unknown ordering fields: {', '.join(names)}"),
+}
+# printable names, so that each refusal is one line
+_NAME = st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=8)
+
+
+@st.composite
+def _unknown_fields(draw):
+    """An object that names its fields, and a config holding it with 1..4
+    fields it does not know."""
+    owner = draw(st.sampled_from(sorted(_FIELD_OWNERS)))
+    known, holder, refusal = _FIELD_OWNERS[owner]
+    names = draw(st.lists(_NAME.filter(lambda name: name not in known),
+                          min_size=1, max_size=4, unique=True))
+    values = st.one_of(st.none(), st.integers(-3, 3), _NAME)
+    raw = holder({name: draw(values) for name in names})
+    return raw, refusal(sorted(names))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_unknown_fields())
+def test_every_unknown_field_is_refused_by_its_sorted_names(case):
+    raw, refusal = case
+    with pytest.raises(ConfigError) as refused:
+        config_from_dict(raw)
+    assert str(refused.value) == refusal
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_unknown_fields(),
+       argv=st.sampled_from([["solve"], ["map"], ["sweep"], ["verify"],
+                             ["verify", "--which", "solver"]]))
+def test_the_cli_refuses_an_unknown_field_before_building_a_grid(
+        case, argv, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(operators, "uniform_grid", refuse)
+    monkeypatch.setattr(verify, "uniform_grid", refuse)
+    raw, refusal = case
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main([*argv, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {refusal}\n")

@@ -230,11 +230,29 @@ def test_oracle_of_an_empty_matrix_is_empty():
 
 
 def test_oracle_names_the_sweep_limit_on_a_defective_triple_root():
-    # A defective triple root keeps its iterates moving at eps^(1/3): alone
-    # or among matrices that settle, the batch refuses with the limit.
+    # A defective triple root keeps its iterates moving at eps^(1/3): alone,
+    # or padded among matrices of the same or other sizes that settle, the
+    # batch refuses with the limit.
     rng = np.random.default_rng(5)
-    settled = [rng.standard_normal((size, size)) for size in (3, 2, 3)]
-    for batch in ([np.eye(3)], [settled[0], np.eye(3), *settled[1:]]):
+    settled = {size: rng.standard_normal((size, size)) for size in range(1, 9)}
+    for batch in ([np.eye(3)],
+                  [settled[3], np.eye(3), settled[2], settled[3]],
+                  [settled[8], np.empty((0, 0)), np.eye(3), settled[1], settled[5]]):
+        with pytest.raises(NoConvergenceError,
+                           match="root iteration did not settle within 600 sweeps"):
+            eigen._oracle(batch)
+
+
+def test_oracle_names_the_sweep_limit_on_rounded_double_roots():
+    # The rounded double roots of diag(1, 1, 2, 2, i) step above the
+    # tolerance for good, alone or padded among matrices of other sizes
+    # that settle, and beside the defective triple root of eye(3).
+    rng = np.random.default_rng(5)
+    settled = {size: rng.standard_normal((size, size)) for size in range(1, 9)}
+    stuck = np.diag([1.0, 1.0, 2.0, 2.0, 1j])
+    for batch in ([stuck],
+                  [settled[2], settled[7], stuck, np.empty((0, 0)), settled[4]],
+                  [settled[1], stuck, settled[8], np.eye(3)]):
         with pytest.raises(NoConvergenceError,
                            match="root iteration did not settle within 600 sweeps"):
             eigen._oracle(batch)
@@ -312,14 +330,17 @@ def test_oracle_reproduces_the_one_at_a_time_bits_on_criterion_7(monkeypatch):
 
     monkeypatch.setattr(verify, "_oracle", record)
     assert eigensolver_validation().passed
-    assert [len(batch) for batch in batches] == [100, 7]
-    assert isinstance(batches[1][0], OperatorMatrix)
-    references = [[_oracle_alone(m) for m in batch] for batch in batches]
-    for batch, reference in zip(batches, references):
-        _assert_same_bits(eigen._oracle(batch), reference)
-    # reversed, regrouped across the two halves, and in batches of seven
-    both, reference = batches[0] + batches[1], references[0] + references[1]
+    assert [len(batch) for batch in batches] == [107]
+    (both,) = batches
+    assert not any(isinstance(m, OperatorMatrix) for m in both[:100])
+    assert all(isinstance(m, OperatorMatrix) for m in both[100:])
+    reference = [_oracle_alone(m) for m in both]
+    _assert_same_bits(eigen._oracle(both), reference)
+    # reversed, split into the dense and tridiagonal halves, and in batches
+    # of seven
     _assert_same_bits(eigen._oracle(both[::-1]), reference[::-1])
+    for part in (slice(0, 100), slice(100, None)):
+        _assert_same_bits(eigen._oracle(both[part]), reference[part])
     for i in range(0, len(both), 7):
         _assert_same_bits(eigen._oracle(both[i:i + 7]), reference[i:i + 7])
 
@@ -331,10 +352,10 @@ _oracle_entry = st.one_of(
 
 
 @st.composite
-def _oracle_input(draw):
-    """A dense array or an OperatorMatrix of size 1..8."""
-    n = draw(st.integers(1, 8))
-    if draw(st.booleans()):
+def _oracle_input(draw, n=st.integers(0, 8)):
+    """A dense array of size 0..8 or an OperatorMatrix of size 1..8."""
+    n = draw(n)
+    if n and draw(st.booleans()):
         bands = [draw(st.lists(_oracle_entry, min_size=size, max_size=size))
                  for size in (n - 1, n, n - 1)]
         return OperatorMatrix(*(np.array(band, dtype=complex) for band in bands))
@@ -342,21 +363,37 @@ def _oracle_input(draw):
     return np.array(entries, dtype=complex).reshape(n, n)
 
 
+@st.composite
+def _oracle_batch(draw):
+    """1..40 oracle inputs in any order; about half hold every size 0..8."""
+    batch = draw(st.lists(_oracle_input(), max_size=31))
+    if draw(st.booleans()):
+        batch += [draw(_oracle_input(st.just(n))) for n in range(9)]
+    assume(batch)
+    return draw(st.permutations(batch))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.lists(_oracle_input(), min_size=1, max_size=10), st.randoms(use_true_random=False))
+@given(_oracle_batch(), st.randoms(use_true_random=False))
 def test_oracle_reproduces_the_one_at_a_time_bits_in_any_batch(matrices, random):
-    # Sweeps that settle only to eps^(1/m) at a defective root may not settle
-    # at all; such a member makes the whole batch refuse.
-    references = []
-    for matrix in matrices:
+    # Every member is padded to the batch's largest size.  Sweeps that
+    # settle only to eps^(1/m) at a defective root may not settle at all;
+    # such a member makes the whole batch refuse, and the rest are compared.
+    references = {}
+    for i, matrix in enumerate(matrices):
+        if isinstance(matrix, np.ndarray) and not matrix.size:
+            references[i] = np.empty(0, dtype=complex)
+            continue
         try:
-            references.append(_oracle_alone(matrix))
+            references[i] = _oracle_alone(matrix)
         except NoConvergenceError:
-            with pytest.raises(NoConvergenceError, match="within 600 sweeps"):
-                eigen._oracle(matrices)
-            return
-    _assert_same_bits(eigen._oracle(matrices), references)
-    order = list(range(len(matrices)))
+            pass
+    if len(references) < len(matrices):
+        with pytest.raises(NoConvergenceError, match="within 600 sweeps"):
+            eigen._oracle(matrices)
+    order = list(references)
+    _assert_same_bits(eigen._oracle([matrices[i] for i in order]),
+                      [references[i] for i in order])
     random.shuffle(order)
     cut = random.randint(0, len(order))
     for group in (order, order[:cut], order[cut:]):

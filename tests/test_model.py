@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdm_spectra import (
@@ -64,6 +64,31 @@ def test_delta_formula_on_custom_ordering():
     # 4a + 1 + 4a^2/(b+1) at a = b = -1/3 gives -1/3 + 1 + (4/9)/(2/3) - 1 = 1/3
     o = AmbiguityOrdering(Fraction(-1, 3), Fraction(-1, 3), Fraction(-1, 3))
     assert delta_of(o) == Fraction(1, 3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.fractions(max_denominator=10**6), st.fractions(max_denominator=10**6))
+def test_delta_is_exact_on_any_rational_ordering(alpha, beta):
+    ordering = AmbiguityOrdering(alpha, beta, -1 - alpha - beta)
+    if beta == -1:
+        with pytest.raises(BetaMinusOneError):
+            delta_of(ordering)
+        return
+    assert delta_of(ordering) == 4 * alpha + 1 + 4 * alpha * alpha / (beta + 1)
+
+
+_EXPONENT = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_EXPONENT, _EXPONENT.filter(lambda b: b != -1))
+@example(0.1, -0.3)
+def test_a_float_exponent_enters_delta_through_its_decimal_repr(a, b):
+    # 0.1 is the rational 1/10 here, not the binary double nearest it
+    alpha, beta = Fraction(repr(a)), Fraction(repr(b))
+    ordering = AmbiguityOrdering(a, b, -1 - alpha - beta)
+    assert (ordering.alpha, ordering.beta) == (alpha, beta)
+    assert delta_of(ordering) == 4 * alpha + 1 + 4 * alpha * alpha / (beta + 1)
 
 
 def test_ordering_sum_enforced():
