@@ -44,7 +44,6 @@ from .mapping import (
     potential_decomposition,
     reference_potential,
     target_potential,
-    wavefunction_pullback,
 )
 from .operators import (
     MAX_DENSE_NODES,

@@ -14,6 +14,14 @@ pivot always makes p'/p non-finite, and the roots where p'/p is not finite
 are redone by the same loop with the guard on, so every root keeps the bits
 of a loop guarded on every row.
 
+One rule keeps sums and products in the float range: `_unit_scaled`
+multiplies by the exact power of two that brings the largest real or
+imaginary part into [1/2, 1).  The Frobenius norm, the trace error and
+`eig_tridiagonal`'s sweeps work at that scale and scale their results back,
+which keeps the bits of every result whose sums stay in range.
+`eig_lowest` stays at the caller's scale: the LAPACK eigensolve of its
+projected matrix is not scale-homogeneous.
+
 `eig_lowest` returns only the lowest few eigenvalues of an OperatorMatrix,
 as a set, with a proof that the window it returns is complete, and hands
 the matrix to `eig` where it cannot give that proof.  It runs shift-invert
@@ -108,14 +116,23 @@ def _entries(matrix) -> np.ndarray:
     return arr
 
 
+def _unit_scaled(*arrays):
+    """The float or complex arrays times 2^-e, and e, where 2^(e-1) <= their
+    largest real or imaginary part < 2^e; e = 0 where that part is 0 or
+    infinite (a nan stays nan at any scale).  The scaling is exact short of
+    subnormals, so it commutes with every rounding step, and np.ldexp(x, e)
+    brings a result back."""
+    views = [np.ascontiguousarray(a).view(float) for a in arrays]
+    _, e = math.frexp(max(abs(v).max(initial=0.0) for v in views))
+    return [np.ldexp(v, -e).view(a.dtype) for v, a in zip(views, arrays)], e
+
+
 def _frobenius(values: np.ndarray) -> float:
-    """||values||_F, rescaled by max |entry| only where the plain one overflows."""
+    """||values||_F, taken at unit scale (see _unit_scaled); inf only where
+    the norm itself leaves the float range."""
+    (scaled,), e = _unit_scaled(values)
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(values))
-        if norm == math.inf and np.isfinite(values).all():
-            scale = float(np.max(np.abs(values)))
-            norm = scale * float(np.linalg.norm(values / scale))
-    return norm
+        return float(np.ldexp(np.linalg.norm(scaled), e))
 
 
 @dataclass(frozen=True)
@@ -165,22 +182,17 @@ def eig(matrix) -> Spectrum:
     return _spectrum(vals, np.diagonal(a), _frobenius(a), fallback)
 
 
-def _trace_error(vals: np.ndarray, diag: np.ndarray, floor: float) -> float:
-    """|sum(vals) - trace| relative to max(floor, |trace|, sum |vals|)."""
-    trace = complex(np.sum(diag))
-    return abs(vals.sum() - trace) / max(floor, abs(trace), float(np.sum(np.abs(vals))))
-
-
 def _spectrum(vals: np.ndarray, diag: np.ndarray, norm: float, fallback: str = "") -> Spectrum:
-    """Eigenvalues in lex order, with their trace error against sum(diag),
-    rescaled by the largest real or imaginary part only where the plain one
-    overflows (every finite error keeps its bits)."""
+    """Eigenvalues in lex order, with their trace error: |sum(vals) - trace|
+    relative to max(1, |trace|, sum |vals|), the trace being sum(diag).  It
+    is taken at unit scale (see _unit_scaled), the floor of 1 scaled with
+    the sums, so that every error of sums in the float range keeps its bits."""
     vals = vals[_lex_order(vals)]
+    (scaled, diag), e = _unit_scaled(vals, diag)
+    trace = complex(np.sum(diag))
     with np.errstate(over="ignore", invalid="ignore"):
-        error = _trace_error(vals, diag, 1.0)
-        if not math.isfinite(error) and np.isfinite(vals).all() and np.isfinite(diag).all():
-            scale = float(np.max(np.abs(np.concatenate((vals, diag)).view(float))))
-            error = _trace_error(vals / scale, diag / scale, 1.0 / scale)
+        floor = float(np.ldexp(1.0, -e))
+        error = abs(scaled.sum() - trace) / max(floor, abs(trace), float(np.sum(np.abs(scaled))))
     return Spectrum(eigenvalues=vals, matrix_norm=norm, trace_error=error, fallback=fallback)
 
 
@@ -495,20 +507,25 @@ def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
     holds the Gershgorin and Bendixson bounds.  A root freezes once its step
     is at most 4 eps max(|z|, 1e-3 ||A||_F), or stops shrinking at most
     max(1e-8 |z|, 8 eps ||A||_F), the continuant's rounding level near 0.
-    Raises TooLargeError for n > MAX_DENSE_NODES, NoConvergenceError on a
-    non-finite Frobenius norm (a non-finite entry, or finite entries whose
-    norm overflows) or when roots still move at the _MAX_SWEEPS limit.
+    The sweeps run on the bands at unit scale (see _unit_scaled), where no
+    norm, bound or product l_i u_i leaves the float range, and every step
+    is scale-homogeneous: the roots and the norm are scaled back by the same
+    exact power of two, so eig_tridiagonal(A 2^j) is 2^j eig_tridiagonal(A)
+    bit for bit, short of subnormals and overflow.  Raises TooLargeError for
+    n > MAX_DENSE_NODES, NoConvergenceError on a non-finite band entry or
+    when roots still move at the _MAX_SWEEPS limit.
     """
     n = matrix.n
     if n > MAX_DENSE_NODES:
         raise TooLargeError(f"full spectra are limited to {MAX_DENSE_NODES} nodes, got {n}")
-    lower, diag, upper = matrix.lower, matrix.diag, matrix.upper
-    norm = _frobenius(np.concatenate((lower, diag, upper)))
+    (lower, diag, upper), scale = _unit_scaled(matrix.lower, matrix.diag, matrix.upper)
+    # at unit scale the sum of squares cannot overflow: only inf or nan make it non-finite
+    norm = float(np.linalg.norm(np.concatenate((lower, diag, upper))))
     if not math.isfinite(norm):
-        raise NoConvergenceError("the bands' Frobenius norm is not a finite float")
+        raise NoConvergenceError("a band holds a non-finite entry")
     if norm == 0.0:
         return Spectrum(np.zeros(n, dtype=complex))
-    _, lo, hi, height = _bounds(matrix)
+    _, lo, hi, height = _bounds(OperatorMatrix(lower, diag, upper))
     floor = 1e-3 * norm
     width = max(0.5 * (hi - lo), height, floor)
     # Chebyshev abscissae alternately above and below the real axis; the
@@ -550,7 +567,9 @@ def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
         last[active] = size
         active = active[~done]
         if not active.size:
-            return _spectrum(z, diag, norm)
+            with np.errstate(over="ignore"):
+                z, norm = np.ldexp(z.view(float), scale).view(complex), float(np.ldexp(norm, scale))
+            return _spectrum(z, matrix.diag, norm)
     raise NoConvergenceError(
         f"{active.size} of {n} roots still moving at the limit of {_MAX_SWEEPS} Aberth sweeps"
     )

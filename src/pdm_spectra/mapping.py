@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedKindError
-from .model import Generator, MassLike, ModelSpec, SamsonovRoy, ScarfII
+from .model import Generator, ModelSpec, SamsonovRoy, ScarfII
 
 __all__ = [
     "reference_potential",
@@ -28,7 +28,6 @@ __all__ = [
     "closed_form_target",
     "PotentialDecomposition",
     "potential_decomposition",
-    "wavefunction_pullback",
 ]
 
 
@@ -130,14 +129,4 @@ def potential_decomposition(spec: ModelSpec, x) -> PotentialDecomposition:
         + (4.0 * a * (a + b + 1.0) + b + 0.75) * mu1 * mu1
     )
     return PotentialDecomposition(vtilde, w, v)
-
-
-def wavefunction_pullback(profile: MassLike, q, phi):
-    """Carry flat-picture values phi(q) to the mass picture.
-
-    Returns (x, psi) with x = x(q) and psi(x) = phi(q(x)) / sqrt(mu(x)).
-    Raises OutOfRangeError for a q the change of variables does not attain.
-    """
-    x = profile.x_from_q(q)
-    return x, np.asarray(phi) / np.sqrt(profile.eval(x).mu)
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InsufficientBoundStatesError, UnsupportedGeneratorError, UnsupportedKindError
-from .eigen import _oracle, eig, eig_lowest, eig_tridiagonal, match_eigenvalue_sets
+from .eigen import _oracle, _unit_scaled, eig, eig_lowest, eig_tridiagonal, match_eigenvalue_sets
 from .mapping import (
     closed_form_target,
     potential_decomposition,
@@ -241,16 +241,6 @@ def _product_bands(x: OperatorMatrix, y: OperatorMatrix) -> list:
             x.upper[:-1] * y.upper[1:]]
 
 
-def _power_of_two_scaled(matrix: OperatorMatrix) -> OperatorMatrix:
-    """matrix over 2^e, where 2^(e-1) <= its largest real or imaginary part
-    < 2^e; unscaled where that part is below 1/2 or not finite.  The scaling
-    is exact, and no product of two scaled entries overflows."""
-    parts = np.concatenate((matrix.lower, matrix.diag, matrix.upper)).view(float)
-    _, exp = np.frexp(np.max(np.abs(parts)))
-    scale = 2.0 ** -max(int(exp), 0)
-    return OperatorMatrix(matrix.lower * scale, matrix.diag * scale, matrix.upper * scale)
-
-
 def check_intertwining(
     spec: ModelSpec,
     n_list,
@@ -262,16 +252,17 @@ def check_intertwining(
     is dominated by the Dirichlet cut rows and decays about linearly in h;
     the check wants strict decrease plus a fitted rate of at least min_rate.
     Both factors are tridiagonal, so both products are formed as five bands,
-    after each factor is scaled by a power of two: the relative residual is
-    invariant under that scaling, which keeps every product and norm finite.
+    after each factor is brought to unit scale by an exact power of two
+    (eigen._unit_scaled): the relative residual keeps its bits under that
+    scaling, and every product and norm stays finite.
     """
     n_list = [int(n) for n in n_list]
     xa, xb = spec.x_interval
     residuals = []
     for n in n_list:
         grid = uniform_grid(xa, xb, n, coordinate="x")
-        ham = _power_of_two_scaled(build_target_matrix(spec, grid))
-        eta = _power_of_two_scaled(build_eta_matrix(spec, grid))
+        ham, eta = (OperatorMatrix(*_unit_scaled(m.lower, m.diag, m.upper)[0])
+                    for m in (build_target_matrix(spec, grid), build_eta_matrix(spec, grid)))
         adjoint = OperatorMatrix(ham.upper.conj(), ham.diag.conj(), ham.lower.conj())
         mismatch = [a - b for a, b in zip(_product_bands(eta, ham), _product_bands(adjoint, eta))]
         norms = [np.linalg.norm(np.concatenate((m.lower, m.diag, m.upper))) for m in (eta, ham)]
@@ -505,8 +496,10 @@ def eigensolver_validation(
     batch for all of them), checks the trace identity, and re-solves a few
     inputs of each to confirm bitwise-identical output.  `worst_gap` and
     `worst_trace_error` are `eig`'s; the `tridiagonal_` keys are
-    `eig_tridiagonal`'s.
+    `eig_tridiagonal`'s.  Raises ValueError for count < 1, before any draw.
     """
+    if count < 1:
+        raise ValueError(f"need count >= 1, got {count}")
     rng = np.random.default_rng(seed)
     dense = []
     for _ in range(count):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from pdm_spectra import (
     DEFAULTS,
     ConfigError,
+    PdmSpectraError,
     SamsonovRoy,
     cli,
     config_from_dict,
@@ -236,21 +238,98 @@ def test_every_unknown_field_is_refused_by_its_sorted_names(case):
     assert str(refused.value) == refusal
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=_unknown_fields(),
-       argv=st.sampled_from([["solve"], ["map"], ["sweep"], ["verify"],
-                             ["verify", "--which", "solver"]]))
-def test_the_cli_refuses_an_unknown_field_before_building_a_grid(
-        case, argv, tmp_path, capsys, monkeypatch):
+def _refused_before_a_grid(raw, argv, tmp_path, capsys, monkeypatch):
+    """What the CLI prints on stderr when it exits 2 on the config `raw`,
+    with nothing on stdout and no grid built."""
     def refuse(*args, **kwargs):
         raise AssertionError("a grid was built")
 
     monkeypatch.setattr(operators, "uniform_grid", refuse)
     monkeypatch.setattr(verify, "uniform_grid", refuse)
-    raw, refusal = case
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     assert cli.main([*argv, "--config", str(path)]) == 2
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", f"error: {refusal}\n")
+    assert captured.out == ""
+    return captured.err
+
+
+# every command that reads a config
+_COMMANDS = st.sampled_from([["solve"], ["map"], ["sweep"], ["verify"],
+                             ["verify", "--which", "solver"]])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_unknown_fields(), argv=_COMMANDS)
+def test_the_cli_refuses_an_unknown_field_before_building_a_grid(
+        case, argv, tmp_path, capsys, monkeypatch):
+    raw, refusal = case
+    err = _refused_before_a_grid(raw, argv, tmp_path, capsys, monkeypatch)
+    assert err == f"error: {refusal}\n"
+
+
+def _is_rational(text):
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+_RATIONAL = st.fractions(max_denominator=64).map(str)
+_NOT_RATIONAL = st.one_of(
+    st.text(max_size=6).filter(lambda text: not _is_rational(text)),
+    st.sampled_from([math.nan, math.inf, -math.inf, None, [1], {}]))
+
+
+@st.composite
+def _ordering_off_the_sum(draw):
+    alpha, beta, gamma = draw(st.lists(st.fractions(max_denominator=64), min_size=3,
+                                       max_size=3).filter(lambda e: sum(e) != -1))
+    return {"ordering": {"alpha": str(alpha), "beta": str(beta), "gamma": str(gamma)}}
+
+
+@st.composite
+def _ordering_not_rational(draw):
+    exponents = {"alpha": "-1/2", "beta": "0", "gamma": "-1/2"}
+    exponents[draw(st.sampled_from(sorted(exponents)))] = draw(_NOT_RATIONAL)
+    return {"ordering": exponents}
+
+
+def _scarf2(**fields):
+    return {"generator": {"kind": "scarf2", "v2": 2.5, **fields}}
+
+
+# one bad model field per config: a zero depth or one whose square is not a
+# finite float, a sign off +-1, ordering exponents off the sum -1 or not
+# rational, a zero profile slope, and beta = -1 beside the derived profile
+_BAD_MODEL_FIELD = st.one_of(
+    st.sampled_from([0, 0.0, -0.0]).map(lambda v2: _scarf2(v2=v2)),
+    st.tuples(st.floats(min_value=1.35e154, allow_infinity=False), st.sampled_from([1, -1]))
+    .map(lambda deep: _scarf2(v2=deep[0] * deep[1])),
+    st.integers().filter(lambda sign: sign not in (-1, 1)).map(lambda sign: _scarf2(sign=sign)),
+    _ordering_off_the_sum(),
+    _ordering_not_rational(),
+    st.tuples(st.sampled_from([0, 0.0, -0.0]), st.floats(-10.0, 10.0))
+    .map(lambda c: {"profile": {"c1": c[0], "c2": c[1]}}),
+    st.tuples(_RATIONAL, st.sampled_from([{}, {"profile": "derived"}]))
+    .map(lambda case: {"ordering": {"alpha": case[0], "beta": -1,
+                                    "gamma": str(-Fraction(case[0]))}, **case[1]}),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_BAD_MODEL_FIELD)
+def test_every_bad_model_field_is_refused(raw):
+    with pytest.raises(PdmSpectraError):
+        config_from_dict(raw)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=_BAD_MODEL_FIELD, argv=_COMMANDS)
+def test_the_cli_refuses_a_bad_model_field_before_building_a_grid(
+        raw, argv, tmp_path, capsys, monkeypatch):
+    err = _refused_before_a_grid(raw, argv, tmp_path, capsys, monkeypatch)
+    assert err.startswith("error: ") and err.count("\n") == 1

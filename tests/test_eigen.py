@@ -157,8 +157,7 @@ def test_a_norm_whose_sum_of_squares_overflows_is_rescaled():
 
 def test_a_trace_error_whose_sums_overflow_is_rescaled():
     # The trace and sum |lambda| of this diagonal overflow; the error is
-    # taken on the values over their largest part, with no warning (the
-    # suite makes one an error).
+    # taken at unit scale, with no warning (the suite makes one an error).
     spectrum = eig(np.diag([1.5e308, 1.5e308, -1e308]))
     assert spectrum.matrix_norm == np.inf
     assert spectrum.trace_error == 0.0
@@ -950,21 +949,21 @@ def test_eig_lowest_hands_a_failed_krylov_step_to_eig(apply, message, eig_calls,
 @pytest.mark.parametrize("n", [4, 12])
 def test_bounds_beyond_the_float_range_hand_off_before_any_sweep(n, eig_calls):
     # Finite bands whose products lower * upper overflow: the bounds on the
-    # eigenvalues are not finite floats.  eig_tridiagonal refuses before its
-    # first sweep, and eig and eig_lowest give the dense answer, with no
-    # warning (the suite makes one an error).
+    # eigenvalues are not finite floats.  eig_lowest hands the matrix to eig
+    # before any Arnoldi step, and eig_tridiagonal answers at unit scale,
+    # with no warning (the suite makes one an error).
     matrix = OperatorMatrix(np.full(n - 1, 1e200), np.full(n, 2e200), np.full(n - 1, -1e200))
-    message = "the eigenvalue bounds of the bands are not finite floats"
-    with pytest.raises(NoConvergenceError, match=message):
-        eig_tridiagonal(matrix)
-    spectrum, dense = eig(matrix), eig(matrix.entries)
-    assert spectrum.fallback == message
-    np.testing.assert_array_equal(spectrum.eigenvalues, dense.eigenvalues)
+    spectrum, dense = eig_tridiagonal(matrix), eig(matrix.entries)
+    banded = eig(matrix)
+    assert banded.fallback == ""
+    assert banded.eigenvalues.tobytes() == spectrum.eigenvalues.tobytes()
+    _, gaps = match_eigenvalue_sets(dense.eigenvalues, spectrum.eigenvalues)
+    assert gaps.max() <= 1e-10 * np.abs(dense.eigenvalues).max()
     for k in (1, 2):
         eig_calls.clear()
         low = eig_lowest(matrix, k)
         _assert_handed_to_eig(eig_calls, low, k)
-        assert set(low.tolist()) == set(dense.eigenvalues[:k].tolist())
+        assert set(low.tolist()) == set(spectrum.eigenvalues[:k].tolist())
 
 
 def _substitute(matrix, shift, b):
@@ -1183,7 +1182,7 @@ def _guarded_loop(matrix):
     lower, diag, upper = matrix.lower, matrix.diag, matrix.upper
     norm = eigen._frobenius(np.concatenate((lower, diag, upper)))
     if not math.isfinite(norm):
-        raise NoConvergenceError("the bands' Frobenius norm is not a finite float")
+        raise NoConvergenceError("a band holds a non-finite entry")
     if norm == 0.0:
         return eigen.Spectrum(np.zeros(n, dtype=complex))
     _, lo, hi, height = eigen._bounds(matrix)
@@ -1294,10 +1293,45 @@ def test_eig_tridiagonal_keeps_the_guarded_loops_errors_and_bits(sweeps, monkeyp
         _random_tridiagonal(rng, "complex", 5),
     ]
     references = [_outcome(_guarded_loop, m) for m in matrices]
-    assert str(references[1]) == "the bands' Frobenius norm is not a finite float"
+    assert str(references[1]) == "a band holds a non-finite entry"
     assert str(references[3]) == f"full spectra are limited to {MAX_DENSE_NODES} nodes, got {big}"
     if sweeps < eigen._MAX_SWEEPS:
         moving = [r for r in references if "still moving at the limit of 12" in str(r)]
         assert moving and sum(isinstance(r, eigen.Spectrum) for r in references) > 4
     for matrix, reference in zip(matrices, references):
         _assert_same_outcome(_outcome(eig_tridiagonal, matrix), reference)
+
+
+@st.composite
+def _scalable_tridiagonals(draw):
+    """A seeded random tridiagonal or an acceptance-spec picture."""
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        kind = draw(st.sampled_from(["complex", "real", "doubled"]))
+        return _random_tridiagonal(rng, kind, draw(st.integers(2, 60)))
+    label = draw(st.sampled_from(sorted(ACCEPTANCE_SPECS)))
+    picture = draw(st.sampled_from(["reference", "target"]))
+    return _picture_matrix(ACCEPTANCE_SPECS[label], picture, draw(st.sampled_from([50, 120])))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(matrix=_scalable_tridiagonals(), j=st.integers(-900, 900))
+def test_eig_tridiagonal_is_scale_equivariant_bit_for_bit(matrix, j):
+    # A 2^j scaling is exact and the sweeps run at unit scale, so the roots
+    # and the norm scale by exactly 2^j.  The trace error's floor of 1 is
+    # absolute, so the error is not compared.
+    bands = np.concatenate((matrix.lower, matrix.diag, matrix.upper)).view(float)
+    assume(np.abs(bands[bands != 0]).min() >= 2.0**-100)  # clear of subnormals at 2^-900
+
+    def scaled(x):
+        return np.ldexp(np.asarray(x).view(float), j).view(complex)
+
+    spectrum = _outcome(eig_tridiagonal, matrix)
+    result = _outcome(eig_tridiagonal, OperatorMatrix(
+        scaled(matrix.lower), scaled(matrix.diag), scaled(matrix.upper)))
+    if isinstance(spectrum, Exception):
+        assert type(result) is type(spectrum) and str(result) == str(spectrum)
+        return
+    assert isinstance(result, eigen.Spectrum)
+    assert result.eigenvalues.tobytes() == scaled(spectrum.eigenvalues).tobytes()
+    assert result.matrix_norm == np.ldexp(spectrum.matrix_norm, j)

@@ -16,7 +16,6 @@ from pdm_spectra import (
     potential_decomposition,
     reference_potential,
     target_potential,
-    wavefunction_pullback,
 )
 
 ZK = ordering_preset("ZhuKroemer")
@@ -128,13 +127,3 @@ def test_decomposition_w_is_minus_fprime_of_q():
     _, fq = spec.generator(q)
     np.testing.assert_allclose(potential_decomposition(spec, x).w, -fq, rtol=0, atol=1e-13)
 
-
-def test_wavefunction_pullback_values():
-    # log branch: q = 1 lands at x = e with mu = e, so phi = 1 becomes e^-1/2;
-    # power branch: q = 1 at delta = 1 lands at x = 1/4 with mu = 1/2
-    x, psi = wavefunction_pullback(MassProfile(1.0, 0.0, 0.0), [1.0, 2.0], [1.0, 1.0])
-    x2, psi2 = wavefunction_pullback(MassProfile(1.0, 0.0, 1.0), [1.0], [3.0])
-    assert x == pytest.approx([np.e, np.e**2], rel=1e-15)
-    assert psi == pytest.approx([np.exp(-0.5), np.exp(-1.0)], rel=1e-14)
-    assert x2 == pytest.approx([0.25], rel=1e-14)
-    assert psi2 == pytest.approx([3.0 * np.sqrt(2.0)], rel=1e-14)

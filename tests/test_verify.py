@@ -495,6 +495,16 @@ def test_eigensolver_validation_report():
     assert report.details["tridiagonal_worst_trace_error"] <= 1e-10
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_eigensolver_validation_refuses_a_count_below_one(count, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("drew a matrix")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    with pytest.raises(ValueError, match=f"need count >= 1, got {count}"):
+        eigensolver_validation(count=count)
+
+
 def test_report_roundtrip(tmp_path):
     report = VerificationReport("demo", True, {"gap": 0.25, "n": [2, 3]})
     path = tmp_path / "report.json"
