@@ -38,7 +38,7 @@ from .errors import (
     TooLargeError,
     UnsupportedGeneratorError,
 )
-from .eigen import eig
+from .eigen import _banded, _finish, eig
 from .mapping import potential_decomposition, target_potential
 from .model import ORDERING_PRESETS, delta_of
 from .operators import MAX_DENSE_NODES, matched_domains, picture_matrix
@@ -111,9 +111,7 @@ def cmd_map(args) -> int:
     return 0
 
 
-def _solve_payload(spec, picture: str, n: int) -> dict:
-    grid, matrix = picture_matrix(spec, picture, n)
-    spectrum = eig(matrix)
+def _solve_payload(picture: str, n: int, grid, spectrum) -> dict:
     if spectrum.fallback:
         print(f"note: {picture} picture: {spectrum.fallback}; taking the dense eig",
               file=sys.stderr)
@@ -127,6 +125,56 @@ def _solve_payload(spec, picture: str, n: int) -> dict:
     })
 
 
+def _alongside(first, second):
+    """(first(), second()), with second() run in a forked child while this
+    process runs first(), where os.fork exists and more than one CPU is
+    usable; elsewhere the two run here, one after the other.
+
+    The child sends its result, or the exception it raised, pickled through
+    a pipe, and ends with os._exit: it writes nothing else and runs no exit
+    handler.  The parent reads the pipe to EOF before it reaps the child,
+    kills and reaps it if first() raises, and raises the child's exception
+    as its own.  A child that sends nothing (killed, or holding a result
+    that does not pickle) has second() run here.
+    """
+    usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    if not hasattr(os, "fork") or len(usable) < 2:
+        return first(), second()
+    import pickle
+
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read)
+            try:
+                result = True, second()
+            except Exception as exc:
+                result = False, exc
+            with open(write, "wb") as pipe:
+                pipe.write(pickle.dumps(result))
+        finally:
+            os._exit(0)
+    os.close(write)
+    try:
+        with open(read, "rb") as pipe:
+            mine = first()
+            sent = pipe.read()
+    except BaseException:
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    if not sent:
+        return mine, second()
+    ok, result = pickle.loads(sent)
+    if not ok:
+        raise result
+    return mine, result
+
+
 def cmd_solve(args) -> int:
     cfg = _load(args)
     spec = build_spec(cfg)
@@ -135,13 +183,21 @@ def cmd_solve(args) -> int:
         # before any grid or band is built
         raise TooLargeError(f"full spectra are limited to {MAX_DENSE_NODES} nodes, got {n}")
     if args.picture == "both":
+        # The target picture's banded solve runs in a forked child beside
+        # eig of the reference picture; its dense fallback, if any, runs
+        # here afterwards, since two processes' LAPACK thread pools at once
+        # oversubscribe the CPUs.
+        (ref_grid, ref), (grid, target) = (picture_matrix(spec, picture, n)
+                                           for picture in ("reference", "target"))
+        reference, banded = _alongside(lambda: eig(ref), lambda: _banded(target))
         payload = {
             "picture": "both",
-            "reference": _solve_payload(spec, "reference", n),
-            "target": _solve_payload(spec, "target", n),
+            "reference": _solve_payload("reference", n, ref_grid, reference),
+            "target": _solve_payload("target", n, grid, _finish(target, banded)),
         }
     else:
-        payload = _solve_payload(spec, args.picture, n)
+        grid, matrix = picture_matrix(spec, args.picture, n)
+        payload = _solve_payload(args.picture, n, grid, eig(matrix))
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 

@@ -83,6 +83,9 @@ _MARGIN_RTOL = 1e-10
 # (each row's sum, and so every bit, is the same for any block).
 _MAX_SWEEPS = 200
 _BLOCK = 1 << 14
+# eig_tridiagonal's refusal of a band with an inf or nan, which `eig` passes
+# on instead of densifying
+_NON_FINITE = "a band holds a non-finite entry"
 # eig_lowest's shift-invert Arnoldi: entries per chunk of the prefix-product
 # substitution, short enough that no chunk's running product of the ratios
 # |coupling / pivot| underflows; the least number of Krylov steps between two
@@ -155,6 +158,10 @@ class Spectrum:
         vals.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
 
+    def __reduce__(self):
+        # unpickled through the constructor, so the eigenvalues stay read-only
+        return Spectrum, (self.eigenvalues, self.matrix_norm, self.trace_error, self.fallback)
+
 
 def eig(matrix) -> Spectrum:
     """Full spectrum with package conventions.
@@ -164,16 +171,38 @@ def eig(matrix) -> Spectrum:
     banded error text is kept in `fallback`; TooLargeError propagates, and
     bands with a non-finite entry raise NoConvergenceError before anything
     dense is built.  A plain array goes to LAPACK.  Raises
-    NoConvergenceError if the dense QR iteration gives up.
+    NoConvergenceError if the dense QR iteration gives up.  For an
+    OperatorMatrix it is _finish(matrix, _banded(matrix)); `solve --picture
+    both` runs the target picture's _banded in a forked child.
     """
-    fallback = ""
     if isinstance(matrix, OperatorMatrix):
-        try:
-            return eig_tridiagonal(matrix)
-        except NoConvergenceError as exc:
-            fallback = str(exc)
-        if not all(np.isfinite(band).all() for band in (matrix.lower, matrix.diag, matrix.upper)):
-            raise NoConvergenceError("a band holds a non-finite entry, so no dense solve is tried")
+        return _finish(matrix, _banded(matrix))
+    return _dense(matrix)
+
+
+def _banded(matrix: OperatorMatrix):
+    """The first stage of `eig` on an OperatorMatrix: eig_tridiagonal's
+    Spectrum, or the NoConvergenceError it raised."""
+    try:
+        return eig_tridiagonal(matrix)
+    except NoConvergenceError as exc:
+        return exc
+
+
+def _finish(matrix: OperatorMatrix, banded) -> Spectrum:
+    """eig(matrix), given _banded(matrix): that Spectrum, or LAPACK's with
+    the banded refusal's text as the fallback.  The refusal of a band with
+    a non-finite entry is raised again instead, before anything dense is
+    built."""
+    if isinstance(banded, Spectrum):
+        return banded
+    if str(banded) == _NON_FINITE:
+        raise NoConvergenceError(f"{_NON_FINITE}, so no dense solve is tried") from banded
+    return _dense(matrix, str(banded))
+
+
+def _dense(matrix, fallback: str = "") -> Spectrum:
+    """LAPACK's Spectrum of the dense entries, with the given fallback text."""
     a = _entries(matrix)
     try:
         vals = np.linalg.eigvals(a)
@@ -409,11 +438,14 @@ class _ShiftInvertArnoldi:
         self.projected = np.zeros((self.basis.shape[0], self.basis.shape[0] - 1), dtype=complex)
         self.dim = 0
         self.next_check = 0
+        # the last Ritz check's (theta, vectors), until a step or restart
+        self.ritz = None
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         return self.back((self.forward(v) / self.pivots)[::-1])[::-1]
 
     def _step(self) -> None:
+        self.ritz = None
         j = self.dim
         if j + 1 == self.basis.shape[0]:
             rows = min(self.size, 2 * j) + 1
@@ -444,6 +476,7 @@ class _ShiftInvertArnoldi:
         """Shrink the Krylov decomposition to the span of the kept Ritz
         vectors; NoConvergenceError where that span is not invariant to
         sqrt(eps)."""
+        self.ritz = None
         d = self.dim
         q = np.linalg.qr(vectors[:, keep])[0]
         g = self.projected[:d, :d]
@@ -465,7 +498,9 @@ class _ShiftInvertArnoldi:
 
         A Ritz check is a dense eigensolve of the projected matrix, so it
         runs only from m + 2 _CHECK_EVERY vectors on, and then where the
-        residual decay between the last two checks predicts convergence.
+        residual decay between the last two checks predicts convergence; a
+        check on a basis unchanged since the last one, in a call that
+        follows another, reuses that eigensolve.
         At limit = max(_KRYLOV_MIN, 2m + _CHECK_EVERY) vectors, fixed for the
         call, the basis restarts; a refused restart raises NoConvergenceError.
         """
@@ -474,7 +509,9 @@ class _ShiftInvertArnoldi:
         while True:
             full = self.dim == self.size
             if full or self.dim >= min(max(m + 2 * _CHECK_EVERY, self.next_check), limit):
-                theta, vectors = np.linalg.eig(self.projected[:self.dim, :self.dim])
+                if self.ritz is None:
+                    self.ritz = np.linalg.eig(self.projected[:self.dim, :self.dim])
+                theta, vectors = self.ritz
                 order = np.argsort(-np.abs(theta), kind="stable")
                 top = order[:m]
                 residual = np.abs(self.projected[self.dim, :self.dim] @ vectors[:, top])
@@ -522,7 +559,7 @@ def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
     # at unit scale the sum of squares cannot overflow: only inf or nan make it non-finite
     norm = float(np.linalg.norm(np.concatenate((lower, diag, upper))))
     if not math.isfinite(norm):
-        raise NoConvergenceError("a band holds a non-finite entry")
+        raise NoConvergenceError(_NON_FINITE)
     if norm == 0.0:
         return Spectrum(np.zeros(n, dtype=complex))
     _, lo, hi, height = _bounds(OperatorMatrix(lower, diag, upper))

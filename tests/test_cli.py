@@ -1,13 +1,16 @@
 """End-to-end runs of the command-line interface via subprocess."""
 
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from pdm_spectra import (
     MAX_DENSE_NODES,
+    NoConvergenceError,
     build_reference_matrix,
     build_spec,
     build_target_matrix,
@@ -187,6 +190,93 @@ def test_solve_both_equals_the_single_picture_runs(tmp_path, capsys, payload, n,
                     "target": runs["target"][0]}
     assert stderr == runs["reference"][1] + runs["target"][1]
     assert stderr.count("note: ") == notes
+
+
+def _cpus(monkeypatch, count):
+    """Make the process see `count` usable CPUs; with one, forking fails."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    if count == 1:
+        def no_fork():
+            raise AssertionError("forked with one usable CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _solve_both(tmp_path, capsys, payload, n, label):
+    out = tmp_path / f"{label}.json"
+    argv = ["solve", "--picture", "both", "--n", str(n), "--config",
+            write_config(tmp_path, payload), "--out", str(out)]
+    code = cli.main(argv)
+    _assert_no_child_left()
+    return code, out.read_bytes() if out.exists() else None, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, n", [({}, 150), ({"generator": {"kind": "morse"}}, 50)])
+def test_solve_both_writes_the_same_bytes_forked_and_serial(tmp_path, capsys, monkeypatch,
+                                                           payload, n):
+    # Two usable CPUs fork one child for the target picture, one CPU solves
+    # both pictures here; Morse takes the dense eig in both pictures.
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    _cpus(monkeypatch, 2)
+    forked = _solve_both(tmp_path, capsys, payload, n, "forked")
+    assert forks == [os.getpid()]
+    _cpus(monkeypatch, 1)
+    assert _solve_both(tmp_path, capsys, payload, n, "serial") == forked
+    assert forked[0] == 0
+
+
+def _refusing(monkeypatch, name, picture, refusal):
+    """The solver cli.<name>, with `refusal` called in place of its solve of
+    one picture of the default config at n = 150: the parent calls `eig` on
+    the reference picture, the child `_banded` on the target."""
+    spec = build_spec(config_from_dict({}))
+    marked = cli.picture_matrix(spec, picture, 150)[1].diag.tobytes()
+    solve = getattr(cli, name)
+
+    def refusing(matrix):
+        return refusal() if matrix.diag.tobytes() == marked else solve(matrix)
+
+    monkeypatch.setattr(cli, name, refusing)
+
+
+def test_an_error_in_the_child_exits_as_the_serial_run(tmp_path, capsys, monkeypatch):
+    def refusal():
+        raise NoConvergenceError("the target picture refused")
+
+    _refusing(monkeypatch, "_banded", "target", refusal)
+    runs = []
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        runs.append(_solve_both(tmp_path, capsys, {}, 150, f"cpus{cpus}"))
+    refused = (2, None, "error: NoConvergenceError: the target picture refused\n")
+    assert runs[0] == runs[1] == refused
+
+
+def test_an_error_in_the_parent_kills_and_reaps_the_child(tmp_path, capsys, monkeypatch):
+    # the child would sleep for a minute: the parent kills it
+    def refusal():
+        raise NoConvergenceError("the reference picture refused")
+
+    _refusing(monkeypatch, "_banded", "target", lambda: time.sleep(60))
+    _refusing(monkeypatch, "eig", "reference", refusal)
+    _cpus(monkeypatch, 2)
+    start = time.monotonic()
+    code, out, err = _solve_both(tmp_path, capsys, {}, 150, "killed")
+    assert time.monotonic() - start < 30
+    assert (code, out, err) == (2, None,
+                                "error: NoConvergenceError: the reference picture refused\n")
 
 
 @pytest.mark.parametrize("command", ["solve", "map"])

@@ -1,8 +1,10 @@
 """Eigensolver conventions, the low-window and full tridiagonal solvers, the
 small-matrix oracle, and eigenvalue set matching."""
 
+import dataclasses
 import functools
 import math
+import pickle
 import sys
 import threading
 import warnings
@@ -189,6 +191,17 @@ def test_eig_deterministic_bitwise():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
     assert np.array_equal(eig(m).eigenvalues, eig(m).eigenvalues)
+
+
+def test_a_pickled_spectrum_keeps_its_bits_and_read_only_eigenvalues():
+    # solve --picture both sends the target picture's Spectrum through a pipe
+    spectrum = eig(_picture_matrix(ACCEPTANCE_SPECS["c2:sech"], "target", 60).entries)
+    spectrum = dataclasses.replace(spectrum, fallback="a banded refusal")
+    again = pickle.loads(pickle.dumps(spectrum))
+    assert again.eigenvalues.tobytes() == spectrum.eigenvalues.tobytes()
+    assert not again.eigenvalues.flags.writeable
+    assert (again.matrix_norm, again.trace_error, again.fallback) == \
+        (spectrum.matrix_norm, spectrum.trace_error, spectrum.fallback)
 
 
 def test_eig_propagates_failure():
@@ -914,6 +927,40 @@ def test_a_logged_failure_hands_off_to_eig_without_a_process(arnoldi_builds, eig
         _assert_handed_to_eig(eig_calls, low, 2)
 
 
+def test_a_ritz_check_on_an_unchanged_basis_reuses_its_eigensolve(eig_calls, monkeypatch):
+    # k = 1 under a stopping rule asks one process for 8 values three times,
+    # then 9 and 17: those that follow a call with no Krylov step between
+    # take the last check's eigensolve, where solving again gives the same
+    # bits.  Each window is compared with one of a process that solves
+    # every check afresh.
+    solved = []
+    solve = np.linalg.eig
+
+    def recording_eig(a):
+        solved.append((a.shape, a.tobytes()))
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eig", recording_eig)
+    matrix = _picture_matrix(ACCEPTANCE_SPECS["c2:sech"], "reference", 300)
+    runs = {}
+    for label in ("reused", "afresh"):
+        solved.clear()
+        eigen._MEMO.clear()
+        runs[label] = _lowest(matrix, 1, 5.0, eig_calls), list(solved)
+
+        class Afresh(eigen._ShiftInvertArnoldi):
+            def nearest(self, m):
+                self.ritz = None
+                return super().nearest(m)
+
+        monkeypatch.setattr(eigen, "_ShiftInvertArnoldi", Afresh)
+    (window, reused), (reference, afresh) = runs["reused"], runs["afresh"]
+    assert window == reference
+    distinct = [a for i, a in enumerate(afresh) if i == 0 or a != afresh[i - 1]]
+    assert len(distinct) < len(afresh)
+    assert reused == distinct
+
+
 def test_the_memo_drops_its_least_recently_used_matrix(arnoldi_builds, monkeypatch):
     monkeypatch.setattr(eigen, "_MEMO_SIZE", 3)
     rng = np.random.default_rng(9)
@@ -1172,6 +1219,49 @@ def test_eig_refuses_non_finite_bands_before_densifying(monkeypatch):
     assert dense == []
 
 
+# The norm, the eigenvalue bounds and the trace error of eig_tridiagonal,
+# frozen with the loop below so that a change to the live helpers shows.
+def _frozen_unit_scaled(*arrays):
+    views = [np.ascontiguousarray(a).view(float) for a in arrays]
+    _, e = math.frexp(max(abs(v).max(initial=0.0) for v in views))
+    return [np.ldexp(v, -e).view(a.dtype) for v, a in zip(views, arrays)], e
+
+
+def _frozen_frobenius(values):
+    (scaled,), e = _frozen_unit_scaled(values)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(scaled), e))
+
+
+def _frozen_row_sums(couplings):
+    out = np.zeros(couplings.size + 1)
+    out[:-1] += couplings
+    out[1:] += couplings
+    return out
+
+
+def _frozen_bounds(matrix):
+    diag = matrix.diag
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = np.sqrt(matrix.lower * matrix.upper)
+        rows = _frozen_row_sums(np.abs(root.real))
+        height = float(np.max(np.abs(diag.imag) + _frozen_row_sums(np.abs(root.imag))))
+        lo, hi = float(np.min(diag.real - rows)), float(np.max(diag.real + rows))
+    if not all(map(math.isfinite, (lo, hi, height))):
+        raise NoConvergenceError("the eigenvalue bounds of the bands are not finite floats")
+    return root, lo, hi, height
+
+
+def _frozen_spectrum(vals, diag, norm):
+    vals = vals[np.lexsort((vals.imag, vals.real))]
+    (scaled, diag), e = _frozen_unit_scaled(vals, diag)
+    trace = complex(np.sum(diag))
+    with np.errstate(over="ignore", invalid="ignore"):
+        floor = float(np.ldexp(1.0, -e))
+        error = abs(scaled.sum() - trace) / max(floor, abs(trace), float(np.sum(np.abs(scaled))))
+    return eigen.Spectrum(eigenvalues=vals, matrix_norm=norm, trace_error=error)
+
+
 # eig_tridiagonal as it was while its row loop guarded every pivot, kept
 # verbatim, with that loop's pair-sum block of 2^16 entries, as the reference
 # that the unguarded loop with its redo must reproduce bit for bit.
@@ -1180,12 +1270,12 @@ def _guarded_loop(matrix):
     if n > MAX_DENSE_NODES:
         raise TooLargeError(f"full spectra are limited to {MAX_DENSE_NODES} nodes, got {n}")
     lower, diag, upper = matrix.lower, matrix.diag, matrix.upper
-    norm = eigen._frobenius(np.concatenate((lower, diag, upper)))
+    norm = _frozen_frobenius(np.concatenate((lower, diag, upper)))
     if not math.isfinite(norm):
         raise NoConvergenceError("a band holds a non-finite entry")
     if norm == 0.0:
         return eigen.Spectrum(np.zeros(n, dtype=complex))
-    _, lo, hi, height = eigen._bounds(matrix)
+    _, lo, hi, height = _frozen_bounds(matrix)
     floor = 1e-3 * norm
     width = max(0.5 * (hi - lo), height, floor)
     theta = np.pi * (np.arange(n) + 0.25) / n
@@ -1223,7 +1313,7 @@ def _guarded_loop(matrix):
         last[active] = size
         active = active[~done]
         if not active.size:
-            return eigen._spectrum(z, diag, norm)
+            return _frozen_spectrum(z, diag, norm)
     raise NoConvergenceError(
         f"{active.size} of {n} roots still moving at the limit of {eigen._MAX_SWEEPS} Aberth sweeps"
     )
