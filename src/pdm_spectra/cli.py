@@ -13,7 +13,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 a verification check failed, 2 bad usage,
 bad config, or a model/numerics error.  Output files are written
-atomically; reruns with the same inputs produce identical bytes.
+atomically; reruns with the same inputs produce identical bytes, forked
+or not.  The one exception is a config whose banded solve falls back to
+LAPACK's dense eig (the built-in Morse window, for one): LAPACK rounds
+differently with another OpenBLAS thread count, so those bytes repeat
+only for a fixed count.
 """
 
 from __future__ import annotations
@@ -63,11 +67,11 @@ def _load(args) -> RunConfig:
     return config_from_dict({})
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(out: str | None, *parts: str) -> None:
     if out:
-        atomic_write_text(out, text)
+        atomic_write_text(out, *parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def cmd_orderings(args) -> int:
@@ -83,7 +87,7 @@ def cmd_orderings(args) -> int:
             {"name": n, "alpha": a, "beta": b, "gamma": g, "delta": d}
             for n, a, b, g, d in rows
         ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(args.out, json.dumps(payload, indent=2) + "\n")
         return 0
     widths = [max(len(r[i]) for r in rows + [("name", "alpha", "beta", "gamma", "delta")])
               for i in range(5)]
@@ -91,7 +95,7 @@ def cmd_orderings(args) -> int:
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
     for row in rows:
         lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -105,9 +109,17 @@ def cmd_map(args) -> int:
     veff = target_potential(spec, x)
     dec = potential_decomposition(spec, x)
     columns = [c.tolist() for c in (q, x, mu, veff.real, veff.imag, dec.vtilde, dec.w, dec.v)]
-    row = ",".join(["%.17g"] * len(columns))
-    lines = ["q,x,mu,veff_re,veff_im,vtilde,w,v", *(row % values for values in zip(*columns))]
-    _emit("\n".join(lines) + "\n", args.out)
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    half = q.size // 2
+
+    def rows(part: slice) -> str:
+        return "".join(row % values for values in zip(*(c[part] for c in columns)))
+
+    # %.17g conversion is nearly all of a map's time: a child formats the
+    # second half of the rows beside the first, and the parts are written in
+    # turn rather than joined into one more copy of the table
+    head, tail = _alongside(lambda: rows(slice(half)), lambda: rows(slice(half, None)))
+    _emit(args.out, "q,x,mu,veff_re,veff_im,vtilde,w,v\n", head, tail)
     return 0
 
 
@@ -136,6 +148,10 @@ def _alongside(first, second):
     kills and reaps it if first() raises, and raises the child's exception
     as its own.  A child that sends nothing (killed, or holding a result
     that does not pickle) has second() run here.
+
+    Its callers: `cmd_solve --picture both`, whose child solves the target
+    picture's bands, and `cmd_map`, whose child formats the second half of
+    the CSV rows.
     """
     usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     if not hasattr(os, "fork") or len(usable) < 2:
@@ -198,7 +214,7 @@ def cmd_solve(args) -> int:
     else:
         grid, matrix = picture_matrix(spec, args.picture, n)
         payload = _solve_payload(args.picture, n, grid, eig(matrix))
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -271,13 +287,13 @@ def cmd_sweep(args) -> int:
     )
     rows = zip(result["n"], result["h"], result["error"])
     lines = ["n,h,error", *("%d,%.17g,%.17g" % row for row in rows)]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(args.out, "\n".join(lines) + "\n")
     print(f"rate {result['rate']:.3f}", file=sys.stderr)
     return 0
 
 
 def cmd_defaults(args) -> int:
-    _emit(json.dumps(DEFAULTS, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(args.out, json.dumps(DEFAULTS, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -333,6 +349,10 @@ def main(argv=None) -> int:
     out = os.path.dirname(os.path.abspath(args.out or "."))
     if not os.path.isdir(out):
         print(f"error: --out {args.out}: no such directory {out}", file=sys.stderr)
+        return 2
+    if args.out and os.path.isdir(args.out):
+        # the rename at the end of the run would fail on it
+        print(f"error: --out {args.out}: is a directory", file=sys.stderr)
         return 2
     try:
         return args.func(args)

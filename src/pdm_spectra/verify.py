@@ -93,14 +93,15 @@ def _jsonable(value):
     return str(value)
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text then rename into place, so readers never see half a file."""
+def atomic_write_text(path, *parts: str) -> None:
+    """Write the parts of a text in turn, then rename the file into place, so
+    readers never see half a file."""
     path = str(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

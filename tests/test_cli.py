@@ -207,6 +207,19 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _counting_forks(monkeypatch):
+    """The pids that call os.fork from here on."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
 def _solve_both(tmp_path, capsys, payload, n, label):
     out = tmp_path / f"{label}.json"
     argv = ["solve", "--picture", "both", "--n", str(n), "--config",
@@ -221,14 +234,7 @@ def test_solve_both_writes_the_same_bytes_forked_and_serial(tmp_path, capsys, mo
                                                            payload, n):
     # Two usable CPUs fork one child for the target picture, one CPU solves
     # both pictures here; Morse takes the dense eig in both pictures.
-    forks = []
-    fork = os.fork
-
-    def counting_fork():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
+    forks = _counting_forks(monkeypatch)
     _cpus(monkeypatch, 2)
     forked = _solve_both(tmp_path, capsys, payload, n, "forked")
     assert forks == [os.getpid()]
@@ -324,6 +330,37 @@ def test_map_rows_match_the_one_cell_at_a_time_bytes(tmp_path, payload, n):
     argv = ["map", "--config", write_config(tmp_path, payload), "--n", str(n), "--out", str(out)]
     assert cli.main(argv) == 0
     assert out.read_bytes() == _map_one_cell_at_a_time(payload, n).encode()
+
+
+def _map(tmp_path, capsys, payload, n, out):
+    """map's exit code, output bytes and stderr; with `out` None it writes to stdout."""
+    argv = ["map", "--config", write_config(tmp_path, payload), "--n", str(n)]
+    code = cli.main(argv + (["--out", str(out)] if out else []))
+    _assert_no_child_left()
+    captured = capsys.readouterr()
+    return code, out.read_bytes() if out else captured.out.encode(), captured.err
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    {"generator": {"kind": "samsonov_roy"}},
+], ids=["scarf2", "samsonov_roy"])
+@pytest.mark.parametrize("n", [3, 4, 1001])
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_map_writes_the_same_bytes_forked_and_serial(tmp_path, capsys, monkeypatch,
+                                                     payload, n, to_file):
+    # Two usable CPUs fork one child for the second half of the rows, one CPU
+    # formats both halves here.
+    forked_out, serial_out = (tmp_path / f"{label}.csv" if to_file else None
+                              for label in ("forked", "serial"))
+    forks = _counting_forks(monkeypatch)
+    _cpus(monkeypatch, 2)
+    forked = _map(tmp_path, capsys, payload, n, forked_out)
+    assert forks == [os.getpid()]
+    _cpus(monkeypatch, 1)
+    assert _map(tmp_path, capsys, payload, n, serial_out) == forked
+    assert forked[0] == 0
+    assert forked[1].count(b"\n") == n + 1
 
 
 @pytest.mark.parametrize("payload", [
@@ -519,24 +556,42 @@ def test_analytic_check_on_a_grid_smaller_than_its_window(tmp_path):
     assert proc.stderr == ""
 
 
-@pytest.mark.parametrize("command", [
+# every subcommand that takes --out
+_OUT_COMMANDS = pytest.mark.parametrize("command", [
     ["orderings"], ["map"], ["solve", "--n", "10"], ["verify", "--which", "identities"],
     ["sweep"], ["defaults"],
 ], ids=lambda command: command[0])
-def test_out_in_a_missing_directory_is_refused_before_any_work(command, tmp_path,
-                                                               monkeypatch, capsys):
-    # exit 2, not the failed-check exit 1, and before the command builds anything
+
+
+def _refuse_every_command(monkeypatch):
     def refuse(args):
         raise AssertionError("ran the command")
 
     for name in ("orderings", "map", "solve", "verify", "sweep", "defaults"):
         monkeypatch.setattr(cli, f"cmd_{name}", refuse)
+
+
+@_OUT_COMMANDS
+def test_out_in_a_missing_directory_is_refused_before_any_work(command, tmp_path,
+                                                               monkeypatch, capsys):
+    # exit 2, not the failed-check exit 1, and before the command builds anything
+    _refuse_every_command(monkeypatch)
     out = tmp_path / "missing" / "x.out"
     assert cli.main([*command, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --out {out}: no such directory {out.parent}\n"
     assert not out.parent.exists()
+
+
+@_OUT_COMMANDS
+def test_out_naming_a_directory_is_refused_before_any_work(command, tmp_path,
+                                                           monkeypatch, capsys):
+    # the rename onto the directory would fail only after the whole run
+    _refuse_every_command(monkeypatch)
+    assert cli.main([*command, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: --out {tmp_path}: is a directory\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_reruns_are_byte_identical_at_a_conjugate_pair(tmp_path):

@@ -550,3 +550,10 @@ def test_atomic_write_replaces_content(tmp_path):
     assert path.read_text() == "second\n"
     leftovers = [p for p in path.parent.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+def test_atomic_write_of_parts_writes_their_join(tmp_path):
+    parts = ("q,x\n", "0.5,\u03bc\n", "", "1e-300,2\n")
+    atomic_write_text(tmp_path / "parts.csv", *parts)
+    atomic_write_text(tmp_path / "joined.csv", "".join(parts))
+    assert (tmp_path / "parts.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
