@@ -6,7 +6,8 @@ Subcommands:
   profile exponents.
 * map: tabulate the change of variables and potentials as CSV.
 * solve: eigenvalues of the flat-picture and/or mass-picture operator,
-  written as JSON.
+  written as JSON: the text of json.dumps(..., indent=2, sort_keys=True),
+  with the eigenvalue arrays written straight from their parts.
 * verify: run one or all of the consistency checks; exit 1 on failure.
 * sweep: matched-level error against a grid refinement, as CSV.
 * defaults: print the full default configuration.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -127,14 +129,50 @@ def _solve_payload(picture: str, n: int, grid, spectrum) -> dict:
     if spectrum.fallback:
         print(f"note: {picture} picture: {spectrum.fallback}; taking the dense eig",
               file=sys.stderr)
-    return _jsonable({
+    return {
         "picture": picture,
         "n": n,
         "grid": {"kind": grid.kind, "a": grid.a, "b": grid.b},
         "eigenvalues": spectrum.eigenvalues,
         "matrix_norm": spectrum.matrix_norm,
         "trace_error": spectrum.trace_error,
-    })
+    }
+
+
+def _solve_text(payload: dict) -> list[str]:
+    """json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n" in
+    parts, for a solve payload.  json.dumps writes the skeleton, each
+    "eigenvalues" array there an empty list; the arrays are written in its
+    place straight from their real and imaginary parts with one row
+    template, repr for a finite part (as json writes a float) and null
+    otherwise.  A JSON string escapes every quote, so the key and its empty
+    list can stand only for an array."""
+    arrays = []
+
+    def skeleton(node: dict) -> dict:
+        out = {}
+        for key in sorted(node):  # the order json.dumps writes them in
+            value = node[key]
+            if key == "eigenvalues":
+                arrays.append(value)
+                value = []
+            out[key] = skeleton(value) if isinstance(value, dict) else value
+        return out
+
+    pieces = (json.dumps(_jsonable(skeleton(payload)), indent=2, sort_keys=True) + "\n"
+              ).split('"eigenvalues": []')
+    parts = [pieces[0]]
+    for values, before, after in zip(arrays, pieces, pieces[1:]):
+        indent = " " * (len(before) - len(before.rstrip(" ")))
+        row = f'{indent}  {{\n{indent}    "im": %s,\n{indent}    "re": %s\n{indent}  }}'
+        rows = ",\n".join(map(row.__mod__, zip(_numbers(values.imag), _numbers(values.real))))
+        parts += [f'"eigenvalues": [\n{rows}\n{indent}]' if rows else '"eigenvalues": []', after]
+    return parts
+
+
+def _numbers(values) -> list[str]:
+    """The JSON text of each float: its repr, or null where it is not finite."""
+    return [repr(x) if math.isfinite(x) else "null" for x in values.tolist()]
 
 
 def _alongside(first, second):
@@ -214,7 +252,7 @@ def cmd_solve(args) -> int:
     else:
         grid, matrix = picture_matrix(spec, args.picture, n)
         payload = _solve_payload(args.picture, n, grid, eig(matrix))
-    _emit(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit(args.out, *_solve_text(payload))
     return 0
 
 

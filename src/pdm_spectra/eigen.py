@@ -9,10 +9,15 @@ which works on its three bands by Ehrlich-Aberth iteration in O(n^2) time
 and O(n) memory with numpy alone; where those sweeps do not converge, `eig`
 takes LAPACK's general complex solver on the dense `entries` and records
 why in `Spectrum.fallback`.  A plain array goes to LAPACK.  Its row loop
-over the ratio continuant runs without a zero-pivot guard: an exact zero
-pivot always makes p'/p non-finite, and the roots where p'/p is not finite
-are redone by the same loop with the guard on, so every root keeps the bits
-of a loop guarded on every row.
+over the ratio continuant makes five ufunc calls a row and adds each
+block's terms to p'/p with one sequential sum.  It runs without a
+zero-pivot guard: an exact zero pivot always makes p'/p non-finite, and
+the roots where p'/p is not finite are redone by the same loop with the
+guard on, so every root keeps the bits of a loop guarded on every row.
+Its pair sum drops only each root's self term; an exact coincidence of two
+roots always makes a row's sum non-finite, and such rows are redone with
+every exact zero difference dropped, so every sum keeps the bits of a sum
+that drops them all.
 
 One rule keeps sums and products in the float range: `_unit_scaled`
 multiplies by the exact power of two that brings the largest real or
@@ -80,7 +85,9 @@ _ORACLE_MAX_ITER = 600
 _MARGIN_RTOL = 1e-10
 # eig_tridiagonal: the sweep limit, and the number of entries in one block of
 # its pair sum and of its d_i - z, so that no n x n temporary is held whole
-# (each row's sum, and so every bit, is the same for any block).
+# (each root's sum, and so every bit, is the same for any block); the row
+# loop's block is also capped at n - 1 rows, which keeps the buffer of a
+# small matrix small.
 _MAX_SWEEPS = 200
 _BLOCK = 1 << 14
 # eig_tridiagonal's refusal of a band with an inf or nan, which `eig` passes
@@ -576,7 +583,6 @@ def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
     d0, rest = complex(diag[0]), diag[1:]
     # 0-d arrays, which the ufuncs take faster than Python numbers
     couplings = [np.array(c) for c in (lower * upper).astype(complex)]
-    block = max(1, _BLOCK // n)
     active = np.arange(n)
     last = np.full(n, np.inf)
     for _ in range(_MAX_SWEEPS):
@@ -588,11 +594,7 @@ def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
                 # an exact zero pivot always makes p'/p non-finite, and the
                 # guard changes no root whose p'/p came out finite
                 dlogp[redo] = _log_derivative(za[redo], d0, rest, couplings, pivot)
-        pair = np.empty_like(za)
-        for i in range(0, za.size, block):
-            diff = za[i:i + block, None] - z
-            diff[diff == 0] = np.inf  # the self term, and exact coincidences
-            pair[i:i + block] = (1.0 / diff).sum(axis=1)
+            pair = _pair_sums(za, z, active)
         step = 1.0 / (dlogp - pair)
         z[active] = za - step
         # A root pushed only by a close neighbour takes small steps while its
@@ -612,22 +614,62 @@ def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
     )
 
 
+def _pair_sums(za, z, active) -> np.ndarray:
+    """The sums over j of 1 / (za_i - z_j) without the self term j =
+    active[i], where za = z[active]: a term whose difference is exactly
+    zero, the self term's or that of a root that coincides exactly, counts
+    as 1 / inf = 0.  Only the self term is dropped up front; a term 1/0 of
+    an exact coincidence makes its row's sum non-finite, and the self term
+    of a root that is not finite is nan, so those rows alone are redone with
+    every exact zero dropped."""
+    pair = _blocked_sums(za, z, active)
+    redo = ~(np.isfinite(pair) & np.isfinite(za))
+    if redo.any():
+        pair[redo] = _blocked_sums(za[redo], z)
+    return pair
+
+
+def _blocked_sums(za, z, active=None) -> np.ndarray:
+    """The sums over j of 1 / (za_i - z_j), taken in blocks of rows, with
+    the difference at z[active[i]] where active is given, and otherwise
+    every difference that is exactly zero, set to inf.  Each row's sum, and
+    so every bit, is the same for any block."""
+    pair = np.empty_like(za)
+    block = max(1, _BLOCK // z.size)
+    for i in range(0, za.size, block):
+        diff = za[i:i + block, None] - z
+        if active is None:
+            diff[diff == 0] = np.inf
+        else:
+            diff[np.arange(len(diff)), active[i:i + block]] = np.inf
+        pair[i:i + block] = np.divide(1.0, diff, out=diff).sum(axis=1)
+    return pair
+
+
 def _log_derivative(za, d0, rest, couplings, pivot=None) -> np.ndarray:
     """p'/p of det(A - zI) at za by the ratio continuant, from d_0, the array
     of d_1 ... d_{n-1} and the list of c_i = l_i u_i as 0-d arrays.  A given
     pivot stands in for an r_i that is exactly zero."""
-    divide, subtract, multiply, add = np.divide, np.subtract, np.multiply, np.add
+    divide, subtract, multiply = np.divide, np.subtract, np.multiply
     r = d0 - za
     if pivot is not None:
         np.copyto(r, pivot, where=r == 0)
+    # Row 0 of the buffer holds the running dlogp, and the rows below it a
+    # block of rows' d_i - z, taken in one call; each row's g overwrites its
+    # d_i - z once that is consumed, and one sum down the block adds the g's
+    # to dlogp in row order, as adding them row by row would.  The buffer
+    # holds at most n rows.
+    rows = max(1, min(_BLOCK // za.size, len(rest)))
+    buffer = np.empty((rows + 1, za.size), dtype=complex)
     g = -1.0 / r
-    dlogp = g.copy()
-    t, u, one = np.empty_like(za), np.empty_like(za), np.array(1.0 + 0j)
-    rows = max(1, _BLOCK // za.size)
+    buffer[0] = g
+    t, u, last, one = np.empty_like(za), np.empty_like(za), np.empty_like(za), np.array(1.0 + 0j)
     for i in range(0, len(rest), rows):
-        # d_i - z for a block of rows in one call; every ufunc below writes
-        # into a buffer given positionally, which numpy parses faster than out=
-        for dz, c in zip(np.subtract.outer(rest[i:i + rows], za), couplings[i:i + rows]):
+        block = buffer[:min(rows, len(rest) - i) + 1]
+        np.subtract.outer(rest[i:i + rows], za, out=block[1:])
+        # every ufunc below writes into a buffer given positionally, which
+        # numpy parses faster than out=
+        for dz, c in zip(block[1:], couplings[i:i + rows]):
             divide(c, r, t)
             subtract(dz, t, r)
             if pivot is not None:
@@ -636,9 +678,20 @@ def _log_derivative(za, d0, rest, couplings, pivot=None) -> np.ndarray:
             # single entry rounds differently
             multiply(t, g, u)
             subtract(u, one, u)
-            divide(u, r, g)
-            add(dlogp, g, dlogp)
-    return dlogp
+            divide(u, r, dz)
+            g = dz
+        # the block's last g starts the next block, whose d_i - z overwrite it
+        np.copyto(last, g)
+        g = last
+        # A sum down the rows of several columns adds one row at a time, from
+        # the initial value: -0, which keeps every bit of the first row, where
+        # numpy's default +0 turns a -0 into +0.  That of one column is
+        # pairwise; accumulate is sequential at every width, and slower at many.
+        if za.size > 1:
+            buffer[0] = np.add.reduce(block, axis=0, initial=complex(-0.0, -0.0))
+        else:
+            buffer[0] = np.add.accumulate(block, axis=0)[-1]
+    return buffer[0].copy()
 
 
 def _oracle(matrices) -> list[np.ndarray]:

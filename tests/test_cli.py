@@ -6,7 +6,10 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdm_spectra import (
     MAX_DENSE_NODES,
@@ -18,12 +21,14 @@ from pdm_spectra import (
     convergence_sweep,
     eig,
     matched_domains,
+    picture_matrix,
     potential_decomposition,
     target_potential,
     uniform_grid,
 )
 from pdm_spectra import cli
 from pdm_spectra.config import DEFAULTS
+from pdm_spectra.verify import _jsonable
 
 
 def run_cli(*argv):
@@ -190,6 +195,74 @@ def test_solve_both_equals_the_single_picture_runs(tmp_path, capsys, payload, n,
                     "target": runs["target"][0]}
     assert stderr == runs["reference"][1] + runs["target"][1]
     assert stderr.count("note: ") == notes
+
+
+# Parts of eigenvalues that json writes as null or in a form of its own:
+# nan, +-inf, -0.0, subnormals and the edge of the float range.
+_PARTS = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1e-310, 1e308, -1.7e308]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _solve_payloads(draw):
+    """A solve payload of one picture or of both, as cmd_solve builds it."""
+    def picture(name):
+        size = draw(st.integers(1, 5))
+        return {"picture": name, "n": size,
+                "grid": {"kind": draw(st.sampled_from(["uniform_q", "q_induced_x"])),
+                         "a": draw(_PARTS), "b": draw(_PARTS)},
+                "eigenvalues": np.array([complex(draw(_PARTS), draw(_PARTS)) for _ in range(size)]),
+                "matrix_norm": draw(_PARTS), "trace_error": draw(_PARTS)}
+
+    shape = draw(st.sampled_from(["reference", "target", "both"]))
+    if shape == "both":
+        return {"picture": "both", "reference": picture("reference"), "target": picture("target")}
+    return picture(shape)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_solve_payloads())
+def test_the_solve_writer_writes_the_text_of_json_dumps(payload):
+    expected = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    assert "".join(cli._solve_text(payload)) == expected
+
+
+@pytest.mark.parametrize("payload, n, dense", [
+    ({}, 150, 0),
+    ({"generator": {"kind": "samsonov_roy"}}, 150, 0),
+    ({"generator": {"kind": "morse"}}, 50, 2),
+])
+def test_solve_writes_the_bytes_of_json_dumps_on_every_picture(tmp_path, capsys, payload, n,
+                                                              dense):
+    # Each picture's spectrum solved here, written by json.dumps, against
+    # the file that solve writes, and the note: lines in picture order.
+    config = write_config(tmp_path, payload)
+    spec = build_spec(config_from_dict(payload))
+    expected, notes = {}, {}
+    for picture in ("reference", "target"):
+        grid, matrix = picture_matrix(spec, picture, n)
+        spectrum = eig(matrix)
+        expected[picture] = {"picture": picture, "n": n,
+                             "grid": {"kind": grid.kind, "a": grid.a, "b": grid.b},
+                             "eigenvalues": spectrum.eigenvalues,
+                             "matrix_norm": spectrum.matrix_norm,
+                             "trace_error": spectrum.trace_error}
+        notes[picture] = (f"note: {picture} picture: {spectrum.fallback}; taking the dense eig\n"
+                          if spectrum.fallback else "")
+    expected["both"] = {"picture": "both", **{p: expected[p] for p in ("reference", "target")}}
+    notes["both"] = notes["reference"] + notes["target"]
+    assert notes["both"].count("taking the dense eig") == dense
+    for picture in ("both", "reference", "target"):
+        text = json.dumps(_jsonable(expected[picture]), indent=2, sort_keys=True) + "\n"
+        out = tmp_path / f"{picture}.json"
+        argv = ["solve", "--picture", picture, "--n", str(n), "--config", config]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == text.encode()
+        assert capsys.readouterr().err == notes[picture]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == (text, notes[picture])
 
 
 def _cpus(monkeypatch, count):

@@ -7,8 +7,10 @@ import math
 import pickle
 import sys
 import threading
+import tracemalloc
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1390,6 +1392,162 @@ def test_eig_tridiagonal_keeps_the_guarded_loops_errors_and_bits(sweeps, monkeyp
         assert moving and sum(isinstance(r, eigen.Spectrum) for r in references) > 4
     for matrix, reference in zip(matrices, references):
         _assert_same_outcome(_outcome(eig_tridiagonal, matrix), reference)
+
+
+# The row loop as it was with six ufunc calls a row, the sixth adding each
+# row's g into dlogp, kept verbatim (but for its name and the module prefix
+# of _BLOCK) as the reference that the block-folding loop must reproduce bit
+# for bit.
+def _six_call_log_derivative(za, d0, rest, couplings, pivot=None) -> np.ndarray:
+    """p'/p of det(A - zI) at za by the ratio continuant, from d_0, the array
+    of d_1 ... d_{n-1} and the list of c_i = l_i u_i as 0-d arrays.  A given
+    pivot stands in for an r_i that is exactly zero."""
+    divide, subtract, multiply, add = np.divide, np.subtract, np.multiply, np.add
+    r = d0 - za
+    if pivot is not None:
+        np.copyto(r, pivot, where=r == 0)
+    g = -1.0 / r
+    dlogp = g.copy()
+    t, u, one = np.empty_like(za), np.empty_like(za), np.array(1.0 + 0j)
+    rows = max(1, eigen._BLOCK // za.size)
+    for i in range(0, len(rest), rows):
+        # d_i - z for a block of rows in one call; every ufunc below writes
+        # into a buffer given positionally, which numpy parses faster than out=
+        for dz, c in zip(np.subtract.outer(rest[i:i + rows], za), couplings[i:i + rows]):
+            divide(c, r, t)
+            subtract(dz, t, r)
+            if pivot is not None:
+                np.copyto(r, pivot, where=r == 0)
+            # into u, not in place: numpy's in-place complex multiply of a
+            # single entry rounds differently
+            multiply(t, g, u)
+            subtract(u, one, u)
+            divide(u, r, g)
+            add(dlogp, g, dlogp)
+    return dlogp
+
+
+@st.composite
+def _continuant_inputs(draw):
+    """Roots, bands and a block size for the row loop: a block of `rows`
+    rows that n - 1 is a multiple of or not, and roots where p'/p is not
+    finite (r_0 = 0 exactly, a nan, an inf, whose terms hold -0 parts) or
+    whose rows overflow."""
+    active = draw(st.integers(1, 64))
+    rows = draw(st.integers(1, 12))
+    n = 1 + rows * draw(st.integers(0, 4)) + draw(st.sampled_from([0, 0, 1, rows // 2]))
+    block = active * rows + draw(st.integers(0, active - 1))  # _BLOCK // active == rows
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def cnormal(size):
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    diag, za = cnormal(n), cnormal(active)
+    couplings = cnormal(n - 1)
+    for i in draw(st.lists(st.integers(0, active - 1), max_size=4)):
+        za[i] = draw(st.sampled_from([diag[0], complex(np.nan, 0.0), complex(np.inf, 1.0),
+                                      diag[min(1, n - 1)], 1e300 + 1e300j, complex(-0.0, -0.0)]))
+    if n > 1 and draw(st.booleans()):
+        couplings[rng.integers(n - 1)] = draw(st.sampled_from([0.0, 1e300]))
+    return za, diag, couplings, block
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(inputs=_continuant_inputs(), guarded=st.booleans())
+def test_the_row_loop_reproduces_the_six_call_loops_bits(inputs, guarded):
+    # One root's block is a single column, which np.add.reduce would sum
+    # pairwise: width 1 is drawn as often as any other.
+    za, diag, couplings, block = inputs
+    args = (za, complex(diag[0]), diag[1:], [np.array(c) for c in couplings.astype(complex)],
+            1e-16 if guarded else None)
+    with np.errstate(all="ignore"):
+        reference = _six_call_log_derivative(*args)
+        with mock.patch.object(eigen, "_BLOCK", block):
+            result = eigen._log_derivative(*args)
+    assert result.tobytes() == reference.tobytes()
+
+
+def test_the_row_loops_buffer_holds_at_most_n_rows():
+    # A few roots of a small matrix, as in the solver check's 2-8-node solves:
+    # the buffer holds n - 1 rows of d_i - z and the running p'/p, not
+    # _BLOCK // 2 rows (about 260 KB).
+    rng = np.random.default_rng(3)
+    diag, za = rng.standard_normal(8) + 0j, rng.standard_normal(2) + 1j
+    couplings = [np.array(c) for c in rng.standard_normal(7).astype(complex)]
+    eigen._log_derivative(za, complex(diag[0]), diag[1:], couplings)
+    tracemalloc.start()
+    try:
+        eigen._log_derivative(za, complex(diag[0]), diag[1:], couplings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8192
+
+
+# The pair sum of the guarded loop above, verbatim: every exact zero
+# difference is dropped.
+def _masked_pair_sums(za, z):
+    block = max(1, (1 << 16) // z.size)
+    pair = np.empty_like(za)
+    for i in range(0, za.size, block):
+        diff = za[i:i + block, None] - z
+        diff[diff == 0] = np.inf  # the self term, and exact coincidences
+        pair[i:i + block] = (1.0 / diff).sum(axis=1)
+    return pair
+
+
+@pytest.fixture
+def masked_redos(monkeypatch):
+    """The number of rows each redo of the pair sum with every exact zero
+    dropped takes."""
+    redos = []
+    blocked_sums = eigen._blocked_sums
+
+    def spy(za, z, active=None):
+        if active is None:
+            redos.append(za.size)
+        return blocked_sums(za, z, active)
+
+    monkeypatch.setattr(eigen, "_blocked_sums", spy)
+    return redos
+
+
+@pytest.mark.parametrize("odd", ["coincident", "inf", "nan"])
+def test_the_pair_sum_redoes_coincident_overflowing_and_non_finite_roots(odd, masked_redos):
+    # Iterates of a sweep, some moving (active) and some frozen: two that
+    # coincide exactly, one on a frozen root, +0 and -0, and a pair so close
+    # that 1/diff overflows; or a root that is not finite, whose self term
+    # is nan (an inf root adds 0 to every other row, a nan root nan).
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    active = np.r_[0:20, 33]
+    if odd == "coincident":
+        z[5], z[8] = z[3], z[30]
+        z[10], z[11] = 1e-310, 2e-310
+        z[14], z[15] = complex(-0.0, 0.0), 0.0
+    else:
+        z[12] = complex(np.inf, 0.0) if odd == "inf" else complex(np.nan, 1.0)
+    za = z[active]
+    with np.errstate(all="ignore"):
+        reference = _masked_pair_sums(za, z)
+        result = eigen._pair_sums(za, z, active)
+    assert result.tobytes() == reference.tobytes()
+    # rows 3, 5, 8, 10, 11, 14 and 15; the inf root's row; every row
+    assert masked_redos == [{"coincident": 7, "inf": 1, "nan": active.size}[odd]]
+
+
+@pytest.mark.parametrize("n", [8, 61, 300])
+def test_eig_tridiagonal_reproduces_the_guarded_loop_bits_at_repeated_eigenvalues(n):
+    # Two equal blocks split by a zero coupling: every eigenvalue is doubled,
+    # and its two roots converge on one point.
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        matrix = _random_tridiagonal(rng, "doubled", n)
+        _assert_same_outcome(_outcome(eig_tridiagonal, matrix), _outcome(_guarded_loop, matrix))
+    block = _picture_matrix(ACCEPTANCE_SPECS["c2:sech"], "target", n // 2)
+    matrix = _tridiagonal(np.tile(block.diag, 2), np.r_[block.lower, 0.0, block.lower],
+                          np.r_[block.upper, 0.0, block.upper])
+    _assert_same_outcome(_outcome(eig_tridiagonal, matrix), _outcome(_guarded_loop, matrix))
 
 
 @st.composite
