@@ -16,7 +16,7 @@ Exit codes: 0 success, 1 a verification check failed, 2 bad usage,
 bad config, or a model/numerics error.  Output files are written
 atomically; reruns with the same inputs produce identical bytes, forked
 or not.  The one exception is a config whose banded solve falls back to
-LAPACK's dense eig (the built-in Morse window, for one): LAPACK rounds
+LAPACK's dense eig (a picture whose Aberth sweeps stall): LAPACK rounds
 differently with another OpenBLAS thread count, so those bytes repeat
 only for a fixed count.
 """

@@ -6,9 +6,10 @@ conventions: eigenvalues in lexicographic order (real part, then imaginary
 part), the Frobenius norm of the matrix, and a trace cross-check.  It
 computes no eigenvectors.  An OperatorMatrix goes to `eig_tridiagonal`,
 which works on its three bands by Ehrlich-Aberth iteration in O(n^2) time
-and O(n) memory with numpy alone; where those sweeps do not converge, `eig`
-takes LAPACK's general complex solver on the dense `entries` and records
-why in `Spectrum.fallback`.  A plain array goes to LAPACK.  Its row loop
+and O(n) memory with numpy alone, from starts at the quantiles of the
+bands' local level count; where those sweeps do not converge, `eig` takes
+LAPACK's general complex solver on the dense `entries` and records why in
+`Spectrum.fallback`.  A plain array goes to LAPACK.  Its row loop
 over the ratio continuant makes five ufunc calls a row and adds each
 block's terms to p'/p with one sequential sum.  It runs without a
 zero-pivot guard: an exact zero pivot always makes p'/p non-finite, and
@@ -84,10 +85,10 @@ _ORACLE_MAX_ITER = 600
 # real part this far below the reach, so rounding cannot carry either across.
 _MARGIN_RTOL = 1e-10
 # eig_tridiagonal: the sweep limit, and the number of entries in one block of
-# its pair sum and of its d_i - z, so that no n x n temporary is held whole
-# (each root's sum, and so every bit, is the same for any block); the row
-# loop's block is also capped at n - 1 rows, which keeps the buffer of a
-# small matrix small.
+# its start's level count, its pair sum and its d_i - z, so that no n x n
+# temporary is held whole (each root's sum, and so every bit, is the same for
+# any block); the row loop's block is also capped at n - 1 rows, which keeps
+# the buffer of a small matrix small.
 _MAX_SWEEPS = 200
 _BLOCK = 1 << 14
 # eig_tridiagonal's refusal of a band with an inf or nan, which `eig` passes
@@ -547,9 +548,9 @@ def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
     conventions as `eig`.  Ehrlich-Aberth iteration on det(A - zI)
     (Bini, Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27 (2005)
     153-175), with p'/p from the ratio continuant
-    r_i = (d_i - z) - l_{i-1} u_{i-1} / r_{i-1}, started on an ellipse that
-    holds the Gershgorin and Bendixson bounds.  A root freezes once its step
-    is at most 4 eps max(|z|, 1e-3 ||A||_F), or stops shrinking at most
+    r_i = (d_i - z) - l_{i-1} u_{i-1} / r_{i-1}, started at the quantiles of
+    the bands' local level count (see _dos_start).  A root freezes once its
+    step is at most 4 eps max(|z|, 1e-3 ||A||_F), or stops shrinking at most
     max(1e-8 |z|, 8 eps ||A||_F), the continuant's rounding level near 0.
     The sweeps run on the bands at unit scale (see _unit_scaled), where no
     norm, bound or product l_i u_i leaves the float range, and every step
@@ -569,15 +570,8 @@ def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
         raise NoConvergenceError(_NON_FINITE)
     if norm == 0.0:
         return Spectrum(np.zeros(n, dtype=complex))
-    _, lo, hi, height = _bounds(OperatorMatrix(lower, diag, upper))
     floor = 1e-3 * norm
-    width = max(0.5 * (hi - lo), height, floor)
-    # Chebyshev abscissae alternately above and below the real axis; the
-    # quarter offset breaks the mirror symmetry x -> lo + hi - x, which would
-    # otherwise carry two roots of a mirror-symmetric spectrum onto one point.
-    theta = np.pi * (np.arange(n) + 0.25) / n
-    z = (0.5 * (lo + hi) + width * np.cos(theta)
-         + 1j * max(height, 1e-3 * width) * np.sin(theta) * (-1.0) ** np.arange(n))
+    z = _dos_start(diag, *_bounds(OperatorMatrix(lower, diag, upper))[:3], floor / n)
     eps = np.finfo(float).eps
     pivot = eps * norm  # stands in for an r_i that is exactly zero
     d0, rest = complex(diag[0]), diag[1:]
@@ -612,6 +606,31 @@ def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
     raise NoConvergenceError(
         f"{active.size} of {n} roots still moving at the limit of {_MAX_SWEEPS} Aberth sweeps"
     )
+
+
+def _dos_start(diag, root, lo, hi, spacing) -> np.ndarray:
+    """Aberth's starts matched to the roots (after Bini & Fiorentino, Numer.
+    Algorithms 23 (2000) 127-173): root k where the level count N(E) =
+    sum_i arccos(clip((Re d_i - E) / R_i, -1, 1)) / pi, R the row sums of
+    |root|, reaches k + 1/2; a row with R_i = 0 steps at Re d_i.  N is taken
+    in blocks of _BLOCK entries on n energies crowded to lo and hi.  Offsets
+    i 0.3 s_k (-1)^k (1 + k/n), s_k the local spacing floored at `spacing`,
+    keep every start distinct and break the mirror symmetry of the bands."""
+    n = diag.size
+    radius = _row_sums(np.abs(root))
+    energies = lo + (hi - lo) * np.sin(0.5 * np.pi * np.linspace(0.0, 1.0, n)) ** 2
+    counts = np.searchsorted(np.sort(diag.real[radius == 0]), energies).astype(float)
+    centre, radius = diag.real[radius > 0], radius[radius > 0]
+    rows = max(1, _BLOCK // n)
+    for i in range(0, n, rows):
+        x = centre - energies[i:i + rows, None]
+        np.clip(np.divide(x, radius, out=x), -1.0, 1.0, out=x)
+        counts[i:i + rows] += np.arccos(x, out=x).sum(axis=1) / np.pi
+    k = np.arange(n)
+    start = np.interp(k + 0.5, counts, energies)
+    gaps = np.diff(start)
+    local = np.maximum(np.maximum(np.r_[gaps, 0.0], np.r_[0.0, gaps]), spacing)
+    return start + 0.3j * local * (-1.0) ** k * (1.0 + k / n)
 
 
 def _pair_sums(za, z, active) -> np.ndarray:

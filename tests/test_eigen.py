@@ -113,7 +113,7 @@ def test_eig_lexicographic_order():
     np.testing.assert_allclose(vals, [-1.0, 1.0 - 1.0j, 1.0 + 1.0j], atol=0)
 
 
-def test_eig_accepts_operator_matrix_and_array():
+def test_eig_accepts_operator_matrix_and_array(monkeypatch):
     # An OperatorMatrix is solved on its bands: bitwise eig_tridiagonal's
     # spectrum.  Its agreement with LAPACK on the dense array, as sets, is
     # checked on the acceptance specs (see
@@ -125,8 +125,9 @@ def test_eig_accepts_operator_matrix_and_array():
             assert banded.fallback == raw.fallback == ""
             np.testing.assert_array_equal(banded.eigenvalues, raw.eigenvalues)
             assert (banded.matrix_norm, banded.trace_error) == (raw.matrix_norm, raw.trace_error)
-    # The sweeps stall on the Morse generator over (-8, 8): eig then answers
-    # with LAPACK on the dense array, bitwise, and says why.
+    # Where the sweeps stall, here cut to 4, eig answers with LAPACK on the
+    # dense array, bitwise, and says why.
+    monkeypatch.setattr(eigen, "_MAX_SWEEPS", 4)
     morse = ModelSpec.from_ordering(Morse(), ZK, q_interval=(-8.0, 8.0))
     for picture in ("reference", "target"):
         matrix = _picture_matrix(morse, picture, 50)
@@ -1115,6 +1116,71 @@ def test_eig_tridiagonal_matches_dense_at_criterion_size(label, picture):
     assert np.all(gaps <= bound * np.maximum(np.abs(dense), 1.0))
 
 
+@pytest.mark.parametrize("n", [50, 400])
+@pytest.mark.parametrize("picture", ["reference", "target"])
+@pytest.mark.parametrize("label", ["morse", "deep_well"])
+def test_eig_tridiagonal_solves_morse_and_the_deep_well_on_the_bands(label, picture, n):
+    # The built-in Morse window and the deep well, whose sweeps from an
+    # ellipse over the Gershgorin interval stalled at the limit: from the
+    # level-count start they converge, to dense's levels as matched sets.
+    spec = {"morse": ModelSpec.from_ordering(Morse(), ZK, q_interval=(-8.0, 8.0)),
+            "deep_well": DEEP_WELL}[label]
+    matrix = _picture_matrix(spec, picture, n)
+    dense = eig(matrix.entries).eigenvalues
+    full = eig(matrix)
+    assert full.fallback == ""
+    gaps = match_eigenvalue_sets(dense, full.eigenvalues)[1]
+    assert np.all(gaps <= 1e-10 * np.maximum(np.abs(dense), 1.0))
+
+
+def test_eig_tridiagonal_converges_on_graded_and_complex_random_tridiagonals():
+    # Diagonals graded from e^-10 to e^10 with real Gaussian couplings and
+    # complex Gaussian bands, on geometric size ladders over 10-300; from an
+    # ellipse over the Gershgorin interval, half of the graded ones and one
+    # complex one were left moving at the sweep limit.  Each matches dense
+    # within the backward error of either solver.
+    rng = np.random.default_rng(2)
+    matrices = [_tridiagonal(np.exp(np.linspace(-10.0, 10.0, n)), rng.standard_normal(n - 1),
+                             rng.standard_normal(n - 1))
+                for n in np.geomspace(10, 300, 20).round().astype(int)]
+    for n in np.geomspace(10, 300, 5).round().astype(int):
+        diag, lower, upper = (rng.standard_normal(size) + 1j * rng.standard_normal(size)
+                              for size in (n, n - 1, n - 1))
+        matrices.append(_tridiagonal(diag, lower, upper))
+    for matrix in matrices:
+        full = eig_tridiagonal(matrix)
+        dense = eig(matrix.entries)
+        gap = match_eigenvalue_sets(dense.eigenvalues, full.eigenvalues)[1].max()
+        assert gap <= 1e-10 * dense.matrix_norm
+
+
+def test_the_start_holds_no_n_by_n_temporary():
+    # n = 2000: a whole n x n level-count table would take 32 MB.
+    rng = np.random.default_rng(5)
+    matrix = _random_tridiagonal(rng, "complex", 2000)
+    root, lo, hi, _ = eigen._bounds(matrix)
+    tracemalloc.start()
+    try:
+        start = eigen._dos_start(matrix.diag, root, lo, hi, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert np.unique(start).size == 2000
+
+
+def test_the_start_keeps_coincident_counts_apart():
+    # Uncoupled rows are steps of the level count, so three equal diagonal
+    # entries give three equal quantiles; the floored spacing and the
+    # alternating, growing offsets still part every start.
+    diag = np.array([1.0, 1.0, 1.0, 2.0, 2.0], dtype=complex)
+    start = eigen._dos_start(diag, np.zeros(4, dtype=complex), 1.0, 2.0, 1e-6)
+    assert np.unique(start).size == 5
+    assert np.min(np.abs(start[:, None] - start[None, :]) + np.eye(5)) >= 2e-7
+    full = eig_tridiagonal(_tridiagonal(diag, np.zeros(4), np.zeros(4))).eigenvalues
+    np.testing.assert_allclose(full, diag, rtol=0, atol=1e-12)
+
+
 def _assert_lex_ordered(vals):
     re, im = vals.real, vals.imag
     assert np.all((re[1:] > re[:-1]) | ((re[1:] == re[:-1]) & (im[1:] >= im[:-1])))
@@ -1264,9 +1330,30 @@ def _frozen_spectrum(vals, diag, norm):
     return eigen.Spectrum(eigenvalues=vals, matrix_norm=norm, trace_error=error)
 
 
+# eig_tridiagonal's start at the bands' level-count quantiles, frozen with
+# the loop below.
+def _frozen_dos_start(diag, root, lo, hi, spacing):
+    n = diag.size
+    radius = _frozen_row_sums(np.abs(root))
+    energies = lo + (hi - lo) * np.sin(0.5 * np.pi * np.linspace(0.0, 1.0, n)) ** 2
+    counts = np.searchsorted(np.sort(diag.real[radius == 0]), energies).astype(float)
+    centre, radius = diag.real[radius > 0], radius[radius > 0]
+    rows = max(1, (1 << 14) // n)
+    for i in range(0, n, rows):
+        x = centre - energies[i:i + rows, None]
+        np.clip(np.divide(x, radius, out=x), -1.0, 1.0, out=x)
+        counts[i:i + rows] += np.arccos(x, out=x).sum(axis=1) / np.pi
+    k = np.arange(n)
+    start = np.interp(k + 0.5, counts, energies)
+    gaps = np.diff(start)
+    local = np.maximum(np.maximum(np.r_[gaps, 0.0], np.r_[0.0, gaps]), spacing)
+    return start + 0.3j * local * (-1.0) ** k * (1.0 + k / n)
+
+
 # eig_tridiagonal as it was while its row loop guarded every pivot, kept
-# verbatim, with that loop's pair-sum block of 2^16 entries, as the reference
-# that the unguarded loop with its redo must reproduce bit for bit.
+# verbatim but for its start, which is _frozen_dos_start above, with that
+# loop's pair-sum block of 2^16 entries, as the reference that the unguarded
+# loop with its redo must reproduce bit for bit.
 def _guarded_loop(matrix):
     n = matrix.n
     if n > MAX_DENSE_NODES:
@@ -1277,12 +1364,8 @@ def _guarded_loop(matrix):
         raise NoConvergenceError("a band holds a non-finite entry")
     if norm == 0.0:
         return eigen.Spectrum(np.zeros(n, dtype=complex))
-    _, lo, hi, height = _frozen_bounds(matrix)
     floor = 1e-3 * norm
-    width = max(0.5 * (hi - lo), height, floor)
-    theta = np.pi * (np.arange(n) + 0.25) / n
-    z = (0.5 * (lo + hi) + width * np.cos(theta)
-         + 1j * max(height, 1e-3 * width) * np.sin(theta) * (-1.0) ** np.arange(n))
+    z = _frozen_dos_start(diag, *_frozen_bounds(matrix)[:3], floor / n)
     eps = np.finfo(float).eps
     pivot = eps * norm  # stands in for an r_i that is exactly zero
     d0, rest, couplings = complex(diag[0]), diag[1:].tolist(), (lower * upper).tolist()
