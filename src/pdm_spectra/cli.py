@@ -15,8 +15,8 @@ Subcommands:
 Exit codes: 0 success, 1 a verification check failed, 2 bad usage,
 bad config, or a model/numerics error.  Output files are written
 atomically; reruns with the same inputs produce identical bytes, forked
-or not.  The one exception is a config whose banded solve falls back to
-LAPACK's dense eig (a picture whose Aberth sweeps stall): LAPACK rounds
+or not.  The one exception is a picture whose banded solve falls back to
+LAPACK's dense eig, which no known config's does: LAPACK rounds
 differently with another OpenBLAS thread count, so those bytes repeat
 only for a fixed count.
 """
@@ -44,7 +44,7 @@ from .errors import (
     TooLargeError,
     UnsupportedGeneratorError,
 )
-from .eigen import _banded, _finish, eig
+from .eigen import eig
 from .mapping import potential_decomposition, target_potential
 from .model import ORDERING_PRESETS, delta_of
 from .operators import MAX_DENSE_NODES, matched_domains, picture_matrix
@@ -187,8 +187,8 @@ def _alongside(first, second):
     as its own.  A child that sends nothing (killed, or holding a result
     that does not pickle) has second() run here.
 
-    Its callers: `cmd_solve --picture both`, whose child solves the target
-    picture's bands, and `cmd_map`, whose child formats the second half of
+    Its callers: `cmd_solve --picture both`, whose child runs `eig` on the
+    target picture, and `cmd_map`, whose child formats the second half of
     the CSV rows.
     """
     usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
@@ -237,17 +237,17 @@ def cmd_solve(args) -> int:
         # before any grid or band is built
         raise TooLargeError(f"full spectra are limited to {MAX_DENSE_NODES} nodes, got {n}")
     if args.picture == "both":
-        # The target picture's banded solve runs in a forked child beside
-        # eig of the reference picture; its dense fallback, if any, runs
-        # here afterwards, since two processes' LAPACK thread pools at once
-        # oversubscribe the CPUs.
+        # eig of the target picture runs in a forked child beside that of
+        # the reference picture.  A picture whose sweeps stall takes LAPACK's
+        # dense eig in its own process, and two LAPACK thread pools at once
+        # oversubscribe the CPUs; no known config stalls.
         (ref_grid, ref), (grid, target) = (picture_matrix(spec, picture, n)
                                            for picture in ("reference", "target"))
-        reference, banded = _alongside(lambda: eig(ref), lambda: _banded(target))
+        reference, spectrum = _alongside(lambda: eig(ref), lambda: eig(target))
         payload = {
             "picture": "both",
             "reference": _solve_payload("reference", n, ref_grid, reference),
-            "target": _solve_payload("target", n, grid, _finish(target, banded)),
+            "target": _solve_payload("target", n, grid, spectrum),
         }
     else:
         grid, matrix = picture_matrix(spec, args.picture, n)

@@ -33,8 +33,10 @@ as a set, with a proof that the window it returns is complete, and hands
 the matrix to `eig` where it cannot give that proof.  It runs shift-invert
 Arnoldi (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998) on the
 three bands with numpy alone: one Krylov process per matrix, applying
-(A - sigma I)^-1 by substitution written as chunked prefix products, and
-hands a matrix with a zero coupling to `eig`.  Every verification check on
+(A - sigma I)^-1 by substitution written as chunked prefix products.  A
+matrix with a zero coupling, or a window that a basis of
+max(_KRYLOV_MIN, 2m + _CHECK_EVERY) vectors does not converge, goes to
+`eig`, which solves it on its bands in O(n^2).  Every verification check on
 an operator goes through it.  A process-wide memo, keyed on the exact bytes
 of the three bands, keeps for each of the last _MEMO_SIZE matrices the log
 of its process's `nearest(m)` requests: each m asked and the Ritz values
@@ -98,8 +100,8 @@ _NON_FINITE = "a band holds a non-finite entry"
 # substitution, short enough that no chunk's running product of the ratios
 # |coupling / pivot| underflows; the least number of Krylov steps between two
 # Ritz checks, each a dense eigensolve of the projected matrix; the least
-# basis size at which a process restarts; and the least number of values a
-# process converges.
+# basis size at which a process that has not converged gives up; and the
+# least number of values a process converges.
 _CHUNK = 32
 _CHECK_EVERY = 8
 _KRYLOV_MIN = 64
@@ -179,34 +181,16 @@ def eig(matrix) -> Spectrum:
     banded error text is kept in `fallback`; TooLargeError propagates, and
     bands with a non-finite entry raise NoConvergenceError before anything
     dense is built.  A plain array goes to LAPACK.  Raises
-    NoConvergenceError if the dense QR iteration gives up.  For an
-    OperatorMatrix it is _finish(matrix, _banded(matrix)); `solve --picture
-    both` runs the target picture's _banded in a forked child.
+    NoConvergenceError if the dense QR iteration gives up.
     """
-    if isinstance(matrix, OperatorMatrix):
-        return _finish(matrix, _banded(matrix))
-    return _dense(matrix)
-
-
-def _banded(matrix: OperatorMatrix):
-    """The first stage of `eig` on an OperatorMatrix: eig_tridiagonal's
-    Spectrum, or the NoConvergenceError it raised."""
+    if not isinstance(matrix, OperatorMatrix):
+        return _dense(matrix)
     try:
         return eig_tridiagonal(matrix)
     except NoConvergenceError as exc:
-        return exc
-
-
-def _finish(matrix: OperatorMatrix, banded) -> Spectrum:
-    """eig(matrix), given _banded(matrix): that Spectrum, or LAPACK's with
-    the banded refusal's text as the fallback.  The refusal of a band with
-    a non-finite entry is raised again instead, before anything dense is
-    built."""
-    if isinstance(banded, Spectrum):
-        return banded
-    if str(banded) == _NON_FINITE:
-        raise NoConvergenceError(f"{_NON_FINITE}, so no dense solve is tried") from banded
-    return _dense(matrix, str(banded))
+        if str(exc) == _NON_FINITE:
+            raise NoConvergenceError(f"{_NON_FINITE}, so no dense solve is tried") from exc
+        return _dense(matrix, str(exc))
 
 
 def _dense(matrix, fallback: str = "") -> Spectrum:
@@ -286,7 +270,8 @@ def eig_lowest(matrix: OperatorMatrix, k: int, past=None) -> np.ndarray:
     prove goes to `eig` (on its bands, densifying only where those sweeps
     fail), and the stopping rule then picks from that spectrum: a reducible
     matrix, bounds that are not finite, a substitution that leaves the
-    float range, a breakdown, a refused restart, or m reaching n - 2.
+    float range, a breakdown, a basis at its limit (see
+    _ShiftInvertArnoldi.nearest), or m reaching n - 2.
     The process's answers on a matrix seen before come from the memo (see
     the module docstring), with the same bits.
     """
@@ -421,13 +406,10 @@ class _ShiftInvertArnoldi:
     x_i = y_i / r_i - (s_i / r_i) x_{i+1}, run on reversed arrays, share
     one ratio array and apply the inverse.  The Krylov basis is
     orthogonalized twice by classical Gram-Schmidt and kept across calls to
-    `nearest`, so it grows across doublings of m.  Past
-    max(_KRYLOV_MIN, 2m + _CHECK_EVERY) vectors it restarts on the span of
-    its leading Ritz vectors (Morgan, Math. Comp. 65 (1996) 1213-1230),
-    which bounds the memory and the Ritz checks of the deep wells' wide
-    windows; a span that is not invariant ends the process instead.  After
-    a restart the projected matrix is no longer Hessenberg: its last row
-    carries the residual's coefficients.
+    `nearest`, so it grows across doublings of m, up to
+    max(_KRYLOV_MIN, 2m + _CHECK_EVERY) vectors: a window that has not
+    converged there ends the process, and eig_lowest hands the matrix to
+    `eig`, whose banded solve costs O(n^2) at any window width.
     """
 
     def __init__(self, coupling, diag, sigma: float, start: np.ndarray):
@@ -446,7 +428,7 @@ class _ShiftInvertArnoldi:
         self.projected = np.zeros((self.basis.shape[0], self.basis.shape[0] - 1), dtype=complex)
         self.dim = 0
         self.next_check = 0
-        # the last Ritz check's (theta, vectors), until a step or restart
+        # the last Ritz check's (theta, vectors), until the next step
         self.ritz = None
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
@@ -480,26 +462,6 @@ class _ShiftInvertArnoldi:
                 raise NoConvergenceError(f"the Krylov space broke down at dimension {self.dim}")
             self.basis[j + 1] = w / beta
 
-    def _restart(self, vectors: np.ndarray, keep: np.ndarray) -> None:
-        """Shrink the Krylov decomposition to the span of the kept Ritz
-        vectors; NoConvergenceError where that span is not invariant to
-        sqrt(eps)."""
-        self.ritz = None
-        d = self.dim
-        q = np.linalg.qr(vectors[:, keep])[0]
-        g = self.projected[:d, :d]
-        projected = q.conj().T @ g @ q
-        if np.linalg.norm(g @ q - q @ projected) > math.sqrt(_EPS) * np.linalg.norm(g):
-            raise NoConvergenceError(f"the kept Ritz span at dimension {d} is not invariant")
-        kept = keep.size
-        self.basis[:kept] = q.T @ self.basis[:d]
-        self.basis[kept] = self.basis[d]
-        row = self.projected[d, :d] @ q
-        self.projected[:] = 0.0
-        self.projected[:kept, :kept] = projected
-        self.projected[kept, :kept] = row
-        self.dim = kept
-
     def nearest(self, m: int) -> np.ndarray:
         """The m eigenvalues nearest sigma, once every Ritz value among them
         has a residual estimate of at most eps |theta|.
@@ -508,9 +470,8 @@ class _ShiftInvertArnoldi:
         runs only from m + 2 _CHECK_EVERY vectors on, and then where the
         residual decay between the last two checks predicts convergence; a
         check on a basis unchanged since the last one, in a call that
-        follows another, reuses that eigensolve.
-        At limit = max(_KRYLOV_MIN, 2m + _CHECK_EVERY) vectors, fixed for the
-        call, the basis restarts; a refused restart raises NoConvergenceError.
+        follows another, reuses that eigensolve.  A check that fails at
+        max(_KRYLOV_MIN, 2m + _CHECK_EVERY) vectors raises NoConvergenceError.
         """
         limit = max(_KRYLOV_MIN, 2 * m + _CHECK_EVERY)
         last = None  # (dimension, worst residual in units of eps |theta|)
@@ -520,12 +481,14 @@ class _ShiftInvertArnoldi:
                 if self.ritz is None:
                     self.ritz = np.linalg.eig(self.projected[:self.dim, :self.dim])
                 theta, vectors = self.ritz
-                order = np.argsort(-np.abs(theta), kind="stable")
-                top = order[:m]
+                top = np.argsort(-np.abs(theta), kind="stable")[:m]
                 residual = np.abs(self.projected[self.dim, :self.dim] @ vectors[:, top])
                 worst = float(np.max(residual / (_EPS * np.abs(theta[top]))))
                 if full or worst <= 1.0:
                     return self.sigma + 1.0 / theta[top]
+                if self.dim >= limit:
+                    raise NoConvergenceError(
+                        f"{m} Ritz values not converged at the limit of {limit} Krylov vectors")
                 # The next check comes where the decay since the last one
                 # reaches eps, but no more than a quarter further out.
                 ahead = max(_CHECK_EVERY, self.dim // 4)
@@ -533,9 +496,6 @@ class _ShiftInvertArnoldi:
                     rate = math.log(last[1] / worst) / (self.dim - last[0])
                     ahead = min(ahead, max(2, math.ceil(math.log(worst) / rate)))
                 last = (self.dim, worst)
-                if self.dim >= limit:
-                    last = None
-                    self._restart(vectors, order[:(m + self.dim) // 2])
                 self.next_check = self.dim + ahead
             self._step()
 

@@ -1,6 +1,6 @@
 import pytest
 
-from pdm_spectra import eigen
+from pdm_spectra import OperatorMatrix, eigen
 
 
 @pytest.fixture(autouse=True)
@@ -23,3 +23,12 @@ def arnoldi_builds(monkeypatch):
 
     monkeypatch.setattr(eigen, "_ShiftInvertArnoldi", Counting)
     return builds
+
+
+@pytest.fixture
+def refuse_dense(monkeypatch):
+    """Makes densifying any OperatorMatrix fail the test."""
+    def refuse(matrix):
+        raise AssertionError(f"densified a {matrix.n}-node operator")
+
+    monkeypatch.setattr(OperatorMatrix, "entries", property(refuse))

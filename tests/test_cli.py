@@ -319,12 +319,17 @@ def _solve_both(tmp_path, capsys, payload, n, label):
     return code, out.read_bytes() if out.exists() else None, capsys.readouterr().err
 
 
-@pytest.mark.parametrize("payload, n", [({}, 150), ({"generator": {"kind": "morse"}}, 50)])
+@pytest.mark.parametrize("payload, n, fallbacks", [
+    pytest.param({}, 150, [], id="payload0-150"),
+    pytest.param({"generator": {"kind": "morse"}}, 50, ["reference", "target"], id="payload1-50"),
+    pytest.param(DEEP_WELL, 150, ["target"], id="deep_well-150"),
+])
 def test_solve_both_writes_the_same_bytes_forked_and_serial(tmp_path, capsys, monkeypatch,
-                                                           payload, n):
+                                                           payload, n, fallbacks):
     # Two usable CPUs fork one child for the target picture, one CPU solves
     # both pictures here; at CUT_SWEEPS Morse takes the dense eig in both
-    # pictures.
+    # pictures, and the deep well in its target picture alone, whose dense
+    # solve then runs in the child.
     monkeypatch.setattr(eigen, "_MAX_SWEEPS", CUT_SWEEPS)
     forks = _counting_forks(monkeypatch)
     _cpus(monkeypatch, 2)
@@ -333,27 +338,28 @@ def test_solve_both_writes_the_same_bytes_forked_and_serial(tmp_path, capsys, mo
     _cpus(monkeypatch, 1)
     assert _solve_both(tmp_path, capsys, payload, n, "serial") == forked
     assert forked[0] == 0
+    assert [line.split()[1] for line in forked[2].splitlines()] == fallbacks
 
 
-def _refusing(monkeypatch, name, picture, refusal):
-    """The solver cli.<name>, with `refusal` called in place of its solve of
-    one picture of the default config at n = 150: the parent calls `eig` on
-    the reference picture, the child `_banded` on the target."""
+def _refusing(monkeypatch, picture, refusal):
+    """cli.eig, with `refusal` called in place of its solve of one picture
+    of the default config at n = 150: the parent solves the reference
+    picture, the child the target."""
     spec = build_spec(config_from_dict({}))
     marked = cli.picture_matrix(spec, picture, 150)[1].diag.tobytes()
-    solve = getattr(cli, name)
+    solve = cli.eig
 
     def refusing(matrix):
         return refusal() if matrix.diag.tobytes() == marked else solve(matrix)
 
-    monkeypatch.setattr(cli, name, refusing)
+    monkeypatch.setattr(cli, "eig", refusing)
 
 
 def test_an_error_in_the_child_exits_as_the_serial_run(tmp_path, capsys, monkeypatch):
     def refusal():
         raise NoConvergenceError("the target picture refused")
 
-    _refusing(monkeypatch, "_banded", "target", refusal)
+    _refusing(monkeypatch, "target", refusal)
     runs = []
     for cpus in (2, 1):
         _cpus(monkeypatch, cpus)
@@ -367,8 +373,8 @@ def test_an_error_in_the_parent_kills_and_reaps_the_child(tmp_path, capsys, monk
     def refusal():
         raise NoConvergenceError("the reference picture refused")
 
-    _refusing(monkeypatch, "_banded", "target", lambda: time.sleep(60))
-    _refusing(monkeypatch, "eig", "reference", refusal)
+    _refusing(monkeypatch, "target", lambda: time.sleep(60))
+    _refusing(monkeypatch, "reference", refusal)
     _cpus(monkeypatch, 2)
     start = time.monotonic()
     code, out, err = _solve_both(tmp_path, capsys, {}, 150, "killed")

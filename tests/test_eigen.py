@@ -703,30 +703,28 @@ def _assert_handed_to_eig(eig_calls, low, k):
     assert set(low.tolist()) == set(eig_calls[0].eigenvalues[:k].tolist())
 
 
-def test_eig_lowest_hands_a_refused_restart_to_eig(eig_calls, monkeypatch):
-    # The deep well's window of 40 levels restarts its Krylov basis 11 times,
-    # each on the span of the kept Ritz vectors.  A basis of that span
-    # perturbed by 1e-3 is not invariant to sqrt(eps): the first restart is
-    # refused, and the matrix goes to eig instead of growing its basis on.
-    matrix = _picture_matrix(DEEP_WELL, "reference", 400)
-    qr, rng = np.linalg.qr, np.random.default_rng(0)
-
-    def perturbed_qr(a):
-        q = qr(a)[0]
-        return qr(q + 1e-3 * rng.standard_normal(q.shape))
-
-    restarts = []
-    restart = eigen._ShiftInvertArnoldi._restart
-
-    def counting_restart(self, *args):
-        restarts.append(self.dim)
-        return restart(self, *args)
-
-    monkeypatch.setattr(np.linalg, "qr", perturbed_qr)
-    monkeypatch.setattr(eigen._ShiftInvertArnoldi, "_restart", counting_restart)
-    low = eig_lowest(matrix, 40)
-    assert len(restarts) == 1
+def test_eig_lowest_hands_a_window_at_the_basis_limit_to_eig(arnoldi_builds, eig_calls):
+    # The deep well's window of 40 levels asks for 41 Ritz values, which a
+    # basis of max(64, 2 * 41 + 8) = 90 vectors does not converge: the one
+    # process built gives up there, and eig answers on the bands.
+    low = eig_lowest(_picture_matrix(DEEP_WELL, "reference", 400), 40)
+    assert arnoldi_builds == [400]
     _assert_handed_to_eig(eig_calls, low, 40)
+    assert eig_calls[0].fallback == ""
+
+
+def test_a_window_past_the_dense_limit_is_refused_by_type(arnoldi_builds, eig_calls,
+                                                           refuse_dense, monkeypatch):
+    # Above MAX_DENSE_NODES no full spectrum is solved, so a window that
+    # reaches the basis limit there raises TooLargeError from eig, and no
+    # dense array is built; a narrow window still answers from its process.
+    monkeypatch.setattr(eigen, "MAX_DENSE_NODES", 300)
+    matrix = _picture_matrix(DEEP_WELL, "reference", 400)
+    with pytest.raises(TooLargeError, match="limited to 300 nodes, got 400"):
+        eig_lowest(matrix, 40)
+    assert eig_lowest(matrix, 4).shape == (4,)
+    assert not eig_calls
+    assert arnoldi_builds == [400, 400]
 
 
 # ---------------------------------------------------------- eig_lowest's memo
@@ -750,7 +748,7 @@ def _memo_pool():
     their stopping rules: two that share their diagonal, one small enough
     that wide windows go to eig, a real one whose conjugate pairs tie at
     cuts, a mass-picture target, and the deep well, whose wider windows
-    restart their Krylov basis."""
+    reach the Krylov basis limit and go to eig."""
     rng = np.random.default_rng(31)
     a = _random_tridiagonal(rng, "complex", 60)
     small = _random_tridiagonal(rng, "complex", 14)
@@ -763,8 +761,7 @@ def _memo_pool():
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_eig_lowest_memo_replays_the_bits_of_an_empty_memo(seed, arnoldi_builds, eig_calls,
-                                                         monkeypatch):
+def test_eig_lowest_memo_replays_the_bits_of_an_empty_memo(seed, arnoldi_builds, eig_calls):
     # A random history of interleaved calls, repeats among them, each with
     # k from 1 to 12, with or without a stopping rule: with the memo kept
     # across the history, every call gives the window bits, the stopping
@@ -773,14 +770,6 @@ def test_eig_lowest_memo_replays_the_bits_of_an_empty_memo(seed, arnoldi_builds,
     history = [(int(rng.integers(len(pool))), int(rng.integers(1, 13)),
                 rng.choice([None, 0.05, 0.5])) for _ in range(28)]
     history += history[:6]
-    restarts = []
-    restart = eigen._ShiftInvertArnoldi._restart
-
-    def counting_restart(self, *args):
-        restarts.append(self.dim)
-        return restart(self, *args)
-
-    monkeypatch.setattr(eigen._ShiftInvertArnoldi, "_restart", counting_restart)
 
     def run(i, k, spread):
         matrix, scale = pool[i]
@@ -790,7 +779,7 @@ def test_eig_lowest_memo_replays_the_bits_of_an_empty_memo(seed, arnoldi_builds,
     for call in history:
         eigen._MEMO.clear()
         fresh.append(run(*call))
-    assert restarts and any(handed for _, _, handed in fresh)
+    assert any(handed for _, _, handed in fresh)
     built_fresh = len(arnoldi_builds)
     eigen._MEMO.clear()
     arnoldi_builds.clear()
@@ -890,32 +879,18 @@ def test_a_request_off_or_past_the_log_rebuilds_the_process_once(arnoldi_builds,
     assert arnoldi_builds == [300, 300, 300]
 
 
-def test_a_logged_failure_hands_off_to_eig_without_a_process(arnoldi_builds, eig_calls,
-                                                              monkeypatch):
-    # The refused restart of test_eig_lowest_hands_a_refused_restart_to_eig:
+def test_a_logged_failure_hands_off_to_eig_without_a_process(arnoldi_builds, eig_calls):
+    # The basis limit of test_eig_lowest_hands_a_window_at_the_basis_limit_to_eig:
     # the repeat raises the logged error, and eig answers, with no process
-    # built and no restart tried.
+    # built.
     matrix = _picture_matrix(DEEP_WELL, "reference", 400)
-    qr, rng = np.linalg.qr, np.random.default_rng(0)
-
-    def perturbed_qr(a):
-        q = qr(a)[0]
-        return qr(q + 1e-3 * rng.standard_normal(q.shape))
-
-    restarts = []
-    restart = eigen._ShiftInvertArnoldi._restart
-
-    def counting_restart(self, *args):
-        restarts.append(self.dim)
-        return restart(self, *args)
-
-    monkeypatch.setattr(np.linalg, "qr", perturbed_qr)
-    monkeypatch.setattr(eigen._ShiftInvertArnoldi, "_restart", counting_restart)
     low = eig_lowest(matrix, 40)
-    assert (len(restarts), arnoldi_builds) == (1, [400])
+    assert arnoldi_builds == [400]
+    (log,) = eigen._MEMO.values()
+    assert "not converged at the limit of 90 Krylov vectors" in log[-1][1]
     eig_calls.clear()
     again = eig_lowest(matrix, 40)
-    assert (len(restarts), arnoldi_builds) == (1, [400])
+    assert arnoldi_builds == [400]
     _assert_handed_to_eig(eig_calls, again, 40)
     assert again.tobytes() == low.tobytes()
     # a substitution chunk that leaves the float range fails while the
