@@ -41,6 +41,7 @@ from pdm_spectra import (
     uniform_grid,
 )
 from pdm_spectra import eigen, verify
+from pdm_spectra.config import build_spec, config_from_dict
 
 BDD = ordering_preset("BenDanielDuke")
 ZK = ordering_preset("ZhuKroemer")
@@ -49,6 +50,7 @@ SR_ISO_INTERVAL = (0.15, 2.0 * np.pi - 0.15)
 # a deep, wide well, where an unchunked substitution's running product
 # underflows at n = 1200
 DEEP_WELL = ModelSpec.from_ordering(ScarfII(20.0), ZK, q_interval=(-20.0, 20.0))
+SAMSONOV_ROY = build_spec(config_from_dict({"generator": {"kind": "samsonov_roy"}}))
 
 
 def _acceptance_specs():
@@ -791,8 +793,8 @@ def test_eig_lowest_memo_replays_the_bits_of_an_empty_memo(seed, arnoldi_builds,
 def test_eig_lowest_memo_gives_the_fresh_bits_under_threads():
     # Four threads run the same calls, twice each in their own orders,
     # on two shared matrices; k = 1, 2 and 7 with stopping rules of several
-    # reaches leave each other's logs often, and a short switch interval
-    # makes the threads interleave inside calls.
+    # reaches share some requests and not others, and a short switch
+    # interval makes the threads interleave inside calls.
     spec = ACCEPTANCE_SPECS["c2:sech"]
     pool = [_picture_matrix(spec, picture, 120) for picture in ("reference", "target")]
     calls = [(i, k, spread) for i in range(2) for k in (1, 2, 7) for spread in (None, 2.0, 5.0, 9.0)]
@@ -840,61 +842,65 @@ def test_a_repeated_eig_lowest_call_builds_no_process(arnoldi_builds):
     arnoldi_builds.clear()
     assert eig_lowest(matrix, 4).tobytes() == fresh[4]
     # the same bands in another OperatorMatrix, and a window of fewer levels
-    # cut from the same 8 Ritz values: served from the log
+    # cut from the same 8 Ritz values: served from the memo
     twin = OperatorMatrix(matrix.lower.copy(), matrix.diag.copy(), matrix.upper.copy())
     assert eig_lowest(twin, 4).tobytes() == fresh[4]
     assert eig_lowest(matrix, 2).tobytes() == fresh[2]
     assert arnoldi_builds == [300]
 
 
-def test_a_request_off_or_past_the_log_rebuilds_the_process_once(arnoldi_builds, eig_calls):
-    # k = 7 and k = 1 both ask the process for 8 values first.  Under a
-    # stopping rule that the first windows fall short of, k = 7 asks for 15
-    # next, and k = 1 for 8 again: that request leaves the log.  A rule that
-    # reaches further asks past the log's end.  Either way one new process
-    # replays the logged requests before it, which brings it to the state
-    # the first process had there, and goes on.
+def test_a_new_request_builds_one_process_and_a_repeat_none(arnoldi_builds, eig_calls,
+                                                           monkeypatch):
+    # Under stopping rules that the first windows fall short of, k = 7 asks
+    # for 8 values and then 15, and k = 1 for 8, 9 and 17, then 33 where the
+    # rule reaches further.  A call that asks for an m not in the memo builds
+    # one process, which is asked for the new m alone; calls whose requests
+    # were all asked before, in any order, build none.  Every window keeps
+    # the bits of a call on an empty memo.
     matrix = _picture_matrix(ACCEPTANCE_SPECS["c2:sech"], "reference", 300)
+    calls = [(7, 5.0), (1, 5.0), (1, 9.0)]
     fresh = {}
-    for spread in (5.0, 9.0):
+    for call in calls:
         eigen._MEMO.clear()
-        fresh[spread] = _lowest(matrix, 1, spread, eig_calls)
+        fresh[call] = _lowest(matrix, *call, eig_calls)
     eigen._MEMO.clear()
     arnoldi_builds.clear()
+    asked = []
 
-    def requests():
-        (log,) = eigen._MEMO.values()
-        return [m for m, _ in log]
+    class Asked(eigen._ShiftInvertArnoldi):
+        def nearest(self, m):
+            asked.append(m)
+            return super().nearest(m)
 
-    _lowest(matrix, 7, 5.0, eig_calls)
-    assert requests()[:2] == [8, 15]
-    assert _lowest(matrix, 1, 5.0, eig_calls) == fresh[5.0]
-    assert requests() == [8, 8, 8, 9, 17]
-    assert arnoldi_builds == [300, 300]
-    # the new log serves the repeat whole
-    assert _lowest(matrix, 1, 5.0, eig_calls) == fresh[5.0]
-    assert arnoldi_builds == [300, 300]
-    assert _lowest(matrix, 1, 9.0, eig_calls) == fresh[9.0]
-    assert requests() == [8, 8, 8, 9, 17, 33]
+    monkeypatch.setattr(eigen, "_ShiftInvertArnoldi", Asked)
+    for built, call in enumerate(calls, start=1):
+        assert _lowest(matrix, *call, eig_calls) == fresh[call]
+        assert arnoldi_builds == [300] * built
+    assert asked == [8, 15, 9, 17, 33]
+    (answers,) = eigen._MEMO.values()
+    assert sorted(answers) == sorted(asked)
+    for call in calls[::-1] + calls[1:] + calls[:1]:
+        assert _lowest(matrix, *call, eig_calls) == fresh[call]
     assert arnoldi_builds == [300, 300, 300]
+    assert len(asked) == 5
 
 
 def test_a_logged_failure_hands_off_to_eig_without_a_process(arnoldi_builds, eig_calls):
     # The basis limit of test_eig_lowest_hands_a_window_at_the_basis_limit_to_eig:
-    # the repeat raises the logged error, and eig answers, with no process
-    # built.
+    # the memo stores the error under m = 41, the repeat raises it, and eig
+    # answers, with no process built.
     matrix = _picture_matrix(DEEP_WELL, "reference", 400)
     low = eig_lowest(matrix, 40)
     assert arnoldi_builds == [400]
-    (log,) = eigen._MEMO.values()
-    assert "not converged at the limit of 90 Krylov vectors" in log[-1][1]
+    (answers,) = eigen._MEMO.values()
+    assert "not converged at the limit of 90 Krylov vectors" in answers[41]
     eig_calls.clear()
     again = eig_lowest(matrix, 40)
     assert arnoldi_builds == [400]
     _assert_handed_to_eig(eig_calls, again, 40)
     assert again.tobytes() == low.tobytes()
     # a substitution chunk that leaves the float range fails while the
-    # process is built, and is logged the same way
+    # process is built, and is stored the same way
     n = 400
     overflowing = _tridiagonal(np.linspace(0.0, 1.0, n), np.full(n - 1, 1e-12),
                                np.full(n - 1, 1e-12))
@@ -905,38 +911,30 @@ def test_a_logged_failure_hands_off_to_eig_without_a_process(arnoldi_builds, eig
         _assert_handed_to_eig(eig_calls, low, 2)
 
 
-def test_a_ritz_check_on_an_unchanged_basis_reuses_its_eigensolve(eig_calls, monkeypatch):
-    # k = 1 under a stopping rule asks one process for 8 values three times,
-    # then 9 and 17: those that follow a call with no Krylov step between
-    # take the last check's eigensolve, where solving again gives the same
-    # bits.  Each window is compared with one of a process that solves
-    # every check afresh.
-    solved = []
-    solve = np.linalg.eig
+@pytest.mark.parametrize("n", [200, 400, 800])
+def test_every_request_has_the_bits_of_a_fresh_process(n, arnoldi_builds, monkeypatch):
+    # The samsonov_roy reference's window of 5 levels under a rule that it
+    # falls short of asks one process for 8 values and then 11.  The second
+    # answer, from a basis grown for the first, must have the bits of a
+    # process built for 11 alone.
+    matrix = _picture_matrix(SAMSONOV_ROY, "reference", n)
+    low = eig_lowest(matrix, 5, lambda window: 4.7).tobytes()
+    assert arnoldi_builds == [n]
+    build = eigen._ShiftInvertArnoldi
 
-    def recording_eig(a):
-        solved.append((a.shape, a.tobytes()))
-        return solve(a)
+    class Fresh(build):
+        def __init__(self, *args):
+            self.args = args
+            super().__init__(*args)
 
-    monkeypatch.setattr(np.linalg, "eig", recording_eig)
-    matrix = _picture_matrix(ACCEPTANCE_SPECS["c2:sech"], "reference", 300)
-    runs = {}
-    for label in ("reused", "afresh"):
-        solved.clear()
-        eigen._MEMO.clear()
-        runs[label] = _lowest(matrix, 1, 5.0, eig_calls), list(solved)
+        def nearest(self, m):
+            return build(*self.args).nearest(m)
 
-        class Afresh(eigen._ShiftInvertArnoldi):
-            def nearest(self, m):
-                self.ritz = None
-                return super().nearest(m)
-
-        monkeypatch.setattr(eigen, "_ShiftInvertArnoldi", Afresh)
-    (window, reused), (reference, afresh) = runs["reused"], runs["afresh"]
-    assert window == reference
-    distinct = [a for i, a in enumerate(afresh) if i == 0 or a != afresh[i - 1]]
-    assert len(distinct) < len(afresh)
-    assert reused == distinct
+    monkeypatch.setattr(eigen, "_ShiftInvertArnoldi", Fresh)
+    eigen._MEMO.clear()
+    assert eig_lowest(matrix, 5, lambda window: 4.7).tobytes() == low
+    # one process for the call, and one for each of its two requests
+    assert arnoldi_builds == [n, n, n, n]
 
 
 def test_the_memo_drops_its_least_recently_used_matrix(arnoldi_builds, monkeypatch):
