@@ -39,7 +39,6 @@ from .model import (
 )
 from .mapping import (
     PotentialDecomposition,
-    closed_form_reference,
     closed_form_target,
     potential_decomposition,
     reference_potential,

@@ -13,12 +13,10 @@ Subcommands:
 * defaults: print the full default configuration.
 
 Exit codes: 0 success, 1 a verification check failed, 2 bad usage,
-bad config, or a model/numerics error.  Output files are written
-atomically; reruns with the same inputs produce identical bytes, forked
-or not.  The one exception is a picture whose banded solve falls back to
-LAPACK's dense eig, which no known config's does: LAPACK rounds
-differently with another OpenBLAS thread count, so those bytes repeat
-only for a fixed count.
+bad config, or a model/numerics error, such as a banded solve whose
+Aberth sweeps do not converge (NoConvergenceError); no output file is
+then written.  Output files are written atomically; reruns with the same
+inputs produce identical bytes, forked or not.
 """
 
 from __future__ import annotations
@@ -126,9 +124,6 @@ def cmd_map(args) -> int:
 
 
 def _solve_payload(picture: str, n: int, grid, spectrum) -> dict:
-    if spectrum.fallback:
-        print(f"note: {picture} picture: {spectrum.fallback}; taking the dense eig",
-              file=sys.stderr)
     return {
         "picture": picture,
         "n": n,
@@ -238,9 +233,7 @@ def cmd_solve(args) -> int:
         raise TooLargeError(f"full spectra are limited to {MAX_DENSE_NODES} nodes, got {n}")
     if args.picture == "both":
         # eig of the target picture runs in a forked child beside that of
-        # the reference picture.  A picture whose sweeps stall takes LAPACK's
-        # dense eig in its own process, and two LAPACK thread pools at once
-        # oversubscribe the CPUs; no known config stalls.
+        # the reference picture
         (ref_grid, ref), (grid, target) = (picture_matrix(spec, picture, n)
                                            for picture in ("reference", "target"))
         reference, spectrum = _alongside(lambda: eig(ref), lambda: eig(target))

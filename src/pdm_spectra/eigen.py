@@ -6,10 +6,10 @@ conventions: eigenvalues in lexicographic order (real part, then imaginary
 part), the Frobenius norm of the matrix, and a trace cross-check.  It
 computes no eigenvectors.  An OperatorMatrix goes to `eig_tridiagonal`,
 which works on its three bands by Ehrlich-Aberth iteration in O(n^2) time
-and O(n) memory with numpy alone, from starts at the quantiles of the
-bands' local level count; where those sweeps do not converge, `eig` takes
-LAPACK's general complex solver on the dense `entries` and records why in
-`Spectrum.fallback`.  A plain array goes to LAPACK.  Its row loop
+and O(n) memory with numpy alone, about a real centre of the diagonal and
+from starts at the quantiles of the bands' local level count; where those
+sweeps do not converge it raises NoConvergenceError.  A plain array goes
+to LAPACK, so eig(matrix.entries) is the explicit dense route.  Its row loop
 over the ratio continuant makes five ufunc calls a row and adds each
 block's terms to p'/p with one sequential sum.  It runs without a
 zero-pivot guard: an exact zero pivot always makes p'/p non-finite, and
@@ -93,9 +93,6 @@ _MARGIN_RTOL = 1e-10
 # the buffer of a small matrix small.
 _MAX_SWEEPS = 200
 _BLOCK = 1 << 14
-# eig_tridiagonal's refusal of a band with an inf or nan, which `eig` passes
-# on instead of densifying
-_NON_FINITE = "a band holds a non-finite entry"
 # eig_lowest's shift-invert Arnoldi: entries per chunk of the prefix-product
 # substitution, short enough that no chunk's running product of the ratios
 # |coupling / pivot| underflows; the least number of Krylov steps between two
@@ -150,18 +147,15 @@ def _frobenius(values: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Lex-ordered eigenvalues with three diagnostics.
+    """Lex-ordered eigenvalues with two diagnostics.
 
     matrix_norm is ||A||_F.  trace_error compares the eigenvalue sum with
-    the matrix trace, relative to max(1, |trace|, sum |lambda|).  fallback
-    is "" unless the banded solve of an OperatorMatrix failed and the dense
-    one answered; it then holds the banded solver's error text.
+    the matrix trace, relative to max(1, |trace|, sum |lambda|).
     """
 
     eigenvalues: np.ndarray
     matrix_norm: float = 0.0
     trace_error: float = 0.0
-    fallback: str = ""
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.eigenvalues, dtype=complex)
@@ -170,40 +164,27 @@ class Spectrum:
 
     def __reduce__(self):
         # unpickled through the constructor, so the eigenvalues stay read-only
-        return Spectrum, (self.eigenvalues, self.matrix_norm, self.trace_error, self.fallback)
+        return Spectrum, (self.eigenvalues, self.matrix_norm, self.trace_error)
 
 
 def eig(matrix) -> Spectrum:
     """Full spectrum with package conventions.
 
-    An OperatorMatrix is solved on its bands by `eig_tridiagonal`.  If that
-    raises NoConvergenceError, its dense `entries` go to LAPACK and the
-    banded error text is kept in `fallback`; TooLargeError propagates, and
-    bands with a non-finite entry raise NoConvergenceError before anything
-    dense is built.  A plain array goes to LAPACK.  Raises
+    An OperatorMatrix is solved on its bands by `eig_tridiagonal`, whose
+    errors propagate.  A plain array goes to LAPACK; raises
     NoConvergenceError if the dense QR iteration gives up.
     """
-    if not isinstance(matrix, OperatorMatrix):
-        return _dense(matrix)
-    try:
+    if isinstance(matrix, OperatorMatrix):
         return eig_tridiagonal(matrix)
-    except NoConvergenceError as exc:
-        if str(exc) == _NON_FINITE:
-            raise NoConvergenceError(f"{_NON_FINITE}, so no dense solve is tried") from exc
-        return _dense(matrix, str(exc))
-
-
-def _dense(matrix, fallback: str = "") -> Spectrum:
-    """LAPACK's Spectrum of the dense entries, with the given fallback text."""
     a = _entries(matrix)
     try:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"dense eigensolve failed: {exc}") from exc
-    return _spectrum(vals, np.diagonal(a), _frobenius(a), fallback)
+    return _spectrum(vals, np.diagonal(a), _frobenius(a))
 
 
-def _spectrum(vals: np.ndarray, diag: np.ndarray, norm: float, fallback: str = "") -> Spectrum:
+def _spectrum(vals: np.ndarray, diag: np.ndarray, norm: float) -> Spectrum:
     """Eigenvalues in lex order, with their trace error: |sum(vals) - trace|
     relative to max(1, |trace|, sum |vals|), the trace being sum(diag).  It
     is taken at unit scale (see _unit_scaled), the floor of 1 scaled with
@@ -214,7 +195,7 @@ def _spectrum(vals: np.ndarray, diag: np.ndarray, norm: float, fallback: str = "
     with np.errstate(over="ignore", invalid="ignore"):
         floor = float(np.ldexp(1.0, -e))
         error = abs(scaled.sum() - trace) / max(floor, abs(trace), float(np.sum(np.abs(scaled))))
-    return Spectrum(eigenvalues=vals, matrix_norm=norm, trace_error=error, fallback=fallback)
+    return Spectrum(eigenvalues=vals, matrix_norm=norm, trace_error=error)
 
 
 def _row_sums(couplings: np.ndarray) -> np.ndarray:
@@ -267,11 +248,10 @@ def eig_lowest(matrix: OperatorMatrix, k: int, past=None) -> np.ndarray:
     matrix must be unreduced (lower * upper != 0 throughout): then every
     eigenvalue has one eigenvector, so a Krylov space, which sees each
     eigenvalue once, misses no copy of it.  Whatever the process cannot
-    prove goes to `eig` (on its bands, densifying only where those sweeps
-    fail), and the stopping rule then picks from that spectrum: a reducible
-    matrix, bounds that are not finite, a substitution that leaves the
-    float range, a breakdown, a basis at its limit (see
-    _ShiftInvertArnoldi.nearest), or m reaching n - 2.
+    prove goes to `eig`, which solves it on its bands, and the stopping rule
+    then picks from that spectrum: a reducible matrix, bounds that are not
+    finite, a substitution that leaves the float range, a breakdown, a basis
+    at its limit (see _ShiftInvertArnoldi.nearest), or m reaching n - 2.
     Each answer of the process is stored in the memo under its m (see the
     module docstring), and a call builds the process only for an m not
     stored, with the same bits.
@@ -478,22 +458,26 @@ class _ShiftInvertArnoldi:
 def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
     """Full spectrum of a tridiagonal matrix from its bands, in O(n^2).
 
-    The banded path of `eig`, which adds the dense fallback; called alone
-    it is the raw solver that the solver validation checks.  Same
-    conventions as `eig`.  Ehrlich-Aberth iteration on det(A - zI)
-    (Bini, Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27 (2005)
-    153-175), with p'/p from the ratio continuant
-    r_i = (d_i - z) - l_{i-1} u_{i-1} / r_{i-1}, started at the quantiles of
-    the bands' local level count (see _dos_start).  A root freezes once its
-    step is at most 4 eps max(|z|, 1e-3 ||A||_F), or stops shrinking at most
-    max(1e-8 |z|, 8 eps ||A||_F), the continuant's rounding level near 0.
-    The sweeps run on the bands at unit scale (see _unit_scaled), where no
-    norm, bound or product l_i u_i leaves the float range, and every step
-    is scale-homogeneous: the roots and the norm are scaled back by the same
-    exact power of two, so eig_tridiagonal(A 2^j) is 2^j eig_tridiagonal(A)
-    bit for bit, short of subnormals and overflow.  Raises TooLargeError for
-    n > MAX_DENSE_NODES, NoConvergenceError on a non-finite band entry or
-    when roots still move at the _MAX_SWEEPS limit.
+    The path of `eig` for an OperatorMatrix, and the raw solver that the
+    solver validation checks.  Same conventions as `eig`.  Ehrlich-Aberth
+    iteration on det(A - cI - zI) (Bini, Gemignani & Tisseur, SIAM J.
+    Matrix Anal. Appl. 27 (2005) 153-175), with c the median of Re d_i (the
+    upper one for even n) and p'/p from the ratio continuant
+    r_i = (d_i - c - z) - l_{i-1} u_{i-1} / r_{i-1}, started at the
+    quantiles of the bands' local level count (see _dos_start); c is added
+    back to the roots.  A real shift of the diagonal, such as the
+    potential's alpha0, thus moves c and every level by the shift and leaves
+    the sweeps as they were, but for the rounding of d_i + alpha0.
+    With N = ||A - cI||_F, a root freezes once its step is at most
+    4 eps max(|z|, 1e-3 N), or stops shrinking at most max(1e-8 |z|, 8 eps N),
+    the continuant's rounding level near 0.  The sweeps run on the bands at
+    unit scale (see _unit_scaled), where no norm, bound or product l_i u_i
+    leaves the float range, and every step is scale-homogeneous: the roots
+    and ||A||_F are scaled back by the same exact power of two, so
+    eig_tridiagonal(A 2^j) is 2^j eig_tridiagonal(A) bit for bit, short of
+    subnormals and overflow.  Raises TooLargeError for n > MAX_DENSE_NODES,
+    NoConvergenceError on a non-finite band entry or when roots still move
+    at the _MAX_SWEEPS limit, as a defective multiple eigenvalue's can.
     """
     n = matrix.n
     if n > MAX_DENSE_NODES:
@@ -502,9 +486,23 @@ def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
     # at unit scale the sum of squares cannot overflow: only inf or nan make it non-finite
     norm = float(np.linalg.norm(np.concatenate((lower, diag, upper))))
     if not math.isfinite(norm):
-        raise NoConvergenceError(_NON_FINITE)
+        raise NoConvergenceError("a band holds a non-finite entry")
+    # np.median's first call imports numpy.ma, about 2 MB and 10 ms
+    centre = float(np.partition(diag.real, n // 2)[n // 2])
+    diag = diag - centre
+    z = _aberth(lower, diag, upper) + centre
+    with np.errstate(over="ignore"):
+        z, norm = np.ldexp(z.view(float), scale).view(complex), float(np.ldexp(norm, scale))
+    return _spectrum(z, matrix.diag, norm)
+
+
+def _aberth(lower, diag, upper) -> np.ndarray:
+    """The roots of det(A - zI) for finite bands at unit scale or below, by
+    the sweeps of eig_tridiagonal; all zero where every entry is zero."""
+    n = diag.size
+    norm = float(np.linalg.norm(np.concatenate((lower, diag, upper))))
     if norm == 0.0:
-        return Spectrum(np.zeros(n, dtype=complex))
+        return np.zeros(n, dtype=complex)
     floor = 1e-3 * norm
     z = _dos_start(diag, *_bounds(OperatorMatrix(lower, diag, upper))[:3], floor / n)
     eps = np.finfo(float).eps
@@ -535,9 +533,7 @@ def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
         last[active] = size
         active = active[~done]
         if not active.size:
-            with np.errstate(over="ignore"):
-                z, norm = np.ldexp(z.view(float), scale).view(complex), float(np.ldexp(norm, scale))
-            return _spectrum(z, matrix.diag, norm)
+            return z
     raise NoConvergenceError(
         f"{active.size} of {n} roots still moving at the limit of {_MAX_SWEEPS} Aberth sweeps"
     )

@@ -8,8 +8,8 @@ operator into a unit-mass reference operator
 
 so the two pictures share their Dirichlet spectra on matched windows.  This
 module evaluates the map, the reference and target potentials (including the
-rational closed forms used for cross-validation), and the decomposition of the
-full potential into real/imaginary/bare parts.
+target's rational closed form used for cross-validation), and the
+decomposition of the full potential into real/imaginary/bare parts.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .model import Generator, ModelSpec, SamsonovRoy, ScarfII
 
 __all__ = [
     "reference_potential",
-    "closed_form_reference",
     "target_potential",
     "closed_form_target",
     "PotentialDecomposition",
@@ -35,22 +34,6 @@ def reference_potential(generator: Generator, alpha0: float, q):
     """Flat-picture potential alpha0 - F(q)^2 - i F'(q)."""
     f, fp = generator(q)
     return alpha0 - f * f - 1j * fp
-
-
-def closed_form_reference(generator: Generator, q):
-    """Closed form of the flat-picture potential for the built-in generators.
-
-    ScarfII gives -v2^2 sech(q)^2 - i v2 sech(q) tanh(q); SamsonovRoy gives
-    -6/(cos q + 2i sin q)^2 - 25/16.  Both assume alpha0 = 0.  Other kinds
-    raise UnsupportedKindError.
-    """
-    q = np.asarray(q, dtype=float)
-    if isinstance(generator, ScarfII):
-        sech = 1.0 / np.cosh(q)
-        return -generator.v2**2 * sech**2 - 1j * generator.v2 * sech * np.tanh(q)
-    if isinstance(generator, SamsonovRoy):
-        return -6.0 / (np.cos(q) + 2j * np.sin(q)) ** 2 - 25.0 / 16.0
-    raise UnsupportedKindError(f"no closed-form potential for {generator}")
 
 
 def target_potential(spec: ModelSpec, x):

@@ -252,18 +252,22 @@ def check_intertwining(
     The relative residual ||eta H - H^dagger eta||_F / (||eta||_F ||H||_F)
     is dominated by the Dirichlet cut rows and decays about linearly in h;
     the check wants strict decrease plus a fitted rate of at least min_rate.
-    Both factors are tridiagonal, so both products are formed as five bands,
-    after each factor is brought to unit scale by an exact power of two
-    (eigen._unit_scaled): the relative residual keeps its bits under that
-    scaling, and every product and norm stays finite.
+    A real alpha0 does not enter the relation, so H is taken with the
+    spec's alpha0 subtracted from its diagonal, and a large shift cannot
+    swamp ||H||_F.  Both factors are tridiagonal, so both products are
+    formed as five bands, after each factor is brought to unit scale by an
+    exact power of two (eigen._unit_scaled): the relative residual keeps its
+    bits under that scaling, and every product and norm stays finite.
     """
     n_list = [int(n) for n in n_list]
     xa, xb = spec.x_interval
     residuals = []
     for n in n_list:
         grid = uniform_grid(xa, xb, n, coordinate="x")
+        target = build_target_matrix(spec, grid)
+        shifted = OperatorMatrix(target.lower, target.diag - spec.alpha0, target.upper)
         ham, eta = (OperatorMatrix(*_unit_scaled(m.lower, m.diag, m.upper)[0])
-                    for m in (build_target_matrix(spec, grid), build_eta_matrix(spec, grid)))
+                    for m in (shifted, build_eta_matrix(spec, grid)))
         adjoint = OperatorMatrix(ham.upper.conj(), ham.diag.conj(), ham.lower.conj())
         mismatch = [a - b for a, b in zip(_product_bands(eta, ham), _product_bands(adjoint, eta))]
         norms = [np.linalg.norm(np.concatenate((m.lower, m.diag, m.upper))) for m in (eta, ham)]

@@ -22,7 +22,6 @@ from pdm_spectra import (
     check_analytic,
     check_identities,
     check_intertwining,
-    closed_form_reference,
     convergence_sweep,
     delta_of,
     eig,
@@ -158,14 +157,17 @@ def test_c6_pointwise_identities():
         worst = max(worst, report.details["triangle_gap"],
                     report.details["ordering_terms_gap"],
                     report.details["closed_form_gap"] or 0.0)
-    # independent closed-form route for the flat-picture potentials
+    # independent closed-form route for the flat-picture potentials:
+    # -v2^2 sech^2 - i v2 sech tanh and -6/(cos q + 2i sin q)^2 - 25/16
     q = np.linspace(-3.0, 3.0, 400)
+    sech = 1.0 / np.cosh(q)
     gap_sech = np.max(np.abs(
-        closed_form_reference(ScarfII(2.5), q) - reference_potential(ScarfII(2.5), 0.0, q)
+        -2.5**2 * sech**2 - 1j * 2.5 * sech * np.tanh(q)
+        - reference_potential(ScarfII(2.5), 0.0, q)
     ))
     q_trig = np.linspace(0.15, 2.0 * np.pi - 0.15, 400)
     gap_trig = np.max(np.abs(
-        closed_form_reference(SamsonovRoy(), q_trig)
+        -6.0 / (np.cos(q_trig) + 2j * np.sin(q_trig)) ** 2 - 25.0 / 16.0
         - reference_potential(SamsonovRoy(), 0.0, q_trig)
     ))
     passed = passed and gap_sech <= 1e-12 and gap_trig <= 1e-12

@@ -47,12 +47,11 @@ def write_config(tmp_path, payload, name="config.json"):
 SMALL = {"n": 200, "n_sweep": [60, 120, 240], "k_levels": 2}
 
 # A sweep limit under which the banded solves of Morse at n = 50 (about 100
-# sweeps) and of the deep well's target picture at n = 150 (16) stall, and
-# those of the paper models and the deep well's reference picture at
-# n = 150 (10-13) do not.  It keeps the dense fallback and its note: lines
-# under test, which no built-in config reaches at the default limit; a
-# forked child inherits it.
-CUT_SWEEPS = 14
+# sweeps) and of the default config's target picture at n = 150 (10) stall,
+# and that of its reference picture at n = 150 (7) does not.  It keeps a
+# stall's exit under test, which no built-in config reaches at the default
+# limit; a forked child inherits it.
+CUT_SWEEPS = 8
 DEEP_WELL = {"generator": {"kind": "scarf2", "v2": 20}, "q_interval": [-20, 20]}
 
 MORSE = {
@@ -110,8 +109,8 @@ def test_solve_writes_json(tmp_path):
 
 def test_solve_writes_strict_json_where_the_norm_overflows(tmp_path):
     # Every band entry is finite; only their Frobenius norm overflows
-    # (v2^2 = 1.69e308).  The bands answer at unit scale, so no dense
-    # fallback is noted, and the norm is written as null.
+    # (v2^2 = 1.69e308).  The bands answer at unit scale, and the norm is
+    # written as null.
     out = tmp_path / "solve.json"
     proc = run_cli("solve", "--n", "20", "--out", str(out), "--config",
                    write_config(tmp_path, {"generator": {"kind": "scarf2", "v2": 1.3e154}}))
@@ -154,12 +153,15 @@ def test_solve_both_pictures(tmp_path):
     assert payload["target"]["grid"]["kind"] == "q_induced_x"
 
 
-@pytest.mark.parametrize("payload", [{"generator": {"kind": "morse"}}, DEEP_WELL],
-                         ids=["morse", "deep_well"])
+@pytest.mark.parametrize("payload", [{"generator": {"kind": "morse"}}, DEEP_WELL,
+                                     {"alpha0": 1e8}, {"alpha0": 3e7}],
+                         ids=["morse", "deep_well", "alpha0=1e8", "alpha0=3e7"])
 def test_solve_solves_morse_and_the_deep_well_on_the_bands(tmp_path, payload):
-    # The built-in Morse window and the deep well at the default n = 400:
-    # both pictures converge on the bands, so nothing is noted on stderr, and
-    # each writes eig_tridiagonal's spectrum bit for bit.
+    # The built-in Morse window, the deep well and the default model shifted
+    # by a large alpha0, at the default n = 400: both pictures converge on
+    # the bands, stderr is empty, and each writes eig_tridiagonal's spectrum
+    # bit for bit.  Sweeps on the uncentred bands once stalled on the
+    # shifted model, or settled off its levels.
     out = tmp_path / "both.json"
     proc = run_cli("solve", "--picture", "both", "--config", write_config(tmp_path, payload),
                    "--out", str(out))
@@ -175,20 +177,19 @@ def test_solve_solves_morse_and_the_deep_well_on_the_bands(tmp_path, payload):
         assert written[picture]["trace_error"] == spectrum.trace_error
 
 
-@pytest.mark.parametrize("payload, n, notes", [
-    ({}, 150, 0),
-    ({"generator": {"kind": "samsonov_roy"}}, 150, 0),
-    # the target picture's sweeps stall at CUT_SWEEPS, the reference's do not
-    (DEEP_WELL, 150, 1),
-    ({"generator": {"kind": "morse"}}, 50, 2),
-    ({"profile": "constant"}, 150, 0),
+# The ids of the next two tests are those of their earlier versions, whose
+# third value was a count of pictures solved densely, now always 0.
+@pytest.mark.parametrize("payload, n", [
+    pytest.param({}, 150, id="payload0-150-0"),
+    pytest.param({"generator": {"kind": "samsonov_roy"}}, 150, id="payload1-150-0"),
+    pytest.param(DEEP_WELL, 150, id="payload2-150-1"),
+    pytest.param({"generator": {"kind": "morse"}}, 50, id="payload3-50-2"),
+    pytest.param({"profile": "constant"}, 150, id="payload4-150-0"),
+    pytest.param({"alpha0": 1e8}, 150, id="alpha0=1e8-150"),
 ])
-def test_solve_both_equals_the_single_picture_runs(tmp_path, capsys, monkeypatch, payload, n,
-                                                   notes):
-    # Each picture of a solve of both keeps the spectrum and the note: line
-    # it has alone, and the notes come in picture order, at a sweep limit
-    # that makes some pictures take the dense eig.
-    monkeypatch.setattr(eigen, "_MAX_SWEEPS", CUT_SWEEPS)
+def test_solve_both_equals_the_single_picture_runs(tmp_path, capsys, payload, n):
+    # Each picture of a solve of both keeps the spectrum it has alone, and
+    # every run writes nothing on stderr.
     config = write_config(tmp_path, payload)
     runs = {}
     for picture in ("both", "reference", "target"):
@@ -199,8 +200,7 @@ def test_solve_both_equals_the_single_picture_runs(tmp_path, capsys, monkeypatch
     both, stderr = runs["both"]
     assert both == {"picture": "both", "reference": runs["reference"][0],
                     "target": runs["target"][0]}
-    assert stderr == runs["reference"][1] + runs["target"][1]
-    assert stderr.count("note: ") == notes
+    assert stderr == runs["reference"][1] == runs["target"][1] == ""
 
 
 # Parts of eigenvalues that json writes as null or in a form of its own:
@@ -235,20 +235,17 @@ def test_the_solve_writer_writes_the_text_of_json_dumps(payload):
     assert "".join(cli._solve_text(payload)) == expected
 
 
-@pytest.mark.parametrize("payload, n, dense", [
-    ({}, 150, 0),
-    ({"generator": {"kind": "samsonov_roy"}}, 150, 0),
-    ({"generator": {"kind": "morse"}}, 50, 2),
+@pytest.mark.parametrize("payload, n", [
+    pytest.param({}, 150, id="payload0-150-0"),
+    pytest.param({"generator": {"kind": "samsonov_roy"}}, 150, id="payload1-150-0"),
+    pytest.param({"generator": {"kind": "morse"}}, 50, id="payload2-50-2"),
 ])
-def test_solve_writes_the_bytes_of_json_dumps_on_every_picture(tmp_path, capsys, monkeypatch,
-                                                              payload, n, dense):
+def test_solve_writes_the_bytes_of_json_dumps_on_every_picture(tmp_path, capsys, payload, n):
     # Each picture's spectrum solved here, written by json.dumps, against
-    # the file that solve writes, and the note: lines in picture order; at
-    # CUT_SWEEPS both of Morse's pictures take the dense eig.
-    monkeypatch.setattr(eigen, "_MAX_SWEEPS", CUT_SWEEPS)
+    # the file that solve writes, with nothing on stderr.
     config = write_config(tmp_path, payload)
     spec = build_spec(config_from_dict(payload))
-    expected, notes = {}, {}
+    expected = {}
     for picture in ("reference", "target"):
         grid, matrix = picture_matrix(spec, picture, n)
         spectrum = eig(matrix)
@@ -257,29 +254,16 @@ def test_solve_writes_the_bytes_of_json_dumps_on_every_picture(tmp_path, capsys,
                              "eigenvalues": spectrum.eigenvalues,
                              "matrix_norm": spectrum.matrix_norm,
                              "trace_error": spectrum.trace_error}
-        notes[picture] = (f"note: {picture} picture: {spectrum.fallback}; taking the dense eig\n"
-                          if spectrum.fallback else "")
-        if spectrum.fallback:
-            # the banded refusal's text, and LAPACK's spectrum of the dense array
-            with pytest.raises(NoConvergenceError) as stalled:
-                eigen.eig_tridiagonal(matrix)
-            assert spectrum.fallback == str(stalled.value)
-            dense_spectrum = eig(matrix.entries)
-            assert spectrum.eigenvalues.tobytes() == dense_spectrum.eigenvalues.tobytes()
-            assert (spectrum.matrix_norm, spectrum.trace_error) == (dense_spectrum.matrix_norm,
-                                                                    dense_spectrum.trace_error)
     expected["both"] = {"picture": "both", **{p: expected[p] for p in ("reference", "target")}}
-    notes["both"] = notes["reference"] + notes["target"]
-    assert notes["both"].count("taking the dense eig") == dense
     for picture in ("both", "reference", "target"):
         text = json.dumps(_jsonable(expected[picture]), indent=2, sort_keys=True) + "\n"
         out = tmp_path / f"{picture}.json"
         argv = ["solve", "--picture", picture, "--n", str(n), "--config", config]
         assert cli.main([*argv, "--out", str(out)]) == 0
         assert out.read_bytes() == text.encode()
-        assert capsys.readouterr().err == notes[picture]
+        assert capsys.readouterr().err == ""
         assert cli.main(argv) == 0
-        assert capsys.readouterr() == (text, notes[picture])
+        assert capsys.readouterr() == (text, "")
 
 
 def _cpus(monkeypatch, count):
@@ -319,26 +303,43 @@ def _solve_both(tmp_path, capsys, payload, n, label):
     return code, out.read_bytes() if out.exists() else None, capsys.readouterr().err
 
 
-@pytest.mark.parametrize("payload, n, fallbacks", [
-    pytest.param({}, 150, [], id="payload0-150"),
-    pytest.param({"generator": {"kind": "morse"}}, 50, ["reference", "target"], id="payload1-50"),
-    pytest.param(DEEP_WELL, 150, ["target"], id="deep_well-150"),
+@pytest.mark.parametrize("payload, n", [
+    pytest.param({}, 150, id="payload0-150"),
+    pytest.param({"generator": {"kind": "morse"}}, 50, id="payload1-50"),
+    pytest.param(DEEP_WELL, 150, id="deep_well-150"),
 ])
 def test_solve_both_writes_the_same_bytes_forked_and_serial(tmp_path, capsys, monkeypatch,
-                                                           payload, n, fallbacks):
+                                                           payload, n):
     # Two usable CPUs fork one child for the target picture, one CPU solves
-    # both pictures here; at CUT_SWEEPS Morse takes the dense eig in both
-    # pictures, and the deep well in its target picture alone, whose dense
-    # solve then runs in the child.
-    monkeypatch.setattr(eigen, "_MAX_SWEEPS", CUT_SWEEPS)
+    # both pictures here.
     forks = _counting_forks(monkeypatch)
     _cpus(monkeypatch, 2)
     forked = _solve_both(tmp_path, capsys, payload, n, "forked")
     assert forks == [os.getpid()]
     _cpus(monkeypatch, 1)
     assert _solve_both(tmp_path, capsys, payload, n, "serial") == forked
-    assert forked[0] == 0
-    assert [line.split()[1] for line in forked[2].splitlines()] == fallbacks
+    assert forked[0] == 0 and forked[1] and forked[2] == ""
+
+
+@pytest.mark.parametrize("payload, n, picture", [
+    ({}, 150, "target"),
+    ({"generator": {"kind": "morse"}}, 50, "reference"),
+])
+def test_a_stalled_solve_exits_two_forked_and_serial(tmp_path, capsys, monkeypatch, payload, n,
+                                                     picture):
+    # At CUT_SWEEPS the default config's target picture stalls in the
+    # forked child, and Morse's reference picture stalls in the parent,
+    # which kills its child: either way solve exits 2 with the banded
+    # error, writes no --out file and leaves no child, as the serial run.
+    monkeypatch.setattr(eigen, "_MAX_SWEEPS", CUT_SWEEPS)
+    spec = build_spec(config_from_dict(payload))
+    with pytest.raises(NoConvergenceError, match="Aberth sweeps") as stalled:
+        eigen.eig_tridiagonal(picture_matrix(spec, picture, n)[1])
+    runs = []
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        runs.append(_solve_both(tmp_path, capsys, payload, n, f"cpus{cpus}"))
+    assert runs[0] == runs[1] == (2, None, f"error: NoConvergenceError: {stalled.value}\n")
 
 
 def _refusing(monkeypatch, picture, refusal):

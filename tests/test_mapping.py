@@ -10,7 +10,6 @@ from pdm_spectra import (
     SamsonovRoy,
     ScarfII,
     UnsupportedKindError,
-    closed_form_reference,
     closed_form_target,
     ordering_preset,
     potential_decomposition,
@@ -37,17 +36,22 @@ def test_reference_potential_alpha0_shift():
     np.testing.assert_allclose(reference_potential(ScarfII(2.0), 1.5, q), base + 1.5)
 
 
+def closed_form_reference(generator, q):
+    """The flat-picture potential at alpha0 = 0 in closed form: ScarfII gives
+    -v2^2 sech(q)^2 - i v2 sech(q) tanh(q) for either sign, SamsonovRoy
+    -6/(cos q + 2i sin q)^2 - 25/16."""
+    if isinstance(generator, ScarfII):
+        sech = 1.0 / np.cosh(q)
+        return -generator.v2**2 * sech**2 - 1j * generator.v2 * sech * np.tanh(q)
+    return -6.0 / (np.cos(q) + 2j * np.sin(q)) ** 2 - 25.0 / 16.0
+
+
 @pytest.mark.parametrize("generator", [ScarfII(2.0), ScarfII(2.5, sign=-1), SamsonovRoy()])
 def test_reference_closed_form_matches_generic_route(generator):
     q = np.linspace(-3.0, 3.0, 301)
     generic = reference_potential(generator, 0.0, q)
     closed = closed_form_reference(generator, q)
     assert np.max(np.abs(generic - closed)) <= 1e-12
-
-
-def test_reference_closed_form_unknown_kind():
-    with pytest.raises(UnsupportedKindError):
-        closed_form_reference(Morse(), 0.0)
 
 
 @pytest.mark.parametrize(

@@ -167,6 +167,22 @@ def test_check_intertwining_scales_product_bands_that_would_overflow():
     assert all(np.isfinite(residuals)) and min(residuals) > 0.0
 
 
+@pytest.mark.parametrize("alpha0", [1e4, 1e8, -1e8])
+def test_check_intertwining_does_not_see_a_real_alpha0(alpha0):
+    # eta H = H^dagger eta holds or fails whatever real alpha0 H carries;
+    # with alpha0 in ||H||_F the rate fell to 0.908 at 1e4 and -0.999 (FAIL)
+    # at 1e8.  Each d_i - alpha0 is off by at most half a spacing of alpha0
+    # (7.5e-9 at 1e8), which moves the residual by about that over ||H||_F
+    # (above 6e5 here), some 1e-11 of the smallest residual (above 2e-3).
+    n_list = [200, 400, 800]
+    plain = check_intertwining(build_intertwine_spec(config_from_dict({})), n_list)
+    shifted = check_intertwining(build_intertwine_spec(config_from_dict({"alpha0": alpha0})),
+                                 n_list)
+    assert shifted.passed
+    assert shifted.details["residual"] == pytest.approx(plain.details["residual"], rel=1e-6)
+    assert shifted.details["rate"] == pytest.approx(plain.details["rate"], rel=1e-6)
+
+
 @pytest.mark.parametrize("payload", [{}, {"generator": {"kind": "samsonov_roy"}}],
                          ids=["scarf2", "samsonov_roy"])
 def test_check_intertwining_keeps_the_unscaled_bits(payload):
