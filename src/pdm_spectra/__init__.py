@@ -21,7 +21,6 @@ from .errors import (
     SingularEdgeError,
     TooFewNodesError,
     TooLargeError,
-    UnsupportedGeneratorError,
     UnsupportedKindError,
 )
 from .model import (
@@ -61,7 +60,6 @@ from .eigen import (
     brute_oracle_small,
     eig,
     eig_lowest,
-    eig_tridiagonal,
     match_eigenvalue_sets,
 )
 from .verify import (
@@ -75,8 +73,6 @@ from .verify import (
     eigensolver_validation,
     fit_decay_rate,
     isospectral_sweep,
-    samsonov_roy_levels,
-    scarf2_levels,
 )
 from .config import (
     DEFAULTS,

@@ -40,7 +40,7 @@ from .errors import (
     ConfigError,
     PdmSpectraError,
     TooLargeError,
-    UnsupportedGeneratorError,
+    UnsupportedKindError,
 )
 from .eigen import eig
 from .mapping import potential_decomposition, target_potential
@@ -293,7 +293,7 @@ def cmd_verify(args) -> int:
         for name in _CHECK_ORDER:
             try:
                 reports.append(_run_check(name, cfg, seed))
-            except UnsupportedGeneratorError as exc:
+            except UnsupportedKindError as exc:
                 reports.append(VerificationReport(
                     check=name, passed=True,
                     details={"note": f"skipped: {exc}"},

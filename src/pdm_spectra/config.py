@@ -32,6 +32,7 @@ from .model import (
     delta_of,
     ordering_preset,
 )
+from .verify import DEFAULT_TOLERANCES
 
 __all__ = [
     "DEFAULT_TOLERANCES",
@@ -42,17 +43,6 @@ __all__ = [
     "build_spec",
     "build_intertwine_spec",
 ]
-
-DEFAULT_TOLERANCES = {
-    "isospectral": 5e-2,
-    "iso_rate": 1.0,
-    "analytic": 2e-2,
-    "im": None,
-    "intertwine_rate": 0.9,
-    "identities": 1e-12,
-    "solver": 1e-8,
-    "trace": 1e-10,
-}
 
 DEFAULTS = {
     "generator": {"kind": "scarf2", "v2": 2.5, "sign": 1},

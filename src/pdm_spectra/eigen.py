@@ -4,29 +4,28 @@ small-matrix oracle, and eigenvalue set matching.
 `eig` is the one entry point for a whole spectrum, with the package
 conventions: eigenvalues in lexicographic order (real part, then imaginary
 part), the Frobenius norm of the matrix, and a trace cross-check.  It
-computes no eigenvectors.  An OperatorMatrix goes to `eig_tridiagonal`,
-which works on its three bands by Ehrlich-Aberth iteration in O(n^2) time
-and O(n) memory with numpy alone, about a real centre of the diagonal and
-from starts at the quantiles of the bands' local level count; where those
-sweeps do not converge it raises NoConvergenceError.  A plain array goes
-to LAPACK, so eig(matrix.entries) is the explicit dense route.  Its row loop
-over the ratio continuant makes five ufunc calls a row and adds each
-block's terms to p'/p with one sequential sum.  It runs without a
-zero-pivot guard: an exact zero pivot always makes p'/p non-finite, and
-the roots where p'/p is not finite are redone by the same loop with the
-guard on, so every root keeps the bits of a loop guarded on every row.
-Its pair sum drops only each root's self term; an exact coincidence of two
-roots always makes a row's sum non-finite, and such rows are redone with
-every exact zero difference dropped, so every sum keeps the bits of a sum
-that drops them all.
+computes no eigenvectors.  An OperatorMatrix is solved on its three bands by
+Ehrlich-Aberth iteration in O(n^2) time and O(n) memory with numpy alone,
+about a real centre of the diagonal and from starts at the quantiles of the
+bands' local level count; where those sweeps do not converge it raises
+NoConvergenceError.  A plain array goes to LAPACK, so eig(matrix.entries)
+is the explicit dense route.  The banded row loop over the ratio continuant
+makes five ufunc calls a row and adds each block's terms to p'/p with one
+sequential sum.  It runs without a zero-pivot guard: an exact zero pivot
+always makes p'/p non-finite, and the roots where p'/p is not finite are
+redone by the same loop with the guard on, so every root keeps the bits of
+a loop guarded on every row.  Its pair sum drops only each root's self
+term; an exact coincidence of two roots always makes a row's sum
+non-finite, and such rows are redone with every exact zero difference
+dropped, so every sum keeps the bits of a sum that drops them all.
 
 One rule keeps sums and products in the float range: `_unit_scaled`
 multiplies by the exact power of two that brings the largest real or
 imaginary part into [1/2, 1).  The Frobenius norm, the trace error and
-`eig_tridiagonal`'s sweeps work at that scale and scale their results back,
-which keeps the bits of every result whose sums stay in range.
-`eig_lowest` stays at the caller's scale: the LAPACK eigensolve of its
-projected matrix is not scale-homogeneous.
+the banded sweeps work at that scale and scale their results back, which
+keeps the bits of every result whose sums stay in range.  `eig_lowest`
+stays at the caller's scale: the LAPACK eigensolve of its projected matrix
+is not scale-homogeneous.
 
 `eig_lowest` returns only the lowest few eigenvalues of an OperatorMatrix,
 as a set, with a proof that the window it returns is complete, and hands
@@ -46,12 +45,12 @@ most once, so every window, stopping decision and hand-off to `eig` has the
 bits of a call on an empty memo.
 
 `brute_oracle_small` shares no code path with LAPACK: it builds the
-characteristic polynomial by the Faddeev-LeVerrier recursion and finds all
+characteristic polynomials by the Faddeev-LeVerrier recursion and finds all
 roots simultaneously with Durand-Kerner iteration, so that the main solvers
-can be checked against something that cannot fail the same way.  Its batch
-form `_oracle` moves the roots of matrices of every size in one loop, each
-padded to the largest size, with the same sweeps and bits per matrix as a
-solve alone.
+can be checked against something that cannot fail the same way.  It moves
+the roots of a batch of matrices of every size in one loop, each padded to
+the largest size, with the same sweeps and bits per matrix as a batch of
+that matrix alone.
 """
 
 from __future__ import annotations
@@ -72,13 +71,12 @@ __all__ = [
     "Spectrum",
     "eig",
     "eig_lowest",
-    "eig_tridiagonal",
     "brute_oracle_small",
     "match_eigenvalue_sets",
 ]
 
 _ORACLE_MAX_SIZE = 8
-# _oracle's Durand-Kerner iteration: relative step tolerance and
+# brute_oracle_small's Durand-Kerner iteration: relative step tolerance and
 # sweep limit.
 _ORACLE_TOL = 1e-12
 _ORACLE_MAX_ITER = 600
@@ -86,7 +84,7 @@ _ORACLE_MAX_ITER = 600
 # sits at least this far below every real part, and an accepted window's top
 # real part this far below the reach, so rounding cannot carry either across.
 _MARGIN_RTOL = 1e-10
-# eig_tridiagonal: the sweep limit, and the number of entries in one block of
+# eig's banded sweeps: the sweep limit, and the number of entries in one block of
 # its start's level count, its pair sum and its d_i - z, so that no n x n
 # temporary is held whole (each root's sum, and so every bit, is the same for
 # any block); the row loop's block is also capped at n - 1 rows, which keeps
@@ -170,18 +168,50 @@ class Spectrum:
 def eig(matrix) -> Spectrum:
     """Full spectrum with package conventions.
 
-    An OperatorMatrix is solved on its bands by `eig_tridiagonal`, whose
-    errors propagate.  A plain array goes to LAPACK; raises
-    NoConvergenceError if the dense QR iteration gives up.
+    A plain array goes to LAPACK; raises NoConvergenceError if the dense QR
+    iteration gives up.  An OperatorMatrix is solved from its bands in
+    O(n^2): Ehrlich-Aberth iteration on det(A - cI - zI) (Bini, Gemignani &
+    Tisseur, SIAM J. Matrix Anal. Appl. 27 (2005) 153-175), with c the
+    median of Re d_i (the upper one for even n) and p'/p from the ratio
+    continuant r_i = (d_i - c - z) - l_{i-1} u_{i-1} / r_{i-1}, started at
+    the quantiles of the bands' local level count (see _dos_start); c is
+    added back to the roots.  A real shift of the diagonal, such as the
+    potential's alpha0, thus moves c and every level by the shift and
+    leaves the sweeps as they were, but for the rounding of d_i + alpha0.
+    With N = ||A - cI||_F, a root freezes once its step is at most
+    4 eps max(|z|, 1e-3 N), or stops shrinking at most max(1e-8 |z|, 8 eps N),
+    the continuant's rounding level near 0.  The sweeps run on the bands at
+    unit scale (see _unit_scaled), where no norm, bound or product l_i u_i
+    leaves the float range, and every step is scale-homogeneous: the roots
+    and ||A||_F are scaled back by the same exact power of two, so
+    eig(A 2^j) is 2^j eig(A) bit for bit, short of subnormals and overflow.
+    Raises TooLargeError for n > MAX_DENSE_NODES, NoConvergenceError on a
+    non-finite band entry or when roots still move at the _MAX_SWEEPS
+    limit, as a defective multiple eigenvalue's can; no dense solve is
+    tried.
     """
-    if isinstance(matrix, OperatorMatrix):
-        return eig_tridiagonal(matrix)
-    a = _entries(matrix)
-    try:
-        vals = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"dense eigensolve failed: {exc}") from exc
-    return _spectrum(vals, np.diagonal(a), _frobenius(a))
+    if not isinstance(matrix, OperatorMatrix):
+        a = _entries(matrix)
+        try:
+            vals = np.linalg.eigvals(a)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(f"dense eigensolve failed: {exc}") from exc
+        return _spectrum(vals, np.diagonal(a), _frobenius(a))
+    n = matrix.n
+    if n > MAX_DENSE_NODES:
+        raise TooLargeError(f"full spectra are limited to {MAX_DENSE_NODES} nodes, got {n}")
+    (lower, diag, upper), scale = _unit_scaled(matrix.lower, matrix.diag, matrix.upper)
+    # at unit scale the sum of squares cannot overflow: only inf or nan make it non-finite
+    norm = float(np.linalg.norm(np.concatenate((lower, diag, upper))))
+    if not math.isfinite(norm):
+        raise NoConvergenceError("a band holds a non-finite entry")
+    # np.median's first call imports numpy.ma, about 2 MB and 10 ms
+    centre = float(np.partition(diag.real, n // 2)[n // 2])
+    diag = diag - centre
+    z = _aberth(lower, diag, upper) + centre
+    with np.errstate(over="ignore"):
+        z, norm = np.ldexp(z.view(float), scale).view(complex), float(np.ldexp(norm, scale))
+    return _spectrum(z, matrix.diag, norm)
 
 
 def _spectrum(vals: np.ndarray, diag: np.ndarray, norm: float) -> Spectrum:
@@ -206,12 +236,12 @@ def _row_sums(couplings: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bounds(matrix: OperatorMatrix):
+def _bounds(lower, diag, upper):
     """sqrt(lower * upper) and the bounds lo <= Re <= hi, |Im| <= B it gives
-    on every eigenvalue (see eig_lowest); NoConvergenceError where one is not finite."""
-    diag = matrix.diag
+    on every eigenvalue of the complex bands (see eig_lowest);
+    NoConvergenceError where one is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        root = np.sqrt(matrix.lower * matrix.upper)
+        root = np.sqrt(lower * upper)
         rows = _row_sums(np.abs(root.real))
         height = float(np.max(np.abs(diag.imag) + _row_sums(np.abs(root.imag))))
         lo, hi = float(np.min(diag.real - rows)), float(np.max(diag.real + rows))
@@ -266,7 +296,7 @@ def eig_lowest(matrix: OperatorMatrix, k: int, past=None) -> np.ndarray:
           contextlib.suppress(NoConvergenceError)):
         lower, diag, upper = matrix.lower, matrix.diag, matrix.upper
         if m < n - 2 and np.all(lower * upper != 0):
-            root, floor, _, im_bound = _bounds(matrix)
+            root, floor, _, im_bound = _bounds(lower, diag, upper)
             margin = _MARGIN_RTOL * max(1.0, float(np.max(np.abs(diag) + _row_sums(np.abs(root)))))
             sigma = floor - max(im_bound, margin)
 
@@ -455,56 +485,15 @@ class _ShiftInvertArnoldi:
             d = min(d + ahead, limit, self.size)
 
 
-def eig_tridiagonal(matrix: OperatorMatrix) -> Spectrum:
-    """Full spectrum of a tridiagonal matrix from its bands, in O(n^2).
-
-    The path of `eig` for an OperatorMatrix, and the raw solver that the
-    solver validation checks.  Same conventions as `eig`.  Ehrlich-Aberth
-    iteration on det(A - cI - zI) (Bini, Gemignani & Tisseur, SIAM J.
-    Matrix Anal. Appl. 27 (2005) 153-175), with c the median of Re d_i (the
-    upper one for even n) and p'/p from the ratio continuant
-    r_i = (d_i - c - z) - l_{i-1} u_{i-1} / r_{i-1}, started at the
-    quantiles of the bands' local level count (see _dos_start); c is added
-    back to the roots.  A real shift of the diagonal, such as the
-    potential's alpha0, thus moves c and every level by the shift and leaves
-    the sweeps as they were, but for the rounding of d_i + alpha0.
-    With N = ||A - cI||_F, a root freezes once its step is at most
-    4 eps max(|z|, 1e-3 N), or stops shrinking at most max(1e-8 |z|, 8 eps N),
-    the continuant's rounding level near 0.  The sweeps run on the bands at
-    unit scale (see _unit_scaled), where no norm, bound or product l_i u_i
-    leaves the float range, and every step is scale-homogeneous: the roots
-    and ||A||_F are scaled back by the same exact power of two, so
-    eig_tridiagonal(A 2^j) is 2^j eig_tridiagonal(A) bit for bit, short of
-    subnormals and overflow.  Raises TooLargeError for n > MAX_DENSE_NODES,
-    NoConvergenceError on a non-finite band entry or when roots still move
-    at the _MAX_SWEEPS limit, as a defective multiple eigenvalue's can.
-    """
-    n = matrix.n
-    if n > MAX_DENSE_NODES:
-        raise TooLargeError(f"full spectra are limited to {MAX_DENSE_NODES} nodes, got {n}")
-    (lower, diag, upper), scale = _unit_scaled(matrix.lower, matrix.diag, matrix.upper)
-    # at unit scale the sum of squares cannot overflow: only inf or nan make it non-finite
-    norm = float(np.linalg.norm(np.concatenate((lower, diag, upper))))
-    if not math.isfinite(norm):
-        raise NoConvergenceError("a band holds a non-finite entry")
-    # np.median's first call imports numpy.ma, about 2 MB and 10 ms
-    centre = float(np.partition(diag.real, n // 2)[n // 2])
-    diag = diag - centre
-    z = _aberth(lower, diag, upper) + centre
-    with np.errstate(over="ignore"):
-        z, norm = np.ldexp(z.view(float), scale).view(complex), float(np.ldexp(norm, scale))
-    return _spectrum(z, matrix.diag, norm)
-
-
 def _aberth(lower, diag, upper) -> np.ndarray:
-    """The roots of det(A - zI) for finite bands at unit scale or below, by
-    the sweeps of eig_tridiagonal; all zero where every entry is zero."""
+    """The roots of det(A - zI) for finite complex bands at unit scale or
+    below, by the sweeps of eig; all zero where every entry is zero."""
     n = diag.size
     norm = float(np.linalg.norm(np.concatenate((lower, diag, upper))))
     if norm == 0.0:
         return np.zeros(n, dtype=complex)
     floor = 1e-3 * norm
-    z = _dos_start(diag, *_bounds(OperatorMatrix(lower, diag, upper))[:3], floor / n)
+    z = _dos_start(diag, *_bounds(lower, diag, upper)[:3], floor / n)
     eps = np.finfo(float).eps
     pivot = eps * norm  # stands in for an r_i that is exactly zero
     d0, rest = complex(diag[0]), diag[1:]
@@ -522,7 +511,9 @@ def _aberth(lower, diag, upper) -> np.ndarray:
                 # guard changes no root whose p'/p came out finite
                 dlogp[redo] = _log_derivative(za[redo], d0, rest, couplings, pivot)
             pair = _pair_sums(za, z, active)
-        step = 1.0 / (dlogp - pair)
+        # An infinite p'/p, as after a subnormal last pivot, puts z on an
+        # eigenvalue to rounding: its step is 0, where 1/(p'/p - pair) is nan
+        step = np.divide(1.0, dlogp - pair, out=np.zeros_like(za), where=~np.isinf(dlogp))
         z[active] = za - step
         # A root pushed only by a close neighbour takes small steps while its
         # Newton correction 1/(p'/p) stays large; neither may be large.
@@ -644,8 +635,13 @@ def _log_derivative(za, d0, rest, couplings, pivot=None) -> np.ndarray:
     return buffer[0].copy()
 
 
-def _oracle(matrices) -> list[np.ndarray]:
-    """Eigenvalues of small matrices without LAPACK, each lex-ordered.
+def brute_oracle_small(matrices) -> list[np.ndarray]:
+    """Eigenvalues of small matrices without LAPACK, each lex-ordered: an
+    independent route for cross-checking `eig`.
+
+    Sizes above 8 are refused (TooLargeError), before any OperatorMatrix is
+    densified; the coefficient route's conditioning degrades quickly, and
+    the point is verification, not production solving.
 
     Faddeev-LeVerrier (M_1 = A, c_k = -tr(M_k)/k, M_{k+1} = A (M_k + c_k I)),
     one stacked chain per size, gives the characteristic polynomials, and
@@ -706,16 +702,6 @@ def _oracle(matrices) -> list[np.ndarray]:
         raise NoConvergenceError(
             f"root iteration did not settle within {_ORACLE_MAX_ITER} sweeps")
     return [roots[_lex_order(roots[:n])] for roots, n in zip(z, degrees)]
-
-
-def brute_oracle_small(matrix) -> np.ndarray:
-    """Eigenvalues of a small matrix without LAPACK, lex-ordered: the batch
-    of one of `_oracle`, an independent route for cross-checking `eig`.
-    Sizes above 8 are refused (TooLargeError), an OperatorMatrix before it
-    is densified; the coefficient route's conditioning degrades quickly, and
-    the point is verification, not production solving.
-    """
-    return _oracle([matrix])[0]
 
 
 def match_eigenvalue_sets(targets: np.ndarray, candidates: np.ndarray):

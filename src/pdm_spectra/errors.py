@@ -54,11 +54,8 @@ class InsufficientBoundStatesError(PdmSpectraError):
 
 
 class UnsupportedKindError(PdmSpectraError):
-    """No closed form is available for the requested generator kind."""
-
-
-class UnsupportedGeneratorError(UnsupportedKindError):
-    """No analytic level oracle is available for the requested generator."""
+    """No closed form is available for the requested generator kind: no
+    rational target potential, or no bound-level ladder."""
 
 
 class ConfigError(PdmSpectraError):

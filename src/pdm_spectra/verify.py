@@ -16,9 +16,12 @@ The checks:
   ladders (sech-profile and trigonometric models).
 * check_identities: the independent algebraic routes to the potentials
   agree pointwise to near machine precision.
-* eigensolver_validation: the dense and the full-spectrum tridiagonal
-  eigensolvers against the LAPACK-free small-matrix oracle on seeded random
-  matrices.
+* eigensolver_validation: `eig` on dense and on tridiagonal matrices
+  against the LAPACK-free small-matrix oracle on seeded random matrices.
+
+`analytic_levels` lists the closed-form ladders that check_analytic and
+convergence_sweep compare with, and DEFAULT_TOLERANCES holds the checks'
+default tolerances, which the run config reads too.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InsufficientBoundStatesError, UnsupportedGeneratorError, UnsupportedKindError
-from .eigen import _oracle, _unit_scaled, eig, eig_lowest, eig_tridiagonal, match_eigenvalue_sets
+from .errors import InsufficientBoundStatesError, UnsupportedKindError
+from .eigen import _unit_scaled, brute_oracle_small, eig, eig_lowest, match_eigenvalue_sets
 from .mapping import (
     closed_form_target,
     potential_decomposition,
@@ -50,11 +53,10 @@ from .operators import (
 )
 
 __all__ = [
+    "DEFAULT_TOLERANCES",
     "SAMSONOV_ROY_MISSING_LEVEL",
     "SAMSONOV_ROY_MISSING_WINDOW",
     "VerificationReport",
-    "scarf2_levels",
-    "samsonov_roy_levels",
     "analytic_levels",
     "fit_decay_rate",
     "isospectral_sweep",
@@ -65,6 +67,18 @@ __all__ = [
     "eigensolver_validation",
     "atomic_write_text",
 ]
+
+# The checks' default tolerances, by run-config key.
+DEFAULT_TOLERANCES = {
+    "isospectral": 5e-2,
+    "iso_rate": 1.0,
+    "analytic": 2e-2,
+    "im": None,
+    "intertwine_rate": 0.9,
+    "identities": 1e-12,
+    "solver": 1e-8,
+    "trace": 1e-10,
+}
 
 # The trigonometric model's ladder n^2/4 - 25/16 skips n = 2; check_analytic
 # wants every eigenvalue at least the window away from the missing level.
@@ -131,32 +145,6 @@ class VerificationReport:
         atomic_write_text(path, self.to_json())
 
 
-def _scarf2_count(v2) -> int:
-    """The number of integers n >= 0 with n < |v2| - 1/2."""
-    return max(0, math.ceil(abs(float(v2)) - 0.5))
-
-
-def scarf2_levels(v2) -> np.ndarray:
-    """Bound levels -(|v2| - n - 1/2)^2 for integer n with n < |v2| - 1/2."""
-    depth = abs(float(v2))
-    return np.array([-((depth - n - 0.5) ** 2) for n in range(_scarf2_count(v2))])
-
-
-def samsonov_roy_levels() -> np.ndarray:
-    """Levels n^2/4 - 25/16 for n in {1, 3, 4, 5}; n = 2 is absent."""
-    return np.array([n * n / 4.0 - 25.0 / 16.0 for n in (1, 3, 4, 5)])
-
-
-def analytic_levels(generator) -> np.ndarray:
-    if isinstance(generator, ScarfII):
-        return scarf2_levels(generator.v2)
-    if isinstance(generator, SamsonovRoy):
-        return samsonov_roy_levels()
-    raise UnsupportedGeneratorError(
-        f"no closed-form level ladder for {type(generator).__name__}"
-    )
-
-
 def _require_ladder_fits(size: int, n: int) -> None:
     """InsufficientBoundStatesError where a ladder of `size` levels has more
     levels than the smallest grid, of n nodes, has nodes."""
@@ -166,14 +154,26 @@ def _require_ladder_fits(size: int, n: int) -> None:
         )
 
 
-def _ladder(generator, n: int) -> np.ndarray:
-    """analytic_levels(generator), refused (see _require_ladder_fits) before
-    any level is listed where it has more levels than n."""
+def analytic_levels(generator, n: int) -> np.ndarray:
+    """The generator's closed-form bound levels, for grids of at least n nodes.
+
+    Scarf II: -(|v2| - j - 1/2)^2 for integers 0 <= j < |v2| - 1/2.
+    Samsonov-Roy: j^2/4 - 25/16 for j in {1, 3, 4, 5}; j = 2 is absent.
+    Raises UnsupportedKindError for any other generator, and
+    InsufficientBoundStatesError, before any level is listed, for a ladder
+    with more levels than n.
+    """
     if isinstance(generator, ScarfII):
-        _require_ladder_fits(_scarf2_count(generator.v2), n)
-    levels = analytic_levels(generator)
-    _require_ladder_fits(levels.size, n)
-    return levels
+        depth = abs(float(generator.v2))
+        count = max(0, math.ceil(depth - 0.5))
+        _require_ladder_fits(count, n)
+        return np.array([-((depth - j - 0.5) ** 2) for j in range(count)])
+    if isinstance(generator, SamsonovRoy):
+        _require_ladder_fits(4, n)
+        return np.array([j * j / 4.0 - 25.0 / 16.0 for j in (1, 3, 4, 5)])
+    raise UnsupportedKindError(
+        f"no closed-form level ladder for {type(generator).__name__}"
+    )
 
 
 def fit_decay_rate(h_values, errors) -> float:
@@ -201,8 +201,8 @@ def isospectral_sweep(
     spec: ModelSpec,
     n_list,
     k: int,
-    tol: float = 5e-2,
-    min_rate: float = 1.0,
+    tol: float = DEFAULT_TOLERANCES["isospectral"],
+    min_rate: float = DEFAULT_TOLERANCES["iso_rate"],
 ) -> VerificationReport:
     """Worst matched gap of _iso_gaps over a grid refinement; the last gap
     must be at most tol, and the gaps must shrink at least at min_rate."""
@@ -245,7 +245,7 @@ def _product_bands(x: OperatorMatrix, y: OperatorMatrix) -> list:
 def check_intertwining(
     spec: ModelSpec,
     n_list,
-    min_rate: float = 0.9,
+    min_rate: float = DEFAULT_TOLERANCES["intertwine_rate"],
 ) -> VerificationReport:
     """Residual of eta H = H^dagger eta shrinking under refinement.
 
@@ -293,8 +293,8 @@ def check_intertwining(
 def check_analytic(
     spec: ModelSpec,
     n: int,
-    tol: float = 2e-2,
-    im_tol: float | None = None,
+    tol: float = DEFAULT_TOLERANCES["analytic"],
+    im_tol: float | None = DEFAULT_TOLERANCES["im"],
 ) -> VerificationReport:
     """Numerically bound flat-picture levels against the closed-form ladder + alpha0.
 
@@ -315,7 +315,7 @@ def check_analytic(
     for a ladder with more levels than n.
     """
     gen = spec.generator
-    oracle = _ladder(gen, n) + spec.alpha0
+    oracle = analytic_levels(gen, n) + spec.alpha0
     missing = SAMSONOV_ROY_MISSING_LEVEL + spec.alpha0
     sech = isinstance(gen, ScarfII)
     if im_tol is None:
@@ -368,7 +368,7 @@ def check_analytic(
 
 def check_identities(
     spec: ModelSpec,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOLERANCES["identities"],
 ) -> VerificationReport:
     """Pointwise agreement of independent algebraic routes.
 
@@ -451,7 +451,7 @@ def convergence_sweep(
     """
     n_list = [int(n) for n in n_list]
     if oracle is None:
-        oracle = _ladder(spec.generator, min(n_list)) + spec.alpha0
+        oracle = analytic_levels(spec.generator, min(n_list)) + spec.alpha0
     oracle = np.asarray(oracle, dtype=complex).ravel()
     if oracle.size == 0:
         raise InsufficientBoundStatesError("the ladder has no level to sweep against")
@@ -470,38 +470,39 @@ def convergence_sweep(
     }
 
 
-def _against_oracle(solve, matrices, oracles):
-    """Worst gap between `solve`'s eigenvalues and the oracle's roots
+def _against_oracle(matrices, oracles):
+    """Worst gap between `eig`'s eigenvalues and the oracle's roots
     `oracles`, worst trace error over `matrices`, and whether re-solving the
     first three gives the same bits."""
     worst_gap = worst_trace = 0.0
     first = []
     for matrix, oracle in zip(matrices, oracles):
-        spectrum = solve(matrix)
+        spectrum = eig(matrix)
         _, gaps = match_eigenvalue_sets(oracle, spectrum.eigenvalues)
         worst_gap = max(worst_gap, float(gaps.max()))
         worst_trace = max(worst_trace, float(spectrum.trace_error))
         if len(first) < 3:
             first.append(spectrum.eigenvalues)
-    replays = all(np.array_equal(solve(m).eigenvalues, vals) for m, vals in zip(matrices, first))
+    replays = all(np.array_equal(eig(m).eigenvalues, vals) for m, vals in zip(matrices, first))
     return worst_gap, worst_trace, replays
 
 
 def eigensolver_validation(
     seed: int = 1234,
     count: int = 100,
-    tol: float = 1e-8,
-    trace_tol: float = 1e-10,
+    tol: float = DEFAULT_TOLERANCES["solver"],
+    trace_tol: float = DEFAULT_TOLERANCES["trace"],
 ) -> VerificationReport:
-    """The dense and tridiagonal solvers vs the LAPACK-free oracle.
+    """`eig` on dense and on tridiagonal matrices vs the LAPACK-free oracle.
 
-    Draws `count` dense complex Gaussian matrices of sizes 2..8 for `eig`,
-    then one complex Gaussian tridiagonal of each size 2..8 for
-    `eig_tridiagonal`, compares matched eigenvalues with the oracle's (one
-    batch for all of them), checks the trace identity, and re-solves a few
-    inputs of each to confirm bitwise-identical output.  `worst_gap` and
-    `worst_trace_error` are `eig`'s; the `tridiagonal_` keys are
-    `eig_tridiagonal`'s.  Raises ValueError for count < 1, before any draw.
+    Draws `count` dense complex Gaussian matrices of sizes 2..8, then one
+    complex Gaussian OperatorMatrix of each size 2..8, which `eig` solves
+    on its bands; compares matched eigenvalues with those of
+    `brute_oracle_small` (one batch for all of them), checks the trace
+    identity, and re-solves a few inputs of each to confirm bitwise-identical
+    output.  `worst_gap` and `worst_trace_error` are the dense draws'; the
+    `tridiagonal_` keys are the banded ones'.  Raises ValueError for
+    count < 1, before any draw.
     """
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
@@ -513,10 +514,9 @@ def eigensolver_validation(
     bands = [rng.standard_normal((3, size)) + 1j * rng.standard_normal((3, size))
              for size in range(2, 9)]
     tridiagonal = [OperatorMatrix(b[0, 1:], b[1], b[2, 1:]) for b in bands]
-    oracles = _oracle(dense + tridiagonal)
-    worst_gap, worst_trace, dense_replays = _against_oracle(eig, dense, oracles[:len(dense)])
-    tri_gap, tri_trace, tri_replays = _against_oracle(
-        eig_tridiagonal, tridiagonal, oracles[len(dense):])
+    oracles = brute_oracle_small(dense + tridiagonal)
+    worst_gap, worst_trace, dense_replays = _against_oracle(dense, oracles[:len(dense)])
+    tri_gap, tri_trace, tri_replays = _against_oracle(tridiagonal, oracles[len(dense):])
     deterministic = dense_replays and tri_replays
     passed = (max(worst_gap, tri_gap) <= tol and max(worst_trace, tri_trace) <= trace_tol
               and deterministic)

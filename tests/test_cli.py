@@ -107,22 +107,23 @@ def test_solve_writes_json(tmp_path):
     assert {"re", "im"} == set(payload["eigenvalues"][0])
 
 
+def _refuse(constant):
+    raise ValueError(f"not strict JSON: {constant}")
+
+
 def test_solve_writes_strict_json_where_the_norm_overflows(tmp_path):
     # Every band entry is finite; only their Frobenius norm overflows
-    # (v2^2 = 1.69e308).  The bands answer at unit scale, and the norm is
-    # written as null.
+    # (v2^2 = 1.69e308).  The bands of both pictures answer at unit scale,
+    # and each norm is written as null.
     out = tmp_path / "solve.json"
-    proc = run_cli("solve", "--n", "20", "--out", str(out), "--config",
+    proc = run_cli("solve", "--picture", "both", "--n", "20", "--out", str(out), "--config",
                    write_config(tmp_path, {"generator": {"kind": "scarf2", "v2": 1.3e154}}))
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-
-    def refuse(constant):
-        raise ValueError(f"not strict JSON: {constant}")
-
-    payload = json.loads(out.read_text(), parse_constant=refuse)
-    assert payload["matrix_norm"] is None
-    assert isinstance(payload["trace_error"], float)
+    payload = json.loads(out.read_text(), parse_constant=_refuse)
+    for picture in ("reference", "target"):
+        assert payload[picture]["matrix_norm"] is None
+        assert isinstance(payload[picture]["trace_error"], float)
 
 
 def test_solve_rescales_a_norm_whose_sum_of_squares_overflows(tmp_path, capsys):
@@ -131,7 +132,8 @@ def test_solve_rescales_a_norm_whose_sum_of_squares_overflows(tmp_path, capsys):
     config = write_config(tmp_path, {"generator": {"kind": "scarf2", "v2": 1e100}})
     assert cli.main(["solve", "--n", "20", "--out", str(out), "--config", config]) == 0
     assert capsys.readouterr().err == ""
-    assert json.loads(out.read_text())["matrix_norm"] == pytest.approx(1.3214144502304866e200)
+    payload = json.loads(out.read_text(), parse_constant=_refuse)
+    assert payload["matrix_norm"] == pytest.approx(1.3214144502304866e200)
 
 
 def test_solve_reruns_are_byte_identical(tmp_path):
@@ -159,7 +161,7 @@ def test_solve_both_pictures(tmp_path):
 def test_solve_solves_morse_and_the_deep_well_on_the_bands(tmp_path, payload):
     # The built-in Morse window, the deep well and the default model shifted
     # by a large alpha0, at the default n = 400: both pictures converge on
-    # the bands, stderr is empty, and each writes eig_tridiagonal's spectrum
+    # the bands, stderr is empty, and each writes eig's spectrum
     # bit for bit.  Sweeps on the uncentred bands once stalled on the
     # shifted model, or settled off its levels.
     out = tmp_path / "both.json"
@@ -170,7 +172,7 @@ def test_solve_solves_morse_and_the_deep_well_on_the_bands(tmp_path, payload):
     written = json.loads(out.read_text())
     spec = build_spec(config_from_dict(payload))
     for picture in ("reference", "target"):
-        spectrum = eigen.eig_tridiagonal(picture_matrix(spec, picture, 400)[1])
+        spectrum = eig(picture_matrix(spec, picture, 400)[1])
         got = [complex(v["re"], v["im"]) for v in written[picture]["eigenvalues"]]
         assert got == spectrum.eigenvalues.tolist()
         assert written[picture]["matrix_norm"] == spectrum.matrix_norm
@@ -239,6 +241,8 @@ def test_the_solve_writer_writes_the_text_of_json_dumps(payload):
     pytest.param({}, 150, id="payload0-150-0"),
     pytest.param({"generator": {"kind": "samsonov_roy"}}, 150, id="payload1-150-0"),
     pytest.param({"generator": {"kind": "morse"}}, 50, id="payload2-50-2"),
+    # every norm overflows, and is written as null
+    pytest.param({"generator": {"kind": "scarf2", "v2": 1.3e154}}, 20, id="overflowing_well-20"),
 ])
 def test_solve_writes_the_bytes_of_json_dumps_on_every_picture(tmp_path, capsys, payload, n):
     # Each picture's spectrum solved here, written by json.dumps, against
@@ -307,6 +311,7 @@ def _solve_both(tmp_path, capsys, payload, n, label):
     pytest.param({}, 150, id="payload0-150"),
     pytest.param({"generator": {"kind": "morse"}}, 50, id="payload1-50"),
     pytest.param(DEEP_WELL, 150, id="deep_well-150"),
+    pytest.param({"generator": {"kind": "samsonov_roy"}}, 150, id="samsonov_roy-150"),
 ])
 def test_solve_both_writes_the_same_bytes_forked_and_serial(tmp_path, capsys, monkeypatch,
                                                            payload, n):
@@ -334,7 +339,7 @@ def test_a_stalled_solve_exits_two_forked_and_serial(tmp_path, capsys, monkeypat
     monkeypatch.setattr(eigen, "_MAX_SWEEPS", CUT_SWEEPS)
     spec = build_spec(config_from_dict(payload))
     with pytest.raises(NoConvergenceError, match="Aberth sweeps") as stalled:
-        eigen.eig_tridiagonal(picture_matrix(spec, picture, n)[1])
+        eig(picture_matrix(spec, picture, n)[1])
     runs = []
     for cpus in (2, 1):
         _cpus(monkeypatch, cpus)

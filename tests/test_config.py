@@ -120,6 +120,8 @@ DEEP = {"generator": {"kind": "scarf2", "v2": 1e200}}
     ({"generator": {"kind": "morse"}, "q_interval": [-740, -700]}, argv,
      "OutOfRangeError: the reference potential of Morse(a=1) is not finite")
     for argv in (["solve", "--picture", "reference", "--n", "50"], ["map"])
+] + [
+    (DEEP, ["sweep"], "bad generator: v2 = 1e+200 has no finite square v2^2"),
 ])
 def test_bad_numbers_exit_two_before_running(raw, argv, message, tmp_path, capsys):
     # json writes NaN and Infinity, and reads them back, as the CLI does

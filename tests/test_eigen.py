@@ -31,7 +31,6 @@ from pdm_spectra import (
     delta_of,
     eig,
     eig_lowest,
-    eig_tridiagonal,
     eigensolver_validation,
     isospectral_sweep,
     match_eigenvalue_sets,
@@ -114,32 +113,35 @@ def test_eig_lexicographic_order():
     np.testing.assert_allclose(vals, [-1.0, 1.0 - 1.0j, 1.0 + 1.0j], atol=0)
 
 
-def test_eig_accepts_operator_matrix_and_array():
-    # An OperatorMatrix is solved on its bands: bitwise eig_tridiagonal's
-    # spectrum, Morse's too.  Its agreement with LAPACK on the dense array,
-    # as sets, is checked on the acceptance specs (see
-    # test_eig_tridiagonal_matches_dense_on_acceptance_specs).
+def test_eig_accepts_operator_matrix_and_array(monkeypatch):
+    # An OperatorMatrix is solved on its bands, Morse's too, and never
+    # densified; it agrees with LAPACK on the dense array as matched sets.
     morse = ModelSpec.from_ordering(Morse(), ZK, q_interval=(-8.0, 8.0))
-    for spec in (ACCEPTANCE_SPECS["c2:sech"], ACCEPTANCE_SPECS["c3:trig"],
-                 ACCEPTANCE_SPECS["c5:power"], morse):
-        for picture in ("reference", "target"):
-            matrix = _picture_matrix(spec, picture, 40)
-            banded, raw = eig(matrix), eig_tridiagonal(matrix)
-            np.testing.assert_array_equal(banded.eigenvalues, raw.eigenvalues)
-            assert (banded.matrix_norm, banded.trace_error) == (raw.matrix_norm, raw.trace_error)
+    matrices = [_picture_matrix(spec, picture, 40)
+                for spec in (ACCEPTANCE_SPECS["c2:sech"], ACCEPTANCE_SPECS["c3:trig"],
+                             ACCEPTANCE_SPECS["c5:power"], morse)
+                for picture in ("reference", "target")]
+    dense = [eig(matrix.entries) for matrix in matrices]
+
+    def refuse(matrix):
+        raise AssertionError(f"densified a {matrix.n}-node operator")
+
+    monkeypatch.setattr(OperatorMatrix, "entries", property(refuse))
+    for matrix, reference in zip(matrices, dense):
+        banded = eig(matrix)
+        _, gaps = match_eigenvalue_sets(reference.eigenvalues, banded.eigenvalues)
+        assert gaps.max() <= 1e-10 * reference.matrix_norm
+        assert banded.matrix_norm == pytest.approx(reference.matrix_norm, rel=1e-14)
 
 
 def test_eig_raises_on_a_defective_tridiagonal_that_the_dense_route_answers():
     # A nilpotent 3 x 3 Jordan block with every coupling nonzero: its three
     # roots only settle to about eps^(1/3), so the sweeps stall, and eig on
-    # the bands raises as eig_tridiagonal does; eig on the dense entries is
-    # the explicit LAPACK route, and answers.
+    # the bands raises; eig on the dense entries is the explicit LAPACK
+    # route, and answers.
     matrix = _tridiagonal([0.0, 0.0, 0.0], [1.0, 0.5], [1.0, -2.0])
-    with pytest.raises(NoConvergenceError) as stalled:
-        eig_tridiagonal(matrix)
-    with pytest.raises(NoConvergenceError, match="Aberth sweeps") as banded:
+    with pytest.raises(NoConvergenceError, match="Aberth sweeps"):
         eig(matrix)
-    assert str(banded.value) == str(stalled.value)
     dense = eig(matrix.entries).eigenvalues
     assert dense.shape == (3,) and np.abs(dense).max() <= 1e-4
 
@@ -216,31 +218,31 @@ def test_eig_propagates_failure():
 def test_oracle_companion_matrix():
     # companion of (z-1)(z-2)(z-3) = z^3 - 6z^2 + 11z - 6
     m = np.array([[6.0, -11.0, 6.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    np.testing.assert_allclose(brute_oracle_small(m), [1.0, 2.0, 3.0], atol=1e-10)
+    np.testing.assert_allclose(brute_oracle_small([m])[0], [1.0, 2.0, 3.0], atol=1e-10)
 
 
 def test_oracle_agrees_with_solver():
     rng = np.random.default_rng(11)
     for size in (2, 4, 8):
         m = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-        _, gaps = match_eigenvalue_sets(brute_oracle_small(m), eig(m).eigenvalues)
+        _, gaps = match_eigenvalue_sets(brute_oracle_small([m])[0], eig(m).eigenvalues)
         assert gaps.max() <= 1e-9
 
 
 def test_oracle_defective_matrix():
     # double eigenvalue of a Jordan block: root finding stalls near sqrt(eps)
-    roots = brute_oracle_small(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    roots = brute_oracle_small([np.array([[1.0, 1.0], [0.0, 1.0]])])[0]
     np.testing.assert_allclose(roots, [1.0, 1.0], atol=1e-6)
 
 
 def test_oracle_size_cap():
     with pytest.raises(TooLargeError):
-        brute_oracle_small(np.eye(9))
+        brute_oracle_small([np.eye(9)])
 
 
 def test_oracle_of_an_empty_matrix_is_empty():
-    assert brute_oracle_small(np.empty((0, 0))).shape == (0,)
-    batch = eigen._oracle([np.diag([3.0, 1.0]), np.empty((0, 0)), 2.0 * np.eye(1)])
+    assert brute_oracle_small([np.empty((0, 0))])[0].shape == (0,)
+    batch = brute_oracle_small([np.diag([3.0, 1.0]), np.empty((0, 0)), 2.0 * np.eye(1)])
     assert [roots.size for roots in batch] == [2, 0, 1]
     np.testing.assert_allclose(np.concatenate(batch), [1.0, 3.0, 2.0], atol=1e-12)
 
@@ -256,7 +258,7 @@ def test_oracle_names_the_sweep_limit_on_a_defective_triple_root():
                   [settled[8], np.empty((0, 0)), np.eye(3), settled[1], settled[5]]):
         with pytest.raises(NoConvergenceError,
                            match="root iteration did not settle within 600 sweeps"):
-            eigen._oracle(batch)
+            brute_oracle_small(batch)
 
 
 def test_oracle_names_the_sweep_limit_on_rounded_double_roots():
@@ -271,13 +273,13 @@ def test_oracle_names_the_sweep_limit_on_rounded_double_roots():
                   [settled[1], stuck, settled[8], np.eye(3)]):
         with pytest.raises(NoConvergenceError,
                            match="root iteration did not settle within 600 sweeps"):
-            eigen._oracle(batch)
+            brute_oracle_small(batch)
 
 
 def test_oracle_names_its_sweep_limit(monkeypatch):
     monkeypatch.setattr(eigen, "_ORACLE_MAX_ITER", 1)
     with pytest.raises(NoConvergenceError, match="did not settle within 1 sweeps"):
-        eigen._oracle([np.diag([3.0, 1.0]), np.empty((0, 0))])
+        brute_oracle_small([np.diag([3.0, 1.0]), np.empty((0, 0))])
 
 
 def test_oracle_holds_apart_iterates_that_meet_at_a_repeated_root():
@@ -286,14 +288,14 @@ def test_oracle_holds_apart_iterates_that_meet_at_a_repeated_root():
     # are within 1e-14 the guard puts 1e-12 (1 + i) in place of their
     # difference, which stops them there; without it they would end less
     # than 1e-16 apart.
-    roots = brute_oracle_small(np.diag([0.0, 0.0, 0.5, 0.5]))
+    roots = brute_oracle_small([np.diag([0.0, 0.0, 0.5, 0.5])])[0]
     pair = roots[np.argsort(np.abs(roots))[:2]]
     assert 1e-15 < abs(pair[0] - pair[1]) < 1e-14
     np.testing.assert_allclose(roots, [0.0, 0.0, 0.5, 0.5], atol=1e-8)
 
 
 # The oracle as it solved one matrix at a time before it was batched, kept
-# as the reference that eigen._oracle must reproduce bit for bit.
+# as the reference that brute_oracle_small must reproduce bit for bit.
 def _char_poly_coeffs(a):
     n = a.shape[0]
     coeffs = np.empty(n + 1, dtype=complex)
@@ -342,23 +344,23 @@ def test_oracle_reproduces_the_one_at_a_time_bits_on_criterion_7(monkeypatch):
 
     def record(matrices):
         batches.append(matrices)
-        return eigen._oracle(matrices)
+        return brute_oracle_small(matrices)
 
-    monkeypatch.setattr(verify, "_oracle", record)
+    monkeypatch.setattr(verify, "brute_oracle_small", record)
     assert eigensolver_validation().passed
     assert [len(batch) for batch in batches] == [107]
     (both,) = batches
     assert not any(isinstance(m, OperatorMatrix) for m in both[:100])
     assert all(isinstance(m, OperatorMatrix) for m in both[100:])
     reference = [_oracle_alone(m) for m in both]
-    _assert_same_bits(eigen._oracle(both), reference)
+    _assert_same_bits(brute_oracle_small(both), reference)
     # reversed, split into the dense and tridiagonal halves, and in batches
     # of seven
-    _assert_same_bits(eigen._oracle(both[::-1]), reference[::-1])
+    _assert_same_bits(brute_oracle_small(both[::-1]), reference[::-1])
     for part in (slice(0, 100), slice(100, None)):
-        _assert_same_bits(eigen._oracle(both[part]), reference[part])
+        _assert_same_bits(brute_oracle_small(both[part]), reference[part])
     for i in range(0, len(both), 7):
-        _assert_same_bits(eigen._oracle(both[i:i + 7]), reference[i:i + 7])
+        _assert_same_bits(brute_oracle_small(both[i:i + 7]), reference[i:i + 7])
 
 
 _oracle_entry = st.one_of(
@@ -406,14 +408,14 @@ def test_oracle_reproduces_the_one_at_a_time_bits_in_any_batch(matrices, random)
             pass
     if len(references) < len(matrices):
         with pytest.raises(NoConvergenceError, match="within 600 sweeps"):
-            eigen._oracle(matrices)
+            brute_oracle_small(matrices)
     order = list(references)
-    _assert_same_bits(eigen._oracle([matrices[i] for i in order]),
+    _assert_same_bits(brute_oracle_small([matrices[i] for i in order]),
                       [references[i] for i in order])
     random.shuffle(order)
     cut = random.randint(0, len(order))
     for group in (order, order[:cut], order[cut:]):
-        _assert_same_bits(eigen._oracle([matrices[i] for i in group]),
+        _assert_same_bits(brute_oracle_small([matrices[i] for i in group]),
                           [references[i] for i in group])
 
 
@@ -425,7 +427,7 @@ def test_oracle_makes_no_lapack_call(monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse)
     companion = np.array([[6.0, -11.0, 6.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     tridiagonal = OperatorMatrix(np.ones(2), np.array([1.0, 2.0, 3.0]), np.zeros(2))
-    roots = eigen._oracle([companion, tridiagonal])
+    roots = brute_oracle_small([companion, tridiagonal])
     for vals in roots:
         np.testing.assert_allclose(vals, [1.0, 2.0, 3.0], atol=1e-10)
     with pytest.raises(AssertionError, match="called LAPACK"):
@@ -672,7 +674,7 @@ def test_eig_lowest_matches_oracle_on_small_random_tridiagonals(eig_calls):
     for n in range(2, 9):
         for _ in range(8):
             a = _random_tridiagonal(rng, "complex", n)
-            oracle = brute_oracle_small(a)
+            oracle = brute_oracle_small([a])[0]
             for k in range(1, n + 1):
                 eig_calls.clear()
                 low = eig_lowest(a, k)
@@ -971,12 +973,10 @@ def test_eig_lowest_hands_a_failed_krylov_step_to_eig(apply, message, eig_calls,
 def test_bounds_beyond_the_float_range_hand_off_before_any_sweep(n, eig_calls):
     # Finite bands whose products lower * upper overflow: the bounds on the
     # eigenvalues are not finite floats.  eig_lowest hands the matrix to eig
-    # before any Arnoldi step, and eig_tridiagonal answers at unit scale,
+    # before any Arnoldi step, and eig answers on the bands at unit scale,
     # with no warning (the suite makes one an error).
     matrix = OperatorMatrix(np.full(n - 1, 1e200), np.full(n, 2e200), np.full(n - 1, -1e200))
-    spectrum, dense = eig_tridiagonal(matrix), eig(matrix.entries)
-    banded = eig(matrix)
-    assert banded.eigenvalues.tobytes() == spectrum.eigenvalues.tobytes()
+    spectrum, dense = eig(matrix), eig(matrix.entries)
     _, gaps = match_eigenvalue_sets(dense.eigenvalues, spectrum.eigenvalues)
     assert gaps.max() <= 1e-10 * np.abs(dense.eigenvalues).max()
     for k in (1, 2):
@@ -1009,7 +1009,7 @@ def test_chunked_substitution_matches_the_sequential_one():
                 _picture_matrix(DEEP_WELL, "target", 1200)]
     rng = np.random.default_rng(8)
     for matrix in matrices:
-        _, floor, _, im_bound = eigen._bounds(matrix)
+        _, floor, _, im_bound = eigen._bounds(matrix.lower, matrix.diag, matrix.upper)
         shift = floor - im_bound - 1.0
         b = rng.standard_normal(matrix.n) + 1j * rng.standard_normal(matrix.n)
         # the symmetric form that eig_lowest's Arnoldi processes run on
@@ -1057,7 +1057,7 @@ def test_eig_lowest_stopping_rule_picks_from_the_full_spectrum(eig_calls):
 @pytest.mark.parametrize("picture", ["reference", "target"])
 @pytest.mark.parametrize("label", sorted(ACCEPTANCE_SPECS))
 def test_eig_tridiagonal_matches_dense_on_acceptance_specs(label, picture):
-    # eig on the OperatorMatrix, which is eig_tridiagonal's result
+    # eig on the OperatorMatrix, solved on its bands
     dense = _dense(label, picture, 300)
     full = eig(_picture_matrix(ACCEPTANCE_SPECS[label], picture, 300))
     assert full.eigenvalues.shape == (300,)
@@ -1077,7 +1077,7 @@ def test_eig_tridiagonal_matches_dense_at_criterion_size(label, picture):
     # level, the lowest ones too, is held to 1e-10 of max(|E|, 1), except
     # the members of criterion 3's conjugate pair (1e-7, as above).
     dense = _dense(label, picture, 1200).eigenvalues
-    full = eig_tridiagonal(_picture_matrix(ACCEPTANCE_SPECS[label], picture, 1200))
+    full = eig(_picture_matrix(ACCEPTANCE_SPECS[label], picture, 1200))
     gaps = match_eigenvalue_sets(dense, full.eigenvalues)[1]
     pair = (label == "c3:trig") & (np.abs(dense.imag) > 1e-6)
     bound = np.where(pair, 1e-7, 1e-10)
@@ -1150,7 +1150,7 @@ def test_eig_tridiagonal_converges_on_graded_and_complex_random_tridiagonals():
                               for size in (n, n - 1, n - 1))
         matrices.append(_tridiagonal(diag, lower, upper))
     for matrix in matrices:
-        full = eig_tridiagonal(matrix)
+        full = eig(matrix)
         dense = eig(matrix.entries)
         gap = match_eigenvalue_sets(dense.eigenvalues, full.eigenvalues)[1].max()
         assert gap <= 1e-10 * dense.matrix_norm
@@ -1160,7 +1160,7 @@ def test_the_start_holds_no_n_by_n_temporary():
     # n = 2000: a whole n x n level-count table would take 32 MB.
     rng = np.random.default_rng(5)
     matrix = _random_tridiagonal(rng, "complex", 2000)
-    root, lo, hi, _ = eigen._bounds(matrix)
+    root, lo, hi, _ = eigen._bounds(matrix.lower, matrix.diag, matrix.upper)
     tracemalloc.start()
     try:
         start = eigen._dos_start(matrix.diag, root, lo, hi, 1e-9)
@@ -1179,7 +1179,7 @@ def test_the_start_keeps_coincident_counts_apart():
     start = eigen._dos_start(diag, np.zeros(4, dtype=complex), 1.0, 2.0, 1e-6)
     assert np.unique(start).size == 5
     assert np.min(np.abs(start[:, None] - start[None, :]) + np.eye(5)) >= 2e-7
-    full = eig_tridiagonal(_tridiagonal(diag, np.zeros(4), np.zeros(4))).eigenvalues
+    full = eig(_tridiagonal(diag, np.zeros(4), np.zeros(4))).eigenvalues
     np.testing.assert_allclose(full, diag, rtol=0, atol=1e-12)
 
 
@@ -1213,9 +1213,9 @@ def _small_random_tridiagonals():
 
 def test_eig_tridiagonal_matches_oracle_on_small_random_tridiagonals():
     for a in _small_random_tridiagonals():
-        full = eig_tridiagonal(a).eigenvalues
+        full = eig(a).eigenvalues
         _assert_lex_ordered(full)
-        assert match_eigenvalue_sets(brute_oracle_small(a), full)[1].max() <= 1e-9
+        assert match_eigenvalue_sets(brute_oracle_small([a])[0], full)[1].max() <= 1e-9
         assert match_eigenvalue_sets(eig(a.entries).eigenvalues, full)[1].max() <= 1e-9
 
 
@@ -1239,37 +1239,41 @@ def test_eig_tridiagonal_property_against_oracle(a):
     scale = max(1.0, dense.matrix_norm)
     vals = dense.eigenvalues
     assume(np.min(np.abs(vals[:, None] - vals[None, :]) + np.eye(a.n) * scale) > 1e-3 * scale)
-    full = eig_tridiagonal(a)
+    full = eig(a)
     _assert_lex_ordered(full.eigenvalues)
-    assert match_eigenvalue_sets(brute_oracle_small(a), full.eigenvalues)[1].max() <= 1e-8 * scale
-    assert np.array_equal(eig_tridiagonal(a).eigenvalues, full.eigenvalues)
+    assert match_eigenvalue_sets(brute_oracle_small([a])[0], full.eigenvalues)[1].max() <= 1e-8 * scale
+    assert np.array_equal(eig(a).eigenvalues, full.eigenvalues)
 
 
 def test_eig_tridiagonal_edge_cases():
-    np.testing.assert_allclose(eig_tridiagonal(_tridiagonal([3.0], [], [])).eigenvalues, [3.0],
+    np.testing.assert_allclose(eig(_tridiagonal([3.0], [], [])).eigenvalues, [3.0],
                                rtol=1e-15)
-    zero = eig_tridiagonal(_tridiagonal(np.zeros(4), np.zeros(3), np.zeros(3)))
+    zero = eig(_tridiagonal(np.zeros(4), np.zeros(3), np.zeros(3)))
     assert zero.eigenvalues.tolist() == [0.0] * 4 and zero.matrix_norm == 0.0
     # a Jordan block: the double root 0 is reached exactly
-    jordan = eig_tridiagonal(_tridiagonal([0.0, 0.0], [0.0], [1.0])).eigenvalues
+    jordan = eig(_tridiagonal([0.0, 0.0], [0.0], [1.0])).eigenvalues
     np.testing.assert_allclose(jordan, [0.0, 0.0], atol=1e-15)
     # a simple eigenvalue at exactly 0, which no bound relative to |z| freezes
-    singular = eig_tridiagonal(_tridiagonal([1.0, 1 + 1j], [1.0], [1 + 1j])).eigenvalues
+    singular = eig(_tridiagonal([1.0, 1 + 1j], [1.0], [1 + 1j])).eigenvalues
     assert match_eigenvalue_sets(np.array([0.0, 2 + 1j]), singular)[1].max() <= 1e-15
     # a spectrum symmetric under x -> -x: no two roots settle on one point
-    mirror = eig_tridiagonal(_tridiagonal([0.0, 0.0, 0.0], [1.0, 1.0], [-1.0, 0.0])).eigenvalues
+    mirror = eig(_tridiagonal([0.0, 0.0, 0.0], [1.0, 1.0], [-1.0, 0.0])).eigenvalues
     assert match_eigenvalue_sets(np.array([-1j, 0.0, 1j]), mirror)[1].max() <= 1e-14
+    # a subnormal coupling product: a root lands exactly where the last
+    # pivot is subnormal, and p'/p is infinite there (a nan step once)
+    subnormal = eig(_tridiagonal([0.0, 1.0], [4.31107628e-79], [1.87682046e-241])).eigenvalues
+    assert match_eigenvalue_sets(np.array([0.0, 1.0]), subnormal)[1].max() <= 1e-15
 
 
 def test_eig_tridiagonal_refuses_oversized_input_before_solving():
     n = MAX_DENSE_NODES + 1
     with pytest.raises(TooLargeError):
-        eig_tridiagonal(_tridiagonal(np.ones(n), np.ones(n - 1), np.ones(n - 1)))
+        eig(_tridiagonal(np.ones(n), np.ones(n - 1), np.ones(n - 1)))
 
 
 def test_eig_tridiagonal_propagates_failure():
     with pytest.raises(NoConvergenceError):
-        eig_tridiagonal(_tridiagonal([np.nan, 1.0], [0.5], [0.5]))
+        eig(_tridiagonal([np.nan, 1.0], [0.5], [0.5]))
 
 
 def test_eig_refuses_non_finite_bands_before_densifying(monkeypatch):
@@ -1289,7 +1293,7 @@ def test_eig_refuses_non_finite_bands_before_densifying(monkeypatch):
     assert dense == []
 
 
-# The norm, the eigenvalue bounds and the trace error of eig_tridiagonal,
+# The norm, the eigenvalue bounds and the trace error of eig on the bands,
 # frozen with the loop below so that a change to the live helpers shows.
 def _frozen_unit_scaled(*arrays):
     views = [np.ascontiguousarray(a).view(float) for a in arrays]
@@ -1332,7 +1336,7 @@ def _frozen_spectrum(vals, diag, norm):
     return eigen.Spectrum(eigenvalues=vals, matrix_norm=norm, trace_error=error)
 
 
-# eig_tridiagonal's start at the bands' level-count quantiles, frozen with
+# eig's banded start at the level-count quantiles, frozen with
 # the loop below.
 def _frozen_dos_start(diag, root, lo, hi, spacing):
     n = diag.size
@@ -1352,7 +1356,7 @@ def _frozen_dos_start(diag, root, lo, hi, spacing):
     return start + 0.3j * local * (-1.0) ** k * (1.0 + k / n)
 
 
-# eig_tridiagonal as it was while its row loop guarded every pivot, kept
+# eig on the bands as it was while its row loop guarded every pivot, kept
 # verbatim but for its start, which is _frozen_dos_start above, and for its
 # sweeps on the bands less the median of Re d_i, which is added back to the
 # roots; with that loop's pair-sum block of 2^16 entries, as the reference
@@ -1433,7 +1437,7 @@ def test_eig_tridiagonal_reproduces_the_guarded_loop_bits_on_acceptance_specs(n)
     for label in sorted(ACCEPTANCE_SPECS):
         for picture in ("reference", "target"):
             matrix = _picture_matrix(ACCEPTANCE_SPECS[label], picture, n)
-            _assert_same_outcome(_outcome(eig_tridiagonal, matrix),
+            _assert_same_outcome(_outcome(eig, matrix),
                                  _outcome(_guarded_loop, matrix))
 
 
@@ -1450,7 +1454,7 @@ def test_eig_tridiagonal_reproduces_the_guarded_loop_bits_at_exact_zero_pivots(m
 
     monkeypatch.setattr(eigen, "_log_derivative", spy)
     for matrix in _small_random_tridiagonals():
-        _assert_same_outcome(_outcome(eig_tridiagonal, matrix),
+        _assert_same_outcome(_outcome(eig, matrix),
                              _outcome(_guarded_loop, matrix))
     assert redone
 
@@ -1480,7 +1484,7 @@ def test_eig_tridiagonal_keeps_the_guarded_loops_errors_and_bits(sweeps, monkeyp
         moving = [r for r in references if "still moving at the limit of 12" in str(r)]
         assert moving and sum(isinstance(r, eigen.Spectrum) for r in references) > 4
     for matrix, reference in zip(matrices, references):
-        _assert_same_outcome(_outcome(eig_tridiagonal, matrix), reference)
+        _assert_same_outcome(_outcome(eig, matrix), reference)
 
 
 # The row loop as it was with six ufunc calls a row, the sixth adding each
@@ -1632,11 +1636,11 @@ def test_eig_tridiagonal_reproduces_the_guarded_loop_bits_at_repeated_eigenvalue
     rng = np.random.default_rng(n)
     for _ in range(3):
         matrix = _random_tridiagonal(rng, "doubled", n)
-        _assert_same_outcome(_outcome(eig_tridiagonal, matrix), _outcome(_guarded_loop, matrix))
+        _assert_same_outcome(_outcome(eig, matrix), _outcome(_guarded_loop, matrix))
     block = _picture_matrix(ACCEPTANCE_SPECS["c2:sech"], "target", n // 2)
     matrix = _tridiagonal(np.tile(block.diag, 2), np.r_[block.lower, 0.0, block.lower],
                           np.r_[block.upper, 0.0, block.upper])
-    _assert_same_outcome(_outcome(eig_tridiagonal, matrix), _outcome(_guarded_loop, matrix))
+    _assert_same_outcome(_outcome(eig, matrix), _outcome(_guarded_loop, matrix))
 
 
 @st.composite
@@ -1663,8 +1667,8 @@ def test_eig_tridiagonal_is_scale_equivariant_bit_for_bit(matrix, j):
     def scaled(x):
         return np.ldexp(np.asarray(x).view(float), j).view(complex)
 
-    spectrum = _outcome(eig_tridiagonal, matrix)
-    result = _outcome(eig_tridiagonal, OperatorMatrix(
+    spectrum = _outcome(eig, matrix)
+    result = _outcome(eig, OperatorMatrix(
         scaled(matrix.lower), scaled(matrix.diag), scaled(matrix.upper)))
     if isinstance(spectrum, Exception):
         assert type(result) is type(spectrum) and str(result) == str(spectrum)

@@ -1,6 +1,7 @@
 """Checks, level ladders, rate fits, and report serialization."""
 
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,7 @@ from pdm_spectra import (
     SamsonovRoy,
     ScarfII,
     TooLargeError,
-    UnsupportedGeneratorError,
+    UnsupportedKindError,
     VerificationReport,
     analytic_levels,
     brute_oracle_small,
@@ -39,8 +40,6 @@ from pdm_spectra import (
     isospectral_sweep,
     ordering_preset,
     picture_matrix,
-    samsonov_roy_levels,
-    scarf2_levels,
     uniform_grid,
 )
 from pdm_spectra import cli, eigen, verify
@@ -53,26 +52,37 @@ C3_SPEC = ModelSpec.from_ordering(SamsonovRoy(), ZK, q_interval=(-np.pi, np.pi),
 
 
 def test_scarf2_ladder():
-    np.testing.assert_allclose(scarf2_levels(2.5), [-4.0, -1.0])
-    np.testing.assert_allclose(scarf2_levels(-2.5), [-4.0, -1.0])  # depth is |v2|
-    np.testing.assert_allclose(scarf2_levels(1.5), [-1.0])
-    assert scarf2_levels(0.4).size == 0  # too shallow to bind
+    np.testing.assert_allclose(analytic_levels(ScarfII(2.5), 400), [-4.0, -1.0])
+    np.testing.assert_allclose(analytic_levels(ScarfII(-2.5), 400), [-4.0, -1.0])  # depth is |v2|
+    np.testing.assert_allclose(analytic_levels(ScarfII(1.5), 400), [-1.0])
+    assert analytic_levels(ScarfII(0.4), 400).size == 0  # too shallow to bind
 
 
 def test_samsonov_roy_ladder():
-    np.testing.assert_allclose(
-        samsonov_roy_levels(), [-21.0 / 16.0, 11.0 / 16.0, 39.0 / 16.0, 75.0 / 16.0]
-    )
+    levels = analytic_levels(SamsonovRoy(), 400)
+    np.testing.assert_allclose(levels, [-21.0 / 16.0, 11.0 / 16.0, 39.0 / 16.0, 75.0 / 16.0])
     assert SAMSONOV_ROY_MISSING_LEVEL == -9.0 / 16.0
     # the hole is well separated from its neighbours
-    assert np.min(np.abs(samsonov_roy_levels() - SAMSONOV_ROY_MISSING_LEVEL)) == pytest.approx(0.75)
+    assert np.min(np.abs(levels - SAMSONOV_ROY_MISSING_LEVEL)) == pytest.approx(0.75)
 
 
 def test_analytic_levels_dispatch():
-    assert analytic_levels(ScarfII(2.5)).size == 2
-    assert analytic_levels(SamsonovRoy()).size == 4
-    with pytest.raises(UnsupportedGeneratorError):
-        analytic_levels(Morse())
+    assert analytic_levels(ScarfII(2.5), 2).size == 2
+    assert analytic_levels(SamsonovRoy(), 4).size == 4
+    with pytest.raises(UnsupportedKindError):
+        analytic_levels(Morse(), 400)
+
+
+def test_analytic_levels_refuses_a_long_ladder_before_listing_it():
+    # listed first, a ladder of 1e100 levels would fill the memory
+    start = time.perf_counter()
+    with pytest.raises(InsufficientBoundStatesError, match=r"a ladder of 1e\+100 levels"):
+        analytic_levels(ScarfII(1e100), 400)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(InsufficientBoundStatesError, match="a ladder of 3 levels"):
+        analytic_levels(ScarfII(3.0), 2)
+    with pytest.raises(InsufficientBoundStatesError, match="a ladder of 4 levels"):
+        analytic_levels(SamsonovRoy(), 3)
 
 
 def test_fit_decay_rate():
@@ -204,7 +214,7 @@ def test_check_intertwining_keeps_the_unscaled_bits(payload):
 
 def test_oracle_sizes_an_operator_before_densifying(refuse_dense):
     with pytest.raises(TooLargeError, match="oracle accepts matrices up to size 8, got 9"):
-        brute_oracle_small(OperatorMatrix(np.ones(8), np.ones(9), np.ones(8)))
+        brute_oracle_small([OperatorMatrix(np.ones(8), np.ones(9), np.ones(8))])
 
 
 @pytest.mark.parametrize("generator", [{"kind": "scarf2", "v2": 2.5}, {"kind": "samsonov_roy"}])
@@ -219,7 +229,7 @@ def test_alpha0_shifts_the_ladders_and_closed_forms(generator):
         assert check_identities(spec, tol=tol["identities"]).passed
         gaps.append(report.details["max_gap"])
         sweep = convergence_sweep(spec, [100, 200])
-        assert sweep["levels"] == [complex(v + alpha0) for v in analytic_levels(spec.generator)]
+        assert sweep["levels"] == [complex(v + alpha0) for v in analytic_levels(spec.generator, 100)]
         assert sweep["error"][-1] < sweep["error"][0]
     assert gaps[1] == pytest.approx(gaps[0], abs=1e-9)
 
