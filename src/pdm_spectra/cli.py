@@ -13,10 +13,11 @@ Subcommands:
 * defaults: print the full default configuration.
 
 Exit codes: 0 success, 1 a verification check failed, 2 bad usage,
-bad config, or a model/numerics error, such as a banded solve whose
-Aberth sweeps do not converge (NoConvergenceError); no output file is
-then written.  Output files are written atomically; reruns with the same
-inputs produce identical bytes, forked or not.
+bad config, a model/numerics error, such as a banded solve whose Aberth
+sweeps do not converge (NoConvergenceError), or a grid too large to
+allocate (MemoryError); no output file is then written.  Output files
+are written atomically; reruns with the same inputs produce identical
+bytes, forked or not.
 """
 
 from __future__ import annotations
@@ -392,6 +393,9 @@ def main(argv=None) -> int:
         return 2
     except PdmSpectraError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy raises a private subclass
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 2
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError
@@ -67,6 +67,11 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _require_known(blob, known, label: str) -> None:
+    unknown = sorted(set(blob) - set(known))
+    _require(not unknown, f"unknown {label}: {', '.join(unknown)}")
+
+
 def _as_number(value, key: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{key} must be a number, got {value!r}")
@@ -104,14 +109,13 @@ class RunConfig:
     n_sweep: list[int]
     k_levels: int
     oracle_level: object
-    tolerances: dict = field(default_factory=dict)
-    seed: int = 1234
+    tolerances: dict
+    seed: int
 
 
 def config_from_dict(raw: dict) -> RunConfig:
     _require(isinstance(raw, dict), f"config must be a JSON object, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - set(DEFAULTS))
-    _require(not unknown, f"unknown config keys: {', '.join(unknown)}")
+    _require_known(raw, DEFAULTS, "config keys")
     merged = {**DEFAULTS, **raw}
 
     generator = _parse_generator(merged["generator"])
@@ -150,8 +154,7 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     tolerances = merged["tolerances"]
     _require(isinstance(tolerances, dict), f"tolerances must be an object, got {tolerances!r}")
-    bad = sorted(set(tolerances) - set(DEFAULT_TOLERANCES))
-    _require(not bad, f"unknown tolerance keys: {', '.join(bad)}")
+    _require_known(tolerances, DEFAULT_TOLERANCES, "tolerance keys")
     tol = {**DEFAULT_TOLERANCES, **tolerances}
     for key, value in tol.items():
         if value is not None or key != "im":  # only im may be null
@@ -195,8 +198,7 @@ def _parse_generator(blob) -> Generator:
     params = {k: v for k, v in blob.items() if k != "kind"}
     try:
         if kind == "scarf2":
-            extra = sorted(set(params) - {"v2", "sign"})
-            _require(not extra, f"unknown scarf2 fields: {', '.join(extra)}")
+            _require_known(params, ("v2", "sign"), "scarf2 fields")
             _require("v2" in params, "scarf2 generator needs v2")
             return ScarfII(
                 v2=_as_number(params["v2"], "generator.v2"),
@@ -206,11 +208,9 @@ def _parse_generator(blob) -> Generator:
             _require(not params, f"samsonov_roy takes no fields, got {sorted(params)}")
             return SamsonovRoy()
         if kind == "morse":
-            extra = sorted(set(params) - {"a"})
-            _require(not extra, f"unknown morse fields: {', '.join(extra)}")
+            _require_known(params, ("a",), "morse fields")
             return Morse(a=_as_number(params.get("a", 1.0), "generator.a"))
-        extra = sorted(set(params) - {"value"})
-        _require(not extra, f"unknown constant generator fields: {', '.join(extra)}")
+        _require_known(params, ("value",), "constant generator fields")
         return Constant(_as_number(params.get("value", 0.0), "generator.value"))
     except ValueError as exc:
         raise ConfigError(f"bad generator: {exc}") from exc
@@ -231,8 +231,7 @@ def _parse_ordering(blob) -> AmbiguityOrdering:
         )
     _require(isinstance(blob, dict),
              f"ordering must be a preset name or an object, got {blob!r}")
-    extra = sorted(set(blob) - {"alpha", "beta", "gamma", "name"})
-    _require(not extra, f"unknown ordering fields: {', '.join(extra)}")
+    _require_known(blob, ("alpha", "beta", "gamma", "name"), "ordering fields")
     _require({"alpha", "beta", "gamma"} <= set(blob),
              "custom ordering needs alpha, beta, and gamma")
 
@@ -266,8 +265,7 @@ def _parse_profile(blob, generator: Generator, ordering: AmbiguityOrdering) -> M
         c1, c2 = 1.0, (2.0 if isinstance(generator, SamsonovRoy) else 0.0)
     else:
         _require(isinstance(blob, dict), f"profile must be a string or object, got {blob!r}")
-        extra = sorted(set(blob) - {"c1", "c2"})
-        _require(not extra, f"unknown profile keys: {', '.join(extra)}")
+        _require_known(blob, ("c1", "c2"), "profile keys")
         _require("c1" in blob, "profile object needs at least c1")
         c1 = _as_number(blob["c1"], "profile.c1")
         c2 = _as_number(blob.get("c2", 0.0), "profile.c2")

@@ -511,9 +511,9 @@ def _aberth(lower, diag, upper) -> np.ndarray:
                 # guard changes no root whose p'/p came out finite
                 dlogp[redo] = _log_derivative(za[redo], d0, rest, couplings, pivot)
             pair = _pair_sums(za, z, active)
-        # An infinite p'/p, as after a subnormal last pivot, puts z on an
-        # eigenvalue to rounding: its step is 0, where 1/(p'/p - pair) is nan
-        step = np.divide(1.0, dlogp - pair, out=np.zeros_like(za), where=~np.isinf(dlogp))
+            # An infinite p'/p, as after a subnormal last pivot, puts z on an
+            # eigenvalue to rounding: its step is 0, where 1/(p'/p - pair) is nan
+            step = np.divide(1.0, dlogp - pair, out=np.zeros_like(za), where=~np.isinf(dlogp))
         z[active] = za - step
         # A root pushed only by a close neighbour takes small steps while its
         # Newton correction 1/(p'/p) stays large; neither may be large.

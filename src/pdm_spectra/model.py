@@ -161,26 +161,25 @@ class MassProfile:
             )
         return u
 
+    def _power_law(self, x, e: float):
+        """(u^e, (u^e)', (u^e)'') at `x`, u = c1*x + c2: mu takes e = 1/(delta+1)
+        and M = mu^-2 takes e = -2/(delta+1)."""
+        u = self._argument(x)
+        f = u**e
+        f1 = self.c1 * e * u ** (e - 1.0)
+        f2 = self.c1 * self.c1 * e * (e - 1.0) * u ** (e - 2.0)
+        return f, f1, f2
+
     def eval(self, x) -> ProfileValues:
         """Evaluate mu, mu' and mu'' at the points `x`.
 
         Raises OutOfDomainError when any point has c1*x + c2 <= 0.
         """
-        u = self._argument(x)
-        p = 1.0 / (self.delta + 1.0)
-        mu = u**p
-        mu1 = self.c1 * p * u ** (p - 1.0)
-        mu2 = self.c1 * self.c1 * p * (p - 1.0) * u ** (p - 2.0)
-        return ProfileValues(mu, mu1, mu2)
+        return ProfileValues(*self._power_law(x, 1.0 / (self.delta + 1.0)))
 
     def mass_derivatives(self, x):
         """Return (M, M', M'') at `x`; used by the ordering-term identity check."""
-        u = self._argument(x)
-        e = -2.0 / (self.delta + 1.0)
-        m = u**e
-        m1 = self.c1 * e * u ** (e - 1.0)
-        m2 = self.c1 * self.c1 * e * (e - 1.0) * u ** (e - 2.0)
-        return m, m1, m2
+        return self._power_law(x, -2.0 / (self.delta + 1.0))
 
     # Change of variables q(x) = integral of 1/mu.  Closed forms:
     #   delta != 0:  q = (delta+1)/(delta*c1) * (c1*x + c2)^(delta/(delta+1))
@@ -207,9 +206,6 @@ class MassProfile:
             u = s ** ((d + 1.0) / d)
         return (u - self.c2) / self.c1
 
-    def __str__(self) -> str:
-        return f"MassProfile(c1={self.c1:g}, c2={self.c2:g}, delta={self.delta:g})"
-
 
 @dataclass(frozen=True)
 class ConstantMass:
@@ -221,9 +217,7 @@ class ConstantMass:
         return ProfileValues(one, zero, zero.copy())
 
     def mass_derivatives(self, x):
-        one = np.ones_like(x, dtype=float)
-        zero = np.zeros_like(one)
-        return one, zero, zero.copy()
+        return self.eval(x)
 
     def q_from_x(self, x):
         return np.array(x, dtype=float)
@@ -231,22 +225,12 @@ class ConstantMass:
     def x_from_q(self, q):
         return np.array(q, dtype=float)
 
-    def __str__(self) -> str:
-        return "ConstantMass()"
-
 
 MassLike = Union[MassProfile, ConstantMass]
 
 
-class Generator:
-    """Base for intertwiner generators F(q); subclasses return (F, F')."""
-
-    def __call__(self, q):
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class ScarfII(Generator):
+class ScarfII:
     """F(q) = -v2*sech(q); `sign` selects the branch f(x) = sign*exp(q(x))
     used by the rational closed form of the target-picture potential."""
 
@@ -272,7 +256,7 @@ class ScarfII(Generator):
 
 
 @dataclass(frozen=True)
-class SamsonovRoy(Generator):
+class SamsonovRoy:
     """F(q) = -4/(3*cos(q)^2 - 4) - 5/4, a pi-periodic bounded generator."""
 
     def __call__(self, q):
@@ -285,7 +269,7 @@ class SamsonovRoy(Generator):
 
 
 @dataclass(frozen=True)
-class Morse(Generator):
+class Morse:
     """F(q) = a*exp(-q)."""
 
     a: float = 1.0
@@ -299,7 +283,7 @@ class Morse(Generator):
 
 
 @dataclass(frozen=True)
-class Constant(Generator):
+class Constant:
     """F(q) = value; handy for free-operator limits."""
 
     value: float = 0.0
@@ -310,6 +294,10 @@ class Constant(Generator):
 
     def __str__(self) -> str:
         return f"Constant(value={self.value:g})"
+
+
+# An intertwiner generator F(q): called on q, it returns (F, F').
+Generator = Union[ScarfII, SamsonovRoy, Morse, Constant]
 
 
 @dataclass(frozen=True)

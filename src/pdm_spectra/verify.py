@@ -185,6 +185,18 @@ def fit_decay_rate(h_values, errors) -> float:
     return float(np.polyfit(np.log(h), np.log(e), 1)[0])
 
 
+def _refine(n_list, interval, measure):
+    """measure(n) for each grid size n of a refinement, and the refinement's
+    report keys: "n", the sizes; "h", the spacings (b - a)/(n + 1) of flat
+    n-node grids on `interval` = (a, b); "rate", the decay rate fitted to
+    the measures."""
+    n_list = [int(n) for n in n_list]
+    a, b = interval
+    values = [measure(n) for n in n_list]
+    h = [(b - a) / (n + 1) for n in n_list]
+    return values, {"n": n_list, "h": h, "rate": fit_decay_rate(h, values)}
+
+
 def _iso_gaps(spec: ModelSpec, n: int, k: int) -> np.ndarray:
     """Matched gaps of the k lowest reference-picture levels against the
     target picture's whole spectrum, on n-node grids (see _ladder_gaps)."""
@@ -206,24 +218,19 @@ def isospectral_sweep(
 ) -> VerificationReport:
     """Worst matched gap of _iso_gaps over a grid refinement; the last gap
     must be at most tol, and the gaps must shrink at least at min_rate."""
-    n_list = [int(n) for n in n_list]
-    qa, qb = spec.q_interval
-    worst = [float(_iso_gaps(spec, n, k).max()) for n in n_list]
-    h = [(qb - qa) / (n + 1) for n in n_list]
-    rate = fit_decay_rate(h, worst)
+    worst, refinement = _refine(n_list, spec.q_interval,
+                                lambda n: float(_iso_gaps(spec, n, k).max()))
     # Two pictures that are one operator agree exactly: no decay to fit.
-    passed = worst[-1] <= tol and (rate >= min_rate or not any(worst))
+    passed = worst[-1] <= tol and (refinement["rate"] >= min_rate or not any(worst))
     return VerificationReport(
         check="isospectral_sweep",
         passed=passed,
         details={
-            "n": n_list,
-            "h": h,
+            **refinement,
             "k": k,
             "gaps": worst,
             "final_gap": worst[-1],
             "tol": tol,
-            "rate": rate,
             "min_rate": min_rate,
         },
     )
@@ -259,10 +266,9 @@ def check_intertwining(
     exact power of two (eigen._unit_scaled): the relative residual keeps its
     bits under that scaling, and every product and norm stays finite.
     """
-    n_list = [int(n) for n in n_list]
     xa, xb = spec.x_interval
-    residuals = []
-    for n in n_list:
+
+    def residual(n):
         grid = uniform_grid(xa, xb, n, coordinate="x")
         target = build_target_matrix(spec, grid)
         shifted = OperatorMatrix(target.lower, target.diag - spec.alpha0, target.upper)
@@ -271,19 +277,17 @@ def check_intertwining(
         adjoint = OperatorMatrix(ham.upper.conj(), ham.diag.conj(), ham.lower.conj())
         mismatch = [a - b for a, b in zip(_product_bands(eta, ham), _product_bands(adjoint, eta))]
         norms = [np.linalg.norm(np.concatenate((m.lower, m.diag, m.upper))) for m in (eta, ham)]
-        residuals.append(float(np.linalg.norm(np.concatenate(mismatch)) / (norms[0] * norms[1])))
-    h = [(xb - xa) / (n + 1) for n in n_list]
+        return float(np.linalg.norm(np.concatenate(mismatch)) / (norms[0] * norms[1]))
+
+    residuals, refinement = _refine(n_list, (xa, xb), residual)
     decreasing = all(residuals[i + 1] < residuals[i] for i in range(len(residuals) - 1))
-    rate = fit_decay_rate(h, residuals)
     return VerificationReport(
         check="intertwining",
-        passed=decreasing and rate >= min_rate,
+        passed=decreasing and refinement["rate"] >= min_rate,
         details={
-            "n": n_list,
-            "h": h,
+            **refinement,
             "residual": residuals,
             "strictly_decreasing": decreasing,
-            "rate": rate,
             "min_rate": min_rate,
             "x_interval": [xa, xb],
         },
@@ -449,23 +453,20 @@ def convergence_sweep(
     InsufficientBoundStatesError, before any grid is built, for an empty
     ladder or one with more levels than the smallest grid has nodes.
     """
-    n_list = [int(n) for n in n_list]
+    n_list = [int(n) for n in n_list]  # the ladder is checked before any grid is built
     if oracle is None:
         oracle = analytic_levels(spec.generator, min(n_list)) + spec.alpha0
     oracle = np.asarray(oracle, dtype=complex).ravel()
     if oracle.size == 0:
         raise InsufficientBoundStatesError("the ladder has no level to sweep against")
     _require_ladder_fits(oracle.size, min(n_list))
-    errors = [float(_ladder_gaps(oracle, picture_matrix(spec, picture, n)[1]).max())
-              for n in n_list]
-    qa, qb = spec.q_interval
-    h = [(qb - qa) / (n + 1) for n in n_list]
+    errors, refinement = _refine(
+        n_list, spec.q_interval,
+        lambda n: float(_ladder_gaps(oracle, picture_matrix(spec, picture, n)[1]).max()))
     return {
         "picture": picture,
-        "n": n_list,
-        "h": h,
+        **refinement,
         "error": errors,
-        "rate": fit_decay_rate(h, errors),
         "levels": [complex(v) for v in oracle],
     }
 

@@ -23,7 +23,7 @@ from pdm_spectra import (
     potential_decomposition,
     target_potential,
 )
-from pdm_spectra import cli, eigen
+from pdm_spectra import cli, eigen, verify
 from pdm_spectra.config import DEFAULTS
 from pdm_spectra.verify import _jsonable
 
@@ -562,6 +562,22 @@ def test_oversized_solve_is_refused_before_any_grid(picture, monkeypatch, capsys
     assert cli.main(argv) == 2
     assert f"TooLargeError: full spectra are limited to {MAX_DENSE_NODES} nodes" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,owner,name", [
+    (["map", "--n", "1000000000000"], cli, "matched_domains"),
+    (["verify", "--which", "analytic"], verify, "picture_matrix"),
+])
+def test_a_grid_too_large_to_allocate_exits_two(argv, owner, name, monkeypatch, capsys):
+    class ArrayMemoryError(MemoryError):  # numpy raises a private subclass
+        pass
+
+    def refuse(*args, **kwargs):
+        raise ArrayMemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(owner, name, refuse)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: MemoryError: Unable to allocate 7.28 TiB for an array\n"
 
 
 def _loads_scipy(code):

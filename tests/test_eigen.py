@@ -144,6 +144,15 @@ def test_eig_raises_on_a_defective_tridiagonal_that_the_dense_route_answers():
         eig(matrix)
     dense = eig(matrix.entries).eigenvalues
     assert dense.shape == (3,) and np.abs(dense).max() <= 1e-4
+    # Here p'/p - pair comes out nan for one root: its step is nan, and eig
+    # refuses it with the same error, not a RuntimeWarning from the divide
+    # (the suite makes one an error).
+    matrix = _tridiagonal([0.95313852 - 5.1926e-320j, 0.0], [1.01114745e-75 - 4.28121879e-76j],
+                          [0.0])
+    with pytest.raises(NoConvergenceError, match="Aberth sweeps"):
+        eig(matrix)
+    dense = np.sort_complex(eig(matrix.entries).eigenvalues)
+    np.testing.assert_array_equal(dense.real, [0.0, 0.95313852])
 
 
 def test_a_norm_whose_sum_of_squares_overflows_is_rescaled():

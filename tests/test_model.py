@@ -151,6 +151,18 @@ def test_mass_derivatives_spot():
     assert m2 == pytest.approx(1.0 / 32.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("delta", [0.0, 0.5, 1.0, 2.0])
+def test_mass_derivatives_follow_from_the_profile(delta):
+    # M = mu^-2, M' = -2 mu' / mu^3, M'' = 6 mu'^2 / mu^4 - 2 mu'' / mu^3
+    p = MassProfile(-1.5, 9.0, delta)
+    x = np.linspace(-4.0, 5.5, 50)
+    mu, mu1, mu2 = p.eval(x)
+    m, m1, m2 = p.mass_derivatives(x)
+    np.testing.assert_allclose(m, mu**-2, rtol=1e-13)
+    np.testing.assert_allclose(m1, -2.0 * mu1 / mu**3, rtol=1e-13)
+    np.testing.assert_allclose(m2, 6.0 * mu1**2 / mu**4 - 2.0 * mu2 / mu**3, rtol=1e-13)
+
+
 @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
 def test_mu_prime_mu_delta_is_constant(delta):
     # the class is defined by mu' * mu^delta == c1/(delta+1)
